@@ -405,17 +405,17 @@ def _cmd_smooth(args):
         def _nexp(x: float, n: int) -> float:
             return math.inf if x <= 0 else -math.log2(x) / n
 
-        for n in range(args.n_min, args.n_max + 1):
-            cert = iid_smoothing_certificate(
-                rho.mat,
-                sigma.mat,
-                args.rate,
-                n,
-                t=args.t,
-                s_max=args.s_max,
-                cluster_tol=tols["cluster"],
-                commute_tol=tols["commute"],
-            )
+        for cert in iid_smoothing_certificate(
+            rho.mat,
+            sigma.mat,
+            args.rate,
+            range(args.n_min, args.n_max + 1),
+            t=args.t,
+            s_max=args.s_max,
+            cluster_tol=tols["cluster"],
+            commute_tol=tols["commute"],
+        ):
+            n = cert.meta["n"]
             rows.append(
                 {
                     "n": n,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import BudgetExceededError, HermitianOperator, _as_matrix, eig, mat_power, positive_part_trace
-from .measures import ConditionalRenyiCurve, _entropy_bits, _nuclear_norm
+from .measures import ConditionalRenyiCurve, _nuclear_norm
 from .states import CQState
 
 MEASURES = ("trace_distance", "purified_distance", "relative_entropy", "renyi")
@@ -175,44 +175,34 @@ def _blockwise_umegaki_vs_ideal(state_ze: CQState) -> float:
 
 
 class _SourceContext:
-    """Precomputed pieces shared by all batched table evaluations of one source."""
+    """Precomputed pieces shared by all batched table evaluations of one source.
+
+    Zero-probability symbols are dropped; mask selects the table columns
+    that remain. The Renyi measure reuses the curve's blocks, already
+    rotated into the support frame of rho_E.
+    """
 
     def __init__(self, source: CQState):
-        self.source = source
-        self.p = source.probs
-        self.dim_e = source.dim_e
+        self.curve = ConditionalRenyiCurve(source)
+        self.mask = source.probs > 0
+        self.p = self.curve.weights
         self.classical = source.dim_e == 1
-        self.conds = np.stack(source.conditionals)
+        self.conds = np.stack(source.conditionals)[self.mask]
         self.rho_e = source.rho_e()
-        w, v = np.linalg.eigh(self.rho_e)
-        self.h_e = _entropy_bits(w)
-        lam_max = float(w[-1])
-        keep = w > 1e-12 * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
-        self._mu = w[keep]
-        self._vk = v[:, keep]
         self.sqrt_rho_e = mat_power(self.rho_e, 0.5).mat
-
-    def transformed_blocks(self, s: float) -> np.ndarray:
-        """Conditionals scaled into rho_E^e . rho_E^e, e = -s/(2(1+s)), support basis."""
-        e = -s / (2.0 * (1.0 + s))
-        d = self._mu**e
-        rot = np.einsum("ji,xjk,kl->xil", self._vk.conj(), self.conds, self._vk)
-        return d[None, :, None] * rot * d[None, None, :]
 
 
 def _batch_q_renyi(tables: np.ndarray, ctx: _SourceContext, m: int, s: float) -> np.ndarray:
     """Q_{1+s}(rho^f_ZE || 1_Z (x) rho_E) for each table row."""
-    weighted = (tables[:, :, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
-    tb = ctx.transformed_blocks(s)
-    blocks = np.einsum("nxm,xij->nmij", weighted, tb)
+    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
+    blocks = np.einsum("nxm,xij->nmij", weighted, ctx.curve.sandwiched_blocks(1.0 + s))
     w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
     return ((w ** (1.0 + s)).sum(axis=(1, 2))).astype(float)
 
 
 def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str, s: float | None) -> np.ndarray:
     """Insecurity of each table row under the requested measure."""
-    n = tables.shape[0]
-    onehot = tables[:, :, None] == np.arange(m)[None, None, :]
+    onehot = tables[:, ctx.mask, None] == np.arange(m)[None, None, :]
     q = (onehot * ctx.p[None, :, None]).sum(axis=1)
     if ctx.classical:
         if measure == "trace_distance":
@@ -238,7 +228,7 @@ def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str,
         w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
             h_blocks = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=(1, 2))
-        return math.log2(m) - (h_blocks - ctx.h_e)
+        return math.log2(m) - (h_blocks - ctx.curve.sigma_entropy)
     w, u = np.linalg.eigh(blocks)
     w = np.clip(w, 0.0, None)
     sqrt_blocks = (u * np.sqrt(w)[:, :, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
@@ -483,6 +473,27 @@ def make_family(kind: str, **kwargs):
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def _check_domain(family, source: CQState) -> None:
+    if family.domain_size != source.nsymbols:
+        raise ValueError(f"family domain {family.domain_size} != source symbols {source.nsymbols}")
+
+
+def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int, chunk: int):
+    """(mean of values(tables) over every family member, member count).
+
+    Members are enumerated in chunks and summed chunk by chunk in
+    enumeration order, so the mean does not depend on the thread count.
+    """
+    _check_domain(family, source)
+    if family.table_count > budget:
+        raise BudgetExceededError(f"{family.table_count} members exceed budget {budget}; use monte_carlo")
+    total, cnt = 0.0, 0
+    for vals in _chunked_scan(list(family.enumerate_tables(chunk)), values, threads):
+        total += float(vals.sum())
+        cnt += vals.size
+    return total / cnt, cnt
+
+
 def family_expectation(
     family,
     source: CQState,
@@ -503,31 +514,20 @@ def family_expectation(
     error of the mean is reported alongside.
     """
     _validate_measure(measure, s)
-    if family.domain_size != source.nsymbols:
-        raise ValueError(
-            f"family domain {family.domain_size} != source symbols {source.nsymbols}"
-        )
     ctx = _SourceContext(source)
     m = family.range_size
+
+    def values(tables):
+        return _batch_values(tables, ctx, m, measure, s)
+
     if sampling == "exhaustive":
-        if family.table_count > budget:
-            raise BudgetExceededError(
-                f"{family.table_count} members exceed budget {budget}; use monte_carlo"
-            )
-        chunks = list(family.enumerate_tables(chunk))
-
-        def evaluate(tables):
-            return _batch_values(tables, ctx, m, measure, s)
-
-        total, cnt = 0.0, 0
-        for vals in _chunked_scan(chunks, evaluate, threads):
-            total += float(vals.sum())
-            cnt += vals.size
-        return FamilyExpectation(total / cnt, None, cnt, "exhaustive")
+        mean, cnt = _exhaustive_mean(family, source, values, budget=budget, threads=threads, chunk=chunk)
+        return FamilyExpectation(mean, None, cnt, "exhaustive")
     if sampling != "monte_carlo":
         raise ValueError(f"sampling must be 'exhaustive' or 'monte_carlo', got {sampling!r}")
     if count < 2:
         raise ValueError("monte_carlo needs count >= 2")
+    _check_domain(family, source)
     # fixed-size chunks with per-chunk generators keyed by (seed, chunk index):
     # the draw and the mean are identical for every thread count
     jobs = [(i, lo, min(lo + chunk, count)) for i, lo in enumerate(range(0, count, chunk))]
@@ -535,8 +535,7 @@ def family_expectation(
     def evaluate(job):
         i, lo, hi = job
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        batch = np.stack([family.sample_table(rng) for _ in range(hi - lo)])
-        return _batch_values(batch, ctx, m, measure, s)
+        return values(np.stack([family.sample_table(rng) for _ in range(hi - lo)]))
 
     vals = np.concatenate(list(_chunked_scan(jobs, evaluate, threads)))
     mean = float(vals.mean())
@@ -578,24 +577,12 @@ def hashed_q_expectation_check(
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if family.domain_size != source.nsymbols:
-        raise ValueError("family domain does not match the source")
-    if family.table_count > budget:
-        raise BudgetExceededError(f"{family.table_count} members exceed budget {budget}")
     ctx = _SourceContext(source)
     m = family.range_size
-    chunks = list(family.enumerate_tables(chunk))
-
-    def evaluate(tables):
-        return _batch_q_renyi(tables, ctx, m, s)
-
-    total, cnt = 0.0, 0
-    for vals in _chunked_scan(chunks, evaluate, threads):
-        total += float(vals.sum())
-        cnt += vals.size
-    lhs = total / cnt
-    curve = ConditionalRenyiCurve(source)
-    q_source = float(np.exp2(curve.log2_q(1.0 + s)))
+    lhs, _ = _exhaustive_mean(
+        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads, chunk=chunk
+    )
+    q_source = float(np.exp2(ctx.curve.log2_q(1.0 + s)))
     v = eig(source.rho_e()).distinct_count
     rhs = v * (q_source + m**-s)
     if lhs > rhs + LEMMA_SLACK:
@@ -618,25 +605,13 @@ def leftover_hash_exponent_check(
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if family.domain_size != source.nsymbols:
-        raise ValueError("family domain does not match the source")
-    if family.table_count > budget:
-        raise BudgetExceededError(f"{family.table_count} members exceed budget {budget}")
     ctx = _SourceContext(source)
     m = family.range_size
-    chunks = list(family.enumerate_tables(chunk))
-
-    def evaluate(tables):
-        return m**s * _batch_q_renyi(tables, ctx, m, s)
-
-    total, cnt = 0.0, 0
-    for vals in _chunked_scan(chunks, evaluate, threads):
-        total += float(vals.sum())
-        cnt += vals.size
-    lhs = total / cnt
-    curve = ConditionalRenyiCurve(source)
+    lhs, _ = _exhaustive_mean(
+        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads, chunk=chunk
+    )
     v = eig(source.rho_e()).distinct_count
-    rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - curve.h(1.0 + s))))
+    rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - ctx.curve.h(1.0 + s))))
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"leftover-hash exponent bound violated: {lhs!r} > {rhs!r}")
     return lhs, rhs

@@ -1,11 +1,15 @@
 """Distance and divergence measures, all logarithms base 2.
 
-The sandwiched Renyi family is evaluated through cached curve objects
-(RenyiDivergenceCurve for an operator pair, ConditionalRenyiCurve for a
-classical-quantum state) that diagonalize the reference operator once and
-reduce each order-alpha evaluation to one small batched eigvalsh. Exponent
-optimizations call these evaluators hundreds of times, so the caching is
-what keeps the desk-scale suites fast.
+The sandwiched Renyi family is evaluated through one shared kernel,
+_SandwichedCurve: log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha with
+e = (1 - alpha)/(2 alpha). It diagonalizes the reference sigma once, keeps
+its support, rotates the blocks into that frame, and reduces each order to
+one scaling by mu^e and one batched eigvalsh. RenyiDivergenceCurve is the
+single block rho of weight 1 against sigma; ConditionalRenyiCurve is the
+blocks rho_x with weights p_x against rho_E; the hashing scans reuse the
+conditional curve's rotated blocks. Exponent optimizations call these
+evaluators hundreds of times, so the caching is what keeps the desk-scale
+suites fast.
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_SUPPORT_CUT, HermitianOperator, _as_matrix, mat_power
-from .states import CQState, StateDescriptor, _as_state_matrix
+from .operators import DEFAULT_SUPPORT_CUT, _as_matrix, mat_power
+from .states import CQState, _as_state_matrix
 
 ALPHA_ONE_GUARD = 1e-6
 SUPPORT_VIOLATION_TOL = 1e-10
-LOG2E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,69 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * (float(np.abs(w).sum()) + abs(float(np.trace(rm - sm).real)))
 
 
-class RenyiDivergenceCurve:
+class _SandwichedCurve:
+    """The shared kernel: alpha -> log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha.
+
+    e = (1 - alpha) / (2 alpha). sigma is diagonalized once and cut to its
+    support (eigenvalues above support_cut * lambda_max); every block B_x is
+    rotated into that frame, so each order costs one scaling by mu^e and one
+    batched eigvalsh. alpha -> inf is e = -1/2, where the largest weighted
+    eigenvalue gives D_max and H_min.
+    """
+
+    def __init__(self, blocks, weights, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
+        w, v = np.linalg.eigh(sigma)
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if float(w[0]) < -1e-9 * scale:
+            raise ValueError(f"reference operator not PSD: min eigenvalue {w[0]:.3e}")
+        lam_max = float(w[-1])
+        keep = w > support_cut * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
+        self._mu = np.clip(w[keep], 0.0, None)
+        self.frame = v[:, keep]
+        self.sigma_entropy = _entropy_bits(w)
+        rot = np.stack([self.frame.conj().T @ b @ self.frame for b in blocks])
+        self.blocks = (rot + np.conj(np.transpose(rot, (0, 2, 1)))) / 2.0
+        self.weights = np.asarray(weights, dtype=float)
+
+    def sandwiched_blocks(self, alpha: float) -> np.ndarray:
+        """sigma^e B_x sigma^e for every block, in the support frame."""
+        e = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
+        d = self._mu**e
+        return d[None, :, None] * self.blocks * d[None, None, :]
+
+    def log2_q(self, alpha: float) -> float:
+        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha), e = (1-alpha)/(2 alpha)."""
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if self._mu.size == 0:
+            return -math.inf
+        w = np.clip(np.linalg.eigvalsh(self.sandwiched_blocks(alpha)), 0.0, None)
+        terms = np.empty(len(self.weights))
+        for i in range(len(self.weights)):
+            wi = w[i]
+            wmax = float(wi.max(initial=0.0))
+            if wmax <= 0.0:
+                terms[i] = -math.inf
+                continue
+            terms[i] = (
+                alpha * math.log2(self.weights[i])
+                + alpha * math.log2(wmax)
+                + math.log2(float(((wi / wmax) ** alpha).sum()))
+            )
+        return _log2sumexp2(terms)
+
+    def _lambda_max(self) -> float:
+        """max_x w_x lambda_max(sigma^{-1/2} B_x sigma^{-1/2}), the alpha -> inf limit."""
+        w = np.linalg.eigvalsh(self.sandwiched_blocks(math.inf))
+        return float((self.weights * w[:, -1]).max())
+
+
+class RenyiDivergenceCurve(_SandwichedCurve):
     """Cached evaluator of alpha -> Q_alpha(rho || sigma) for one pair.
 
-    sigma is diagonalized once; rho is rotated into the support eigenbasis.
-    Each order evaluates one eigvalsh of the sandwiched matrix. Supports
-    pseudo-powers of sigma; support conditions are enforced at the
-    divergence() level, not inside log2_q.
+    The kernel with the single block rho of weight 1. Supports pseudo-powers
+    of sigma; support conditions are enforced at the divergence() level, not
+    inside log2_q.
     """
 
     def __init__(self, rho, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
@@ -105,37 +164,11 @@ class RenyiDivergenceCurve:
         sm = _as_matrix(sigma)
         if rm.shape != sm.shape:
             raise ValueError(f"dimension mismatch: {rm.shape} vs {sm.shape}")
-        w, v = np.linalg.eigh(sm)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if float(w[0]) < -1e-9 * scale:
-            raise ValueError(f"reference operator not PSD: min eigenvalue {w[0]:.3e}")
-        lam_max = float(w[-1])
-        keep = w > support_cut * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
-        self._mu = np.clip(w[keep], 0.0, None)
-        vk = v[:, keep]
-        b = vk.conj().T @ rm @ vk
-        self._b = (b + b.conj().T) / 2.0
+        super().__init__([rm], [1.0], sm, support_cut)
         self.rho_trace = float(np.trace(rm).real)
-        self.support_violation = max(0.0, self.rho_trace - float(np.trace(self._b).real))
+        self.support_violation = max(0.0, self.rho_trace - float(np.trace(self.blocks[0]).real))
         self.tr_rho_sigma = float(np.trace(rm @ sm).real)
         self._rho_mat = rm
-        self._sigma_eigs = (w, v)
-
-    def log2_q(self, alpha: float) -> float:
-        """log2 tr((sigma^e rho sigma^e)^alpha), e = (1-alpha)/(2 alpha), on supp(sigma)."""
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if self._mu.size == 0:
-            return -math.inf
-        e = (1.0 - alpha) / (2.0 * alpha)
-        d = self._mu**e
-        a = d[:, None] * self._b * d[None, :]
-        w = np.linalg.eigvalsh(a)
-        w = np.clip(w, 0.0, None)
-        wmax = float(w.max(initial=0.0))
-        if wmax <= 0.0:
-            return -math.inf
-        return alpha * math.log2(wmax) + math.log2(float(((w / wmax) ** alpha).sum()))
 
     def divergence(self, alpha: float) -> DivergenceResult:
         """Sandwiched Renyi divergence of order alpha, +inf on support failure."""
@@ -159,7 +192,7 @@ class RenyiDivergenceCurve:
             return DivergenceResult(math.inf, 1.0, self.support_violation)
         wr = np.linalg.eigvalsh(self._rho_mat)
         tr_rho_log_rho = float((wr[wr > 0] * np.log2(wr[wr > 0])).sum())
-        diag_b = np.real(np.diag(self._b))
+        diag_b = np.real(np.diag(self.blocks[0]))
         mu = self._mu
         pos = mu > 0
         tr_rho_log_sigma = float((diag_b[pos] * np.log2(mu[pos])).sum())
@@ -167,13 +200,9 @@ class RenyiDivergenceCurve:
 
     def dmax(self) -> DivergenceResult:
         """Max-relative entropy log2 min{c : rho <= c sigma}, +inf on support failure."""
-        if self.support_violation > SUPPORT_VIOLATION_TOL:
+        if self.support_violation > SUPPORT_VIOLATION_TOL or self._mu.size == 0:
             return DivergenceResult(math.inf, math.inf, self.support_violation)
-        if self._mu.size == 0:
-            return DivergenceResult(math.inf, math.inf, self.support_violation)
-        d = self._mu**-0.5
-        a = d[:, None] * self._b * d[None, :]
-        lam = float(np.linalg.eigvalsh(a)[-1])
+        lam = self._lambda_max()
         if lam <= 0:
             return DivergenceResult(-math.inf, math.inf, self.support_violation)
         return DivergenceResult(math.log2(lam), math.inf, self.support_violation)
@@ -200,49 +229,19 @@ def max_relative_entropy(rho, sigma) -> DivergenceResult:
     return RenyiDivergenceCurve(rho, sigma).dmax()
 
 
-class ConditionalRenyiCurve:
+class ConditionalRenyiCurve(_SandwichedCurve):
     """Cached evaluator of conditional Renyi entropies of a CQ state.
 
-    Diagonalizes the marginal rho_E once and stores every conditional in that
-    basis, compressed to the support. Q_alpha against 1_X (x) rho_E is then a
-    batched eigvalsh of scaled blocks, so sweeping alpha is cheap.
+    The kernel with blocks rho_x and weights p_x against the marginal rho_E,
+    which gives Q_alpha(rho_XE || 1_X (x) rho_E). Zero-probability symbols
+    are dropped.
     """
 
     def __init__(self, cq: CQState, support_cut: float = DEFAULT_SUPPORT_CUT):
         self.cq = cq
-        re = cq.rho_e()
-        w, v = np.linalg.eigh(re)
-        lam_max = float(w[-1])
-        keep = w > support_cut * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
-        self._mu = np.clip(w[keep], 0.0, None)
-        vk = v[:, keep]
         mask = cq.probs > 0
-        self._p = cq.probs[mask]
-        blocks = np.stack([vk.conj().T @ c @ vk for c, m in zip(cq.conditionals, mask) if m])
-        self._blocks = (blocks + np.conj(np.transpose(blocks, (0, 2, 1)))) / 2.0
-        self._h_e = _entropy_bits(w)
-
-    def log2_q(self, alpha: float) -> float:
-        """log2 Q_alpha(rho_XE || 1_X (x) rho_E)."""
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        e = (1.0 - alpha) / (2.0 * alpha)
-        d = self._mu**e
-        a = d[None, :, None] * self._blocks * d[None, None, :]
-        w = np.clip(np.linalg.eigvalsh(a), 0.0, None)
-        terms = np.empty(len(self._p))
-        for i in range(len(self._p)):
-            wi = w[i]
-            wmax = float(wi.max(initial=0.0))
-            if wmax <= 0.0:
-                terms[i] = -math.inf
-                continue
-            terms[i] = (
-                alpha * math.log2(self._p[i])
-                + alpha * math.log2(wmax)
-                + math.log2(float(((wi / wmax) ** alpha).sum()))
-            )
-        return _log2sumexp2(terms)
+        conds = [c for c, m in zip(cq.conditionals, mask) if m]
+        super().__init__(conds, cq.probs[mask], cq.rho_e(), support_cut)
 
     def s_times_h(self, s: float) -> float:
         """s * H_{1+s}(X|E) = -log2 Q_{1+s}; concave in s, zero at s = 0."""
@@ -250,18 +249,14 @@ class ConditionalRenyiCurve:
 
     def h1(self) -> float:
         """von Neumann conditional entropy H(X|E) = H(XE) - H(E), in bits."""
-        h_xe = _entropy_bits(self._p)
-        for px, block in zip(self._p, self._blocks):
+        h_xe = _entropy_bits(self.weights)
+        for px, block in zip(self.weights, self.blocks):
             h_xe += px * _entropy_bits(np.linalg.eigvalsh(block))
-        return h_xe - self._h_e
+        return h_xe - self.sigma_entropy
 
     def hmin(self) -> float:
         """H_min(X|E) = -log2 max_x lambda_max(p_x rho_E^{-1/2} rho_x rho_E^{-1/2})."""
-        d = self._mu**-0.5
-        a = d[None, :, None] * self._blocks * d[None, None, :]
-        w = np.linalg.eigvalsh(a)
-        lam = float((self._p * w[:, -1]).max())
-        return -math.log2(lam)
+        return -math.log2(self._lambda_max())
 
     def h(self, alpha: float) -> float:
         """Conditional Renyi entropy of order alpha (1 and inf included)."""

@@ -17,6 +17,7 @@ HERMITICITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-9
 DEFAULT_SUPPORT_CUT = 1e-12
+DEFAULT_COMMUTE_TOL = 1e-9
 DEFAULT_TENSOR_BUDGET = 4096
 
 
@@ -228,6 +229,13 @@ def commutator_defect(a, b) -> float:
     """max entry of |AB - BA|."""
     am, bm = _as_matrix(a), _as_matrix(b)
     return float(np.max(np.abs(am @ bm - bm @ am)))
+
+
+def commutes(a, b, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
+    """The package's one commuting test: max|AB - BA| <= tol (1 + max|A_ij|) (1 + max|B_ij|)."""
+    am, bm = _as_matrix(a), _as_matrix(b)
+    bound = tol * (1.0 + float(np.max(np.abs(am)))) * (1.0 + float(np.max(np.abs(bm))))
+    return commutator_defect(am, bm) <= bound
 
 
 def distinct_eigenvalue_count_iid(

@@ -18,10 +18,12 @@ import numpy as np
 from .operators import (
     BudgetExceededError,
     DEFAULT_CLUSTER_TOL,
+    DEFAULT_COMMUTE_TOL,
     DEFAULT_SUPPORT_CUT,
     HermitianOperator,
     _as_matrix,
     commutator_defect,
+    commutes,
     distinct_eigenvalue_count_iid,
     eig,
     pinching,
@@ -228,13 +230,12 @@ class SpectrumDistribution:
             )
 
     @classmethod
-    def from_commuting_pair(cls, rho, sigma, *, tol: float = 1e-9) -> "SpectrumDistribution":
+    def from_commuting_pair(cls, rho, sigma, *, tol: float = DEFAULT_COMMUTE_TOL) -> "SpectrumDistribution":
         rm = _as_state_matrix(rho)
         sm = _as_matrix(sigma)
-        defect = commutator_defect(rm, sm)
-        if defect > tol * (1.0 + float(np.max(np.abs(rm)))) * (1.0 + float(np.max(np.abs(sm)))):
+        if not commutes(rm, sm, tol):
             raise ValueError(
-                f"operators do not commute (defect {defect:.3e}); "
+                f"operators do not commute (defect {commutator_defect(rm, sm):.3e}); "
                 "use certificate bounds for non-commuting pairs"
             )
         u = simultaneous_eigenbasis(sm, rm)
@@ -343,8 +344,22 @@ class SmoothingCertificate:
             raise ValueError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
-def _default_s_grid(s_max: float) -> np.ndarray:
-    return np.concatenate(([0.0], np.geomspace(1e-4, s_max, 400)))
+def _grid_divergences(curve: RenyiDivergenceCurve, s_grid, s_max: float) -> list[tuple[float, float]]:
+    """(s, D_{1+s}(rho || sigma)) on the certificate s-grid, s = 0 left out.
+
+    The default grid is 0 plus 400 geometric points in [1e-4, s_max].
+    """
+    if s_grid is None:
+        s_grid = np.concatenate(([0.0], np.geomspace(1e-4, s_max, 400)))
+    return [(float(s), curve.divergence(1.0 + float(s)).value) for s in np.asarray(s_grid, dtype=float) if s != 0.0]
+
+
+def _grid_upper(divergences, v_count: int, lam: float, n: int) -> float:
+    """Least achievability bound over the grid for n copies: D_{1+s} of the n-fold pair is n D_{1+s}."""
+    upper = 1.0
+    for s, d in divergences:
+        upper = min(upper, _achievability_from_values(v_count, d * n, lam, s))
+    return upper
 
 
 def smoothing_certificate(
@@ -356,26 +371,17 @@ def smoothing_certificate(
     s_grid=None,
     s_max: float = 64.0,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    commute_tol: float = 1e-9,
+    commute_tol: float = DEFAULT_COMMUTE_TOL,
 ) -> SmoothingCertificate:
     """One-shot certificate for a single (rho, sigma, lam), witness included."""
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    curve = RenyiDivergenceCurve(rm, sm)
-    v = eig(sm, cluster_tol).distinct_count
-    grid = _default_s_grid(s_max) if s_grid is None else np.asarray(s_grid, dtype=float)
-    upper = 1.0
-    for s in grid:
-        if s == 0.0:
-            continue
-        d = curve.divergence(1.0 + float(s)).value
-        upper = min(upper, _achievability_from_values(v, d, lam, float(s)))
+    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm), s_grid, s_max)
+    upper = _grid_upper(divergences, eig(sm, cluster_tol).distinct_count, lam, 1)
     lower = converse_bound(rm, sm, lam, t)
     witness, achieved = pinched_smoothing_witness(rm, sm, lam, cluster_tol=cluster_tol)
     exact = None
-    commuting = commutator_defect(rm, sm) <= commute_tol * (
-        1.0 + float(np.max(np.abs(rm)))
-    ) * (1.0 + float(np.max(np.abs(sm))))
+    commuting = commutes(rm, sm, commute_tol)
     upper = min(upper, achieved)
     if commuting:
         spectrum = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol)
@@ -394,76 +400,72 @@ def iid_smoothing_certificate(
     rho,
     sigma,
     r: float,
-    n: int,
+    ns,
     *,
     t: float = DEFAULT_CONVERSE_T,
     s_grid=None,
     s_max: float = 64.0,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    commute_tol: float = 1e-9,
+    commute_tol: float = DEFAULT_COMMUTE_TOL,
     tensor_budget: int = 4096,
     atom_cap: int = ATOM_CAP,
-) -> SmoothingCertificate:
-    """Certificate for smoothing rho^(x n) against sigma^(x n) at budget n r.
+) -> list[SmoothingCertificate]:
+    """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
-    Commuting pairs get the exact spectrum-path epsilon plus the bracket;
-    non-commuting pairs get the bracket only, with the converse computed on a
-    dense tensor power under a budget.
+    The s-grid divergences, the commuting decision and the base spectrum do
+    not depend on n and are computed once. Commuting pairs get the exact
+    spectrum-path epsilon plus the bracket; non-commuting pairs get the
+    bracket only, with the converse computed on a dense tensor power under a
+    budget.
     """
-    if n < 1:
+    ns = list(ns)
+    if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    lam = n * r
-    curve = RenyiDivergenceCurve(rm, sm)
-    v_n = distinct_eigenvalue_count_iid(sm, n, rel_tol=cluster_tol)
-    grid = _default_s_grid(s_max) if s_grid is None else np.asarray(s_grid, dtype=float)
-    upper = 1.0
-    for s in grid:
-        if s == 0.0:
-            continue
-        d = curve.divergence(1.0 + float(s)).value
-        d_n = d * n if not math.isinf(d) else math.inf
-        upper = min(upper, _achievability_from_values(v_n, d_n, lam, float(s)))
-    commuting = commutator_defect(rm, sm) <= commute_tol * (
-        1.0 + float(np.max(np.abs(rm)))
-    ) * (1.0 + float(np.max(np.abs(sm))))
-    if commuting:
-        base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol)
-        spectrum = iid_spectrum(base, n, atom_cap=atom_cap)
-        exact, _ = spectrum.smoothing_oracle(lam)
-        lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
-    else:
-        exact = None
-        rho_n = tensor_power(rm, n, budget=tensor_budget).mat
-        sigma_n = tensor_power(sm, n, budget=tensor_budget).mat
-        lower = converse_bound(rho_n, sigma_n, lam, t)
-    return SmoothingCertificate(
-        lam=lam,
-        lower=lower,
-        upper=upper,
-        exact=exact,
-        witness=None,
-        meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v_n},
-    )
+    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm), s_grid, s_max)
+    commuting = commutes(rm, sm, commute_tol)
+    base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol) if commuting else None
+    certificates = []
+    for n in ns:
+        lam = n * r
+        v_n = distinct_eigenvalue_count_iid(sm, n, rel_tol=cluster_tol)
+        upper = _grid_upper(divergences, v_n, lam, n)
+        if commuting:
+            spectrum = iid_spectrum(base, n, atom_cap=atom_cap)
+            exact, _ = spectrum.smoothing_oracle(lam)
+            lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
+        else:
+            exact = None
+            rho_n = tensor_power(rm, n, budget=tensor_budget).mat
+            sigma_n = tensor_power(sm, n, budget=tensor_budget).mat
+            lower = converse_bound(rho_n, sigma_n, lam, t)
+        certificates.append(
+            SmoothingCertificate(
+                lam=lam,
+                lower=lower,
+                upper=upper,
+                exact=exact,
+                witness=None,
+                meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v_n},
+            )
+        )
+    return certificates
 
 
-def smooth_min_entropy(cq: CQState, eps: float, *, resolution: float = 1e-6, commute_tol: float = 1e-9) -> float:
+def smooth_min_entropy(
+    cq: CQState, eps: float, *, resolution: float = 1e-6, commute_tol: float = DEFAULT_COMMUTE_TOL
+) -> float:
     """Smooth min-entropy H_min^eps(X|E) of a commuting CQ state.
 
     Defined through the exact smoothing oracle: the negative of the least
     budget lambda at which the smoothing quantity against 1_X (x) rho_E drops
     to eps, located by bisection to the given lambda resolution. Requires
-    every conditional to commute with the marginal; non-commuting inputs
-    raise and should use certificate bounds instead.
+    every conditional to commute with the marginal (classical_pair raises
+    otherwise); non-commuting inputs should use certificate bounds instead.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not cq.is_commuting(commute_tol):
-        raise ValueError(
-            "smooth_min_entropy needs conditionals commuting with the marginal; "
-            "use smoothing certificates for non-commuting states"
-        )
     p, q = cq.classical_pair(commute_tol)
     spectrum = SpectrumDistribution.from_vectors(p, q)
 

@@ -8,16 +8,16 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .operators import (
+    DEFAULT_COMMUTE_TOL,
     BudgetExceededError,
     HermitianOperator,
     _as_matrix,
-    commutator_defect,
+    commutes,
     simultaneous_eigenbasis,
 )
 
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-9
-COMMUTE_TOL = 1e-9
 
 Kind = Literal["normalized", "subnormalized"]
 
@@ -188,16 +188,16 @@ class CQState:
             syms = [t + (s,) for t in syms for s in self.symbols]
         return CQState(probs, conds, syms)
 
-    def is_commuting(self, tol: float = COMMUTE_TOL) -> bool:
-        """Whether every conditional commutes with the marginal rho_E."""
+    def is_commuting(self, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
+        """Whether every conditional commutes with the marginal rho_E (operators.commutes)."""
         re = self.rho_e()
         return all(
-            commutator_defect(c, re) <= tol
+            commutes(c, re, tol)
             for px, c in zip(self.probs, self.conditionals)
             if px > 0
         )
 
-    def classical_pair(self, tol: float = COMMUTE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def classical_pair(self, tol: float = DEFAULT_COMMUTE_TOL) -> tuple[np.ndarray, np.ndarray]:
         """Joint eigenvalue vectors (p, q) of rho_XE and 1_X (x) rho_E.
 
         Valid only when every conditional commutes with rho_E; then each block

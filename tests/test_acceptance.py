@@ -73,8 +73,7 @@ def test_criterion_1_iid_smoothing_sandwich_and_exponent_bracket():
     dmax = max_relative_entropy(P_HALF, Q_QUARTER).value
     r = 0.5 * (d1 + dmax)
     target = smoothing_exponent(P_HALF, Q_QUARTER, r).value
-    for n in range(1, 13):
-        cert = iid_smoothing_certificate(P_HALF, Q_QUARTER, r, n)
+    for n, cert in enumerate(iid_smoothing_certificate(P_HALF, Q_QUARTER, r, range(1, 13)), start=1):
         assert cert.exact is not None
         assert cert.exact - cert.lower >= -1e-9, f"n={n}: exact below converse"
         assert cert.upper - cert.exact >= -1e-9, f"n={n}: exact above achievability"

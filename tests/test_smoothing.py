@@ -190,12 +190,11 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
     rho = np.diag(P)
     sigma = np.diag(Q)
     r = 0.6
-    for n in range(1, 7):
-        cert = iid_smoothing_certificate(rho, sigma, r, n)
+    for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 7)):
         assert cert.meta["commuting"]
         assert cert.lower - 1e-9 <= cert.exact <= cert.upper + 1e-9
     one = smoothing_certificate(rho, sigma, r)
-    iid_one = iid_smoothing_certificate(rho, sigma, r, 1)
+    [iid_one] = iid_smoothing_certificate(rho, sigma, r, [1])
     assert abs(one.exact - iid_one.exact) <= 1e-12
 
 
@@ -205,12 +204,12 @@ def test_iid_certificate_noncommuting_uses_dense_converse():
     sigma = rand_density(rng, 2)
     curve = RenyiDivergenceCurve(rho, sigma)
     r = 0.5 * (curve.umegaki().value + curve.dmax().value)
-    cert = iid_smoothing_certificate(rho, sigma, r, 3)
+    [cert] = iid_smoothing_certificate(rho, sigma, r, [3])
     assert cert.exact is None
     assert not cert.meta["commuting"]
     assert 0.0 <= cert.lower <= cert.upper <= 1.0
     with pytest.raises(BudgetExceededError):
-        iid_smoothing_certificate(rho, sigma, r, 13)
+        iid_smoothing_certificate(rho, sigma, r, [13])
 
 
 def test_certificate_rejects_crossed_brackets():
