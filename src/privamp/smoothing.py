@@ -45,12 +45,11 @@ def _exp2_clipped(x: float) -> float:
     return float(np.exp2(min(x, _EXP2_CLIP)))
 
 
-def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
-    """Exact smoothing of a classical pair: min purified distance to p' <= 2^lam q.
+def _water_fill(p, q, lam: float, iters: int):
+    """(p, p', target) with p'_x = min(c p_x, 2^lam q_x) of total mass target.
 
-    Water-filling: p'_x = min(c p_x, 2^lam q_x) with c chosen by bisection so
-    that the total mass is min(1, total cap mass). Returns (epsilon, p').
-    KKT residuals of the solution are checked to KKT_TOL internally.
+    target = min(1, total cap mass) and c is found by bisection. KKT
+    residuals of the solution are checked to KKT_TOL.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -94,6 +93,18 @@ def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
         raise ArithmeticError(f"water-filling mass residual {resid:.3e} exceeds {KKT_TOL}")
     if float((ptilde - cap).max(initial=0.0)) > KKT_TOL:
         raise ArithmeticError("water-filling cap constraint violated")
+    return p, ptilde, target
+
+
+def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
+    """Exact smoothing of a classical pair: min purified distance to p' <= 2^lam q.
+
+    Water-filling: p'_x = min(c p_x, 2^lam q_x) with c chosen by bisection so
+    that the total mass is min(1, total cap mass). Returns (epsilon, p') with
+    epsilon = sqrt(1 - F^2), F = sum sqrt(p p'). KKT residuals of the
+    solution are checked to KKT_TOL internally.
+    """
+    p, ptilde, _ = _water_fill(p, q, lam, iters)
     f = float(np.sqrt(p * ptilde).sum())
     eps = math.sqrt(max(0.0, 1.0 - f * f))
     return eps, ptilde
@@ -278,13 +289,21 @@ class SpectrumDistribution:
         return float(self.weight[cond].sum())
 
     def smoothing_oracle(self, lam: float):
-        """Exact water-filling on the atom classes; returns (epsilon, atom p')."""
+        """Exact water-filling on the atom classes; returns (epsilon, atom p').
+
+        The weights are renormalized first: an n-fold convolution drifts
+        their sum by about 1e-14. epsilon comes from 1 - F = (sum (sqrt p -
+        sqrt p')^2 + 1 - target) / 2, which keeps its relative precision
+        where 1 - F^2 cancels, below epsilon = 1e-7.
+        """
         if abs(self.total_mass - 1.0) > 1e-9:
             raise ValueError(f"spectrum mass {self.total_mass!r} is not 1; oracle needs a normalized rho")
         with np.errstate(invalid="ignore", over="ignore"):
             q_eff = self.weight * np.exp2(np.clip(self.log2_q - self.log2_p, -_EXP2_CLIP, _EXP2_CLIP))
         q_eff = np.where(np.isneginf(self.log2_q), 0.0, q_eff)
-        return classical_smoothing_oracle(self.weight, q_eff, lam)
+        p, ptilde, target = _water_fill(self.weight / self.total_mass, q_eff, lam, 60)
+        one_minus_f = 0.5 * (float(((np.sqrt(p) - np.sqrt(ptilde)) ** 2).sum()) + (1.0 - target))
+        return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f))), ptilde
 
 
 def _merge_atoms(lp: np.ndarray, lq: np.ndarray, wt: np.ndarray, tol: float = MERGE_TOL) -> SpectrumDistribution:

@@ -68,6 +68,52 @@ def test_oracle_handles_reference_zeros():
     assert abs(eps - math.sqrt(1.0 - 0.6)) <= 1e-12
 
 
+def _mp_iid_oracle_eps(p, q, n: int, lam: float):
+    """40-digit water-filling on the exact n-fold type-class spectrum of diag(p) vs diag(q)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        pm = [mpmath.mpf(float(x)) for x in p]
+        total = mpmath.fsum(pm)
+        pm = [x / total for x in pm]
+        qm = [mpmath.mpf(float(x)) for x in q]
+        scale = mpmath.power(2, mpmath.mpf(lam))
+        atoms = []
+        for k0 in range(n + 1):
+            for k1 in range(n + 1 - k0):
+                k = (k0, k1, n - k0 - k1)
+                mult = mpmath.factorial(n) / (mpmath.factorial(k[0]) * mpmath.factorial(k[1]) * mpmath.factorial(k[2]))
+                pa = mult * pm[0] ** k[0] * pm[1] ** k[1] * pm[2] ** k[2]
+                qa = mult * qm[0] ** k[0] * qm[1] ** k[1] * qm[2] ** k[2]
+                atoms.append((scale * qa / pa, pa, scale * qa))
+        atoms.sort()
+        target = min(mpmath.mpf(1), mpmath.fsum(a[2] for a in atoms))
+        # mass(c) = sum of caps with ratio <= c + c * (p-mass with ratio > c); solve mass(c) = target
+        capped, free = mpmath.mpf(0), mpmath.fsum(a[1] for a in atoms)
+        c = None
+        for ratio, pa, cap in atoms:
+            if capped + ratio * free >= target:
+                c = (target - capped) / free
+                break
+            capped += cap
+            free -= pa
+        fid = mpmath.fsum(mpmath.sqrt(pa * (cap if ratio <= c else c * pa)) for ratio, pa, cap in atoms)
+        return float(mpmath.sqrt(1 - fid**2))
+
+
+def test_iid_exact_epsilon_stays_accurate_when_tiny():
+    # at n = 38 the exact epsilon is about 1e-8; 1 - F^2 used to cancel to 0
+    # there, below the converse bound, and the certificate raised
+    p = np.array([0.02, 0.067, 0.913])
+    q = np.array([0.108, 0.0155, 0.8765])
+    rho, sigma = np.diag(p), np.diag(q)
+    curve = RenyiDivergenceCurve(rho, sigma)
+    r = 0.5 * (curve.umegaki().value + curve.dmax().value)
+    for cert in iid_smoothing_certificate(rho, sigma, r, [30, 35, 38, 40]):
+        want = _mp_iid_oracle_eps(p, q, cert.meta["n"], cert.lam)
+        assert 0.0 < cert.exact
+        assert abs(cert.exact - want) <= 1e-6 * want, (cert.meta["n"], cert.exact, want)
+
+
 def test_pinched_witness_is_feasible():
     rng = np.random.default_rng(127)
     for _ in range(15):
