@@ -5,6 +5,12 @@ Insecurity of a hashed CQ state is its distance to uniform-times-marginal
 under a selectable measure. Exhaustive searches enumerate tables as base-M
 integers ascending and reduce deterministically (min value, ties to the
 smaller integer), independent of the thread count.
+
+Relabeling the outputs of a table does not change its insecurity under any
+of the four measures, so tables come in twins. An exhaustive search reports
+the canonical twin of its winner: the outputs relabeled in order of first
+appearance (a restricted-growth table), which is the smallest index among
+the twins. Rounding alone would otherwise pick one twin or another.
 """
 
 from __future__ import annotations
@@ -268,7 +274,9 @@ def min_insecurity_exhaustive(
 
     Tables are enumerated as base-range_size integers ascending; ties resolve
     to the smallest integer, making the result independent of threading and
-    chunking. Totals above the budget raise BudgetExceededError.
+    chunking. The reported table is the canonical twin of the winner (see the
+    module docstring); value stays the scanned minimum. Totals above the
+    budget raise BudgetExceededError.
     """
     _validate_measure(measure, s)
     total = range_size**source.nsymbols
@@ -291,9 +299,12 @@ def min_insecurity_exhaustive(
     for val, idx in _chunked_scan(bounds, evaluate, threads):
         if val < best_val:
             best_val, best_idx = val, idx
-    f = HashFunction.from_index(best_idx, source.nsymbols, range_size)
+    # relabel outputs by order of first appearance: the smallest index among the winner's twins
+    labels: dict[int, int] = {}
+    winner = HashFunction.from_index(best_idx, source.nsymbols, range_size).table
+    f = HashFunction(source.nsymbols, range_size, tuple(labels.setdefault(z, len(labels)) for z in winner))
     return InsecurityReport(
-        measure, best_val, s=s, hash_index=best_idx, hash_table=f.table, evaluated=total
+        measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=total
     )
 
 

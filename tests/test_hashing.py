@@ -109,6 +109,24 @@ def test_exhaustive_minimum_thread_invariance():
     assert len({r.value for r in reports}) == 1
 
 
+@pytest.mark.parametrize(
+    "measure,s",
+    [("trace_distance", None), ("purified_distance", None), ("relative_entropy", None), ("renyi", 0.5)],
+)
+def test_exhaustive_minimum_reports_canonical_twin(measure, s):
+    # relabeled outputs tie up to rounding; the reported table must be the
+    # restricted-growth member of the winner's orbit, whatever rounding picked
+    rng = np.random.default_rng(197)
+    for _ in range(6):
+        cq = rand_cq(rng, 6, 2)
+        rep = min_insecurity_exhaustive(cq, 3, measure, s)
+        first_seen = list(dict.fromkeys(rep.hash_table))
+        assert first_seen == list(range(len(first_seen))), rep.hash_table
+        assert rep.hash_index == HashFunction(6, 3, rep.hash_table).index
+        twin = insecurity(apply_hash(cq, HashFunction(6, 3, rep.hash_table)), measure, s).value
+        assert abs(twin - rep.value) <= 1e-12
+
+
 def test_exhaustive_budget_gate():
     cq = CQState.classical(np.full(8, 0.125))
     with pytest.raises(BudgetExceededError):
