@@ -58,7 +58,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-KNOWN_TOL_KEYS = ("cluster", "support_cut", "commute", "resolution")
+KNOWN_TOL_KEYS = ("cluster", "commute")
 
 
 class ValidationError(ValueError):
@@ -220,7 +220,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_tols(args) -> None:
-    tols = {"cluster": 1e-9, "support_cut": 1e-12, "commute": 1e-9, "resolution": 1e-6}
+    tols = {"cluster": 1e-9, "commute": 1e-9}
     for item in args.tol:
         if "=" not in item:
             raise ValidationError(f"--tol expects KEY=VAL, got {item!r}")

@@ -175,6 +175,11 @@ def test_tolerance_overrides(rho_path, sigma_path, capsys):
         main(["measure", rho_path, sigma_path, "--divergence", "relative", "--tol", "nope=1"])
         == EXIT_VALIDATION
     )
+    capsys.readouterr()
+    for key in ("support_cut", "resolution"):
+        code = main(["measure", rho_path, sigma_path, "--divergence", "relative", "--tol", f"{key}=1e-10"])
+        assert code == EXIT_VALIDATION
+        assert "unknown tolerance key" in capsys.readouterr().err
 
 
 def test_exponent_curve_csv(cq_path, capsys):
