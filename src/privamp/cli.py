@@ -33,15 +33,11 @@ from .measures import (
     trace_distance,
 )
 from .exponents import (
-    critical_rate,
     exponent_curve,
-    golden_section_max,
     pa_upper_exponent,
 )
 from .smoothing import (
-    SpectrumDistribution,
     iid_smoothing_certificate,
-    pinched_smoothing_witness,
     smoothing_certificate,
 )
 from .hashing import (

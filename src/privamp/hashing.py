@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BudgetExceededError, HermitianOperator, _as_matrix, eig, mat_power, positive_part_trace
+from .operators import BudgetExceededError, _as_matrix, eig, mat_power, positive_part_trace
 from .measures import ConditionalRenyiCurve, _nuclear_norm
 from .states import CQState
 
@@ -626,12 +626,6 @@ def leftover_hash_exponent_check(
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"leftover-hash exponent bound violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
-
-
-def _binary_entropy_bits(x: float) -> float:
-    if x <= 0 or x >= 1:
-        return 0.0
-    return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
 def example1_suite(

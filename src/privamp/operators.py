@@ -8,7 +8,6 @@ built on top of numpy.linalg.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -20,7 +20,6 @@ from .operators import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_COMMUTE_TOL,
     DEFAULT_SUPPORT_CUT,
-    HermitianOperator,
     _as_matrix,
     commutator_defect,
     commutes,
