@@ -373,27 +373,16 @@ def _cmd_smooth(args):
         "pass exactly one of --rate (iid certificates) or --lam (one-shot)",
     )
     tols = args.tolerances
-    rows = []
+    options = {"t": args.t, "s_max": args.s_max, "cluster_tol": tols["cluster"], "commute_tol": tols["commute"]}
+
+    def bracket(cert) -> dict:
+        exact = cert.exact if cert.exact is not None else ""
+        return {"lam": cert.lam, "lower": cert.lower, "exact": exact, "upper": cert.upper}
+
     if args.lam is not None:
-        cert = smoothing_certificate(
-            rho.mat,
-            sigma.mat,
-            args.lam,
-            t=args.t,
-            s_max=args.s_max,
-            cluster_tol=tols["cluster"],
-            commute_tol=tols["commute"],
-        )
-        rows.append(
-            {
-                "lam": cert.lam,
-                "lower": cert.lower,
-                "exact": cert.exact if cert.exact is not None else "",
-                "upper": cert.upper,
-                "witness_achieved": cert.meta["witness_achieved"],
-                "commuting": cert.meta["commuting"],
-            }
-        )
+        cert = smoothing_certificate(rho.mat, sigma.mat, args.lam, **options)
+        meta = cert.meta
+        rows = [dict(bracket(cert), witness_achieved=meta["witness_achieved"], commuting=meta["commuting"])]
         results = {"mode": "one-shot", "t": args.t}
     else:
         _require(1 <= args.n_min <= args.n_max, "--n-min must be in [1, --n-max]")
@@ -401,24 +390,14 @@ def _cmd_smooth(args):
         def _nexp(x: float, n: int) -> float:
             return math.inf if x <= 0 else -math.log2(x) / n
 
-        for cert in iid_smoothing_certificate(
-            rho.mat,
-            sigma.mat,
-            args.rate,
-            range(args.n_min, args.n_max + 1),
-            t=args.t,
-            s_max=args.s_max,
-            cluster_tol=tols["cluster"],
-            commute_tol=tols["commute"],
-        ):
+        rows = []
+        ns = range(args.n_min, args.n_max + 1)
+        for cert in iid_smoothing_certificate(rho.mat, sigma.mat, args.rate, ns, **options):
             n = cert.meta["n"]
             rows.append(
                 {
                     "n": n,
-                    "lam": cert.lam,
-                    "lower": cert.lower,
-                    "exact": cert.exact if cert.exact is not None else "",
-                    "upper": cert.upper,
+                    **bracket(cert),
                     "exponent_lo": _nexp(cert.upper, n),
                     "exponent_hi": _nexp(cert.lower, n),
                     "v_n": cert.meta["v_n"],
@@ -605,19 +584,14 @@ def _cmd_suite(args):
             "checks": rep["checks"],
             "passed": rep["passed"],
         }
-        passed = rep["passed"]
     elif args.which == "example2":
-        rep = example2_suite(args.n, realizations=args.realizations, seed=args.seed)
-        results = rep
-        passed = rep["passed"]
+        results = example2_suite(args.n, realizations=args.realizations, seed=args.seed)
     else:
-        rep = _properties_suite(args)
-        results = rep
-        passed = rep["passed"]
+        results = _properties_suite(args)
     doc = _config_block(args, [])
     doc["command"] = f"suite {args.which}"
     doc["results"] = results
-    return doc, None, EXIT_OK if passed else EXIT_CHECK_FAILED
+    return doc, None, EXIT_OK if results["passed"] else EXIT_CHECK_FAILED
 
 
 HANDLERS = {

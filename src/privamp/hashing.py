@@ -183,9 +183,7 @@ def _blockwise_umegaki_vs_ideal(state_ze: CQState) -> float:
 class _SourceContext:
     """Precomputed pieces shared by all batched table evaluations of one source.
 
-    Zero-probability symbols are dropped; mask selects the table columns
-    that remain. The Renyi measure reuses the curve's blocks, already
-    rotated into the support frame of rho_E.
+    Zero-probability symbols are dropped; mask selects the table columns kept.
     """
 
     def __init__(self, source: CQState):
@@ -208,8 +206,8 @@ def _batch_q_renyi(tables: np.ndarray, ctx: _SourceContext, m: int, s: float) ->
 
 def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str, s: float | None) -> np.ndarray:
     """Insecurity of each table row under the requested measure."""
-    onehot = tables[:, ctx.mask, None] == np.arange(m)[None, None, :]
-    q = (onehot * ctx.p[None, :, None]).sum(axis=1)
+    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
+    q = weighted.sum(axis=1)
     if ctx.classical:
         if measure == "trace_distance":
             return 0.5 * np.abs(q - 1.0 / m).sum(axis=1)
@@ -222,7 +220,6 @@ def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str,
             return math.log2(m) + h
         qs = (q ** (1.0 + s)).sum(axis=1)
         return math.log2(m) + np.log2(qs) / s
-    weighted = onehot * ctx.p[None, :, None]
     if measure == "renyi":
         qvals = _batch_q_renyi(tables, ctx, m, s)
         return math.log2(m) + np.log2(qvals) / s
@@ -274,9 +271,8 @@ def min_insecurity_exhaustive(
 
     Tables are enumerated as base-range_size integers ascending; ties resolve
     to the smallest integer, making the result independent of threading and
-    chunking. The reported table is the canonical twin of the winner (see the
-    module docstring); value stays the scanned minimum. Totals above the
-    budget raise BudgetExceededError.
+    chunking; the winner is reported as its canonical twin (module docstring).
+    Totals above the budget raise BudgetExceededError.
     """
     _validate_measure(measure, s)
     total = range_size**source.nsymbols
@@ -490,11 +486,7 @@ def _check_domain(family, source: CQState) -> None:
 
 
 def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int, chunk: int):
-    """(mean of values(tables) over every family member, member count).
-
-    Members are enumerated in chunks and summed chunk by chunk in
-    enumeration order, so the mean does not depend on the thread count.
-    """
+    """(mean of values(tables) over every member, count), summed chunk by chunk in order."""
     _check_domain(family, source)
     if family.table_count > budget:
         raise BudgetExceededError(f"{family.table_count} members exceed budget {budget}; use monte_carlo")
@@ -591,7 +583,8 @@ def hashed_q_expectation_check(
     ctx = _SourceContext(source)
     m = family.range_size
     lhs, _ = _exhaustive_mean(
-        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads, chunk=chunk
+        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s),
+        budget=budget, threads=threads, chunk=chunk,
     )
     q_source = float(np.exp2(ctx.curve.log2_q(1.0 + s)))
     v = eig(source.rho_e()).distinct_count
@@ -619,7 +612,8 @@ def leftover_hash_exponent_check(
     ctx = _SourceContext(source)
     m = family.range_size
     lhs, _ = _exhaustive_mean(
-        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads, chunk=chunk
+        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s),
+        budget=budget, threads=threads, chunk=chunk,
     )
     v = eig(source.rho_e()).distinct_count
     rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - ctx.curve.h(1.0 + s))))

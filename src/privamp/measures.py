@@ -1,15 +1,12 @@
 """Distance and divergence measures, all logarithms base 2.
 
-The sandwiched Renyi family is evaluated through one shared kernel,
-_SandwichedCurve: log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha with
-e = (1 - alpha)/(2 alpha). It diagonalizes the reference sigma once, keeps
-its support, rotates the blocks into that frame, and reduces each order to
-one scaling by mu^e and one batched eigvalsh. RenyiDivergenceCurve is the
-single block rho of weight 1 against sigma; ConditionalRenyiCurve is the
-blocks rho_x with weights p_x against rho_E; the hashing scans reuse the
-conditional curve's rotated blocks. Exponent optimizations call these
-evaluators hundreds of times, so the caching is what keeps the desk-scale
-suites fast.
+The sandwiched Renyi family is evaluated through one cached kernel,
+_SandwichedCurve, that diagonalizes the reference operator once and reduces
+each order-alpha evaluation to one small batched eigvalsh.
+RenyiDivergenceCurve (an operator pair) and ConditionalRenyiCurve (a
+classical-quantum state) are its two uses; the hashing scans reuse the
+latter's blocks. Exponent optimizations call these evaluators hundreds of
+times, so the caching is what keeps the desk-scale suites fast.
 """
 
 from __future__ import annotations
@@ -95,13 +92,11 @@ def trace_distance(rho, sigma) -> float:
 
 
 class _SandwichedCurve:
-    """The shared kernel: alpha -> log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha.
+    """alpha -> log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha, e = (1-alpha)/(2 alpha).
 
-    e = (1 - alpha) / (2 alpha). sigma is diagonalized once and cut to its
-    support (eigenvalues above support_cut * lambda_max); every block B_x is
-    rotated into that frame, so each order costs one scaling by mu^e and one
-    batched eigvalsh. alpha -> inf is e = -1/2, where the largest weighted
-    eigenvalue gives D_max and H_min.
+    sigma is diagonalized once and cut to its support; the blocks B_x are
+    rotated into that frame, so an order costs one scaling by mu^e and one
+    batched eigvalsh. alpha = inf means e = -1/2 (D_max and H_min).
     """
 
     def __init__(self, blocks, weights, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
@@ -112,9 +107,9 @@ class _SandwichedCurve:
         lam_max = float(w[-1])
         keep = w > support_cut * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
         self._mu = np.clip(w[keep], 0.0, None)
-        self.frame = v[:, keep]
+        vk = v[:, keep]
         self.sigma_entropy = _entropy_bits(w)
-        rot = np.stack([self.frame.conj().T @ b @ self.frame for b in blocks])
+        rot = np.stack([vk.conj().T @ b @ vk for b in blocks])
         self.blocks = (rot + np.conj(np.transpose(rot, (0, 2, 1)))) / 2.0
         self.weights = np.asarray(weights, dtype=float)
 
@@ -125,7 +120,7 @@ class _SandwichedCurve:
         return d[None, :, None] * self.blocks * d[None, None, :]
 
     def log2_q(self, alpha: float) -> float:
-        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha), e = (1-alpha)/(2 alpha)."""
+        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma)."""
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if self._mu.size == 0:

@@ -290,10 +290,9 @@ class SpectrumDistribution:
     def smoothing_oracle(self, lam: float):
         """Exact water-filling on the atom classes; returns (epsilon, atom p').
 
-        The weights are renormalized first: an n-fold convolution drifts
-        their sum by about 1e-14. epsilon comes from 1 - F = (sum (sqrt p -
-        sqrt p')^2 + 1 - target) / 2, which keeps its relative precision
-        where 1 - F^2 cancels, below epsilon = 1e-7.
+        The weights are renormalized, since n-fold convolution drifts their sum
+        by about 1e-14, and 1 - F comes from (sum (sqrt p - sqrt p')^2 + 1 -
+        target) / 2, which does not cancel below epsilon = 1e-7 as 1 - F^2 does.
         """
         if abs(self.total_mass - 1.0) > 1e-9:
             raise ValueError(f"spectrum mass {self.total_mass!r} is not 1; oracle needs a normalized rho")
@@ -363,10 +362,7 @@ class SmoothingCertificate:
 
 
 def _grid_divergences(curve: RenyiDivergenceCurve, s_grid, s_max: float) -> list[tuple[float, float]]:
-    """(s, D_{1+s}(rho || sigma)) on the certificate s-grid, s = 0 left out.
-
-    The default grid is 0 plus 400 geometric points in [1e-4, s_max].
-    """
+    """(s, D_{1+s}) on the s-grid, s = 0 left out; default 0 and 400 points in [1e-4, s_max]."""
     if s_grid is None:
         s_grid = np.concatenate(([0.0], np.geomspace(1e-4, s_max, 400)))
     return [(float(s), curve.divergence(1.0 + float(s)).value) for s in np.asarray(s_grid, dtype=float) if s != 0.0]
@@ -471,9 +467,7 @@ def iid_smoothing_certificate(
     return certificates
 
 
-def smooth_min_entropy(
-    cq: CQState, eps: float, *, resolution: float = 1e-6, commute_tol: float = DEFAULT_COMMUTE_TOL
-) -> float:
+def smooth_min_entropy(cq: CQState, eps: float, *, resolution: float = 1e-6, commute_tol: float = DEFAULT_COMMUTE_TOL) -> float:
     """Smooth min-entropy H_min^eps(X|E) of a commuting CQ state.
 
     Defined through the exact smoothing oracle: the negative of the least

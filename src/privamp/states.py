@@ -94,16 +94,7 @@ class CQState:
         p = np.clip(p, 0.0, None)
         if abs(float(p.sum()) - 1.0) > TRACE_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}")
-        conds = []
-        for c in conditionals:
-            m = c if isinstance(c, HermitianOperator) else HermitianOperator(c)
-            w = np.linalg.eigvalsh(m.mat)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            if float(w[0]) < -PSD_TOL * scale:
-                raise ValueError(f"conditional state not PSD: min eigenvalue {w[0]:.3e}")
-            if abs(m.trace - 1.0) > TRACE_TOL:
-                raise ValueError(f"conditional state has trace {m.trace!r}")
-            conds.append(m.mat)
+        conds = [StateDescriptor.density(_as_matrix(c)).mat for c in conditionals]
         if len(conds) != p.size:
             raise ValueError(f"{p.size} probabilities but {len(conds)} conditionals")
         dims = {c.shape[0] for c in conds}
