@@ -169,14 +169,22 @@ def test_permutation_family_members():
     assert np.array_equal(np.unique(tables), np.arange(4))
 
 
-def test_family_expectation_exhaustive_matches_direct_mean():
+@pytest.mark.parametrize("zero_symbol", [False, True], ids=["full", "zero-prob"])
+@pytest.mark.parametrize(
+    "measure,s",
+    [("trace_distance", None), ("purified_distance", None), ("relative_entropy", None), ("renyi", 0.5)],
+    ids=["trace_distance", "purified_distance", "relative_entropy", "renyi"],
+)
+def test_family_expectation_exhaustive_matches_direct_mean(measure, s, zero_symbol):
     rng = np.random.default_rng(179)
     cq = rand_cq(rng, 3, 2)
+    if zero_symbol:
+        cq = CQState([cq.probs[0] + cq.probs[1], 0.0, cq.probs[2]], cq.conditionals)
     fam = make_family("all_functions", domain_size=3, range_size=2)
-    exp = family_expectation(fam, cq, "trace_distance")
+    exp = family_expectation(fam, cq, measure, s)
     direct = np.mean(
         [
-            insecurity(apply_hash(cq, HashFunction.from_index(i, 3, 2)), "trace_distance").value
+            insecurity(apply_hash(cq, HashFunction.from_index(i, 3, 2)), measure, s).value
             for i in range(8)
         ]
     )

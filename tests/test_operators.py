@@ -248,3 +248,28 @@ def test_cq_noncommuting_detected():
     assert not cq.is_commuting()
     with pytest.raises(ValueError):
         cq.classical_pair()
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_commuting_decision_agrees_at_the_scaled_tolerance(inside):
+    # a CQ state whose conditional a nearly commutes with the marginal rho_E;
+    # tol sits 1% inside or outside the entry-scaled bound for the pair (a, rho_E)
+    from privamp import SpectrumDistribution, iid_smoothing_certificate, smoothing_certificate
+
+    theta = 1e-7
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    a = np.diag([0.7, 0.3])
+    b = rot @ np.diag([0.2, 0.8]) @ rot.T
+    cq = CQState([0.5, 0.5], [a, b])
+    rho_e = cq.rho_e()
+    bound = (1.0 + float(np.max(np.abs(a)))) * (1.0 + float(np.max(np.abs(rho_e))))
+    tol = commutator_defect(a, rho_e) / bound * (1.01 if inside else 0.99)
+    assert cq.is_commuting(tol) == inside
+    if inside:
+        SpectrumDistribution.from_commuting_pair(a, rho_e, tol=tol)
+    else:
+        with pytest.raises(ValueError):
+            SpectrumDistribution.from_commuting_pair(a, rho_e, tol=tol)
+    assert smoothing_certificate(a, rho_e, 0.3, commute_tol=tol).meta["commuting"] == inside
+    [cert] = iid_smoothing_certificate(a, rho_e, 0.3, [1], commute_tol=tol)
+    assert cert.meta["commuting"] == inside
