@@ -451,9 +451,9 @@ def iid_smoothing_certificate(
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
         else:
             exact = None
-            rho_n = tensor_power(rm, n, budget=tensor_budget).mat
-            sigma_n = tensor_power(sm, n, budget=tensor_budget).mat
-            lower = converse_bound(rho_n, sigma_n, lam, t)
+            lower = converse_bound(
+                tensor_power(rm, n, budget=tensor_budget), tensor_power(sm, n, budget=tensor_budget), lam, t
+            )
         certificates.append(
             SmoothingCertificate(
                 lam=lam,
