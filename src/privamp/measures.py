@@ -127,14 +127,13 @@ class _SandwichedCurve:
             return -math.inf
         w = np.clip(np.linalg.eigvalsh(self.sandwiched_blocks(alpha)), 0.0, None)
         terms = np.empty(len(self.weights))
-        for i in range(len(self.weights)):
-            wi = w[i]
+        for i, (px, wi) in enumerate(zip(self.weights, w)):
             wmax = float(wi.max(initial=0.0))
             if wmax <= 0.0:
                 terms[i] = -math.inf
                 continue
             terms[i] = (
-                alpha * math.log2(self.weights[i])
+                alpha * math.log2(px)
                 + alpha * math.log2(wmax)
                 + math.log2(float(((wi / wmax) ** alpha).sum()))
             )
