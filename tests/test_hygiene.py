@@ -29,18 +29,27 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    used = set()
+def _annotations(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # quoted annotations such as -> "HermitianOperator"
-            try:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # quoted annotations such as -> "HermitianOperator" name a type only inside the string
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
 
 
