@@ -44,7 +44,7 @@ class DivergenceResult:
 def _log2sumexp2(terms: np.ndarray) -> float:
     """log2 of a sum of 2**terms, stable against overflow."""
     t = np.asarray(terms, dtype=float)
-    t = t[~np.isneginf(t)]
+    t = t[t != -math.inf]
     if t.size == 0:
         return -math.inf
     m = float(t.max())
@@ -123,8 +123,6 @@ class _SandwichedCurve:
         """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma)."""
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        if self._mu.size == 0:
-            return -math.inf
         w = np.clip(np.linalg.eigvalsh(self.sandwiched_blocks(alpha)), 0.0, None)
         terms = np.empty(len(self.weights))
         for i, (px, wi) in enumerate(zip(self.weights, w)):
