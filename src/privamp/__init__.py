@@ -42,7 +42,6 @@ from .exponents import (
     equivocation_rate,
     exponent_curve,
     golden_section_max,
-    golden_section_min,
     pa_lower_exponent,
     pa_upper_exponent,
     positive_part_decay_rate,

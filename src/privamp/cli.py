@@ -2,7 +2,7 @@
 
 Commands: measure, exponent-curve, smooth, pa-search, pa-family, suite.
 Every document carries a reproducibility header (artifact version, seed,
-s-cap, tolerances, budget, input hashes). Outputs are deterministic for a
+tolerances, budget, input hashes). Outputs are deterministic for a
 fixed seed regardless of --threads. Exit codes: 0 success, 1 invariant or
 check failure, 2 input validation error, 3 budget exceeded.
 """
@@ -190,7 +190,6 @@ def _config_block(args, inputs: list[str]) -> dict:
         "artifact": {"name": "privamp", "version": __version__},
         "config": {
             "seed": args.seed,
-            "s_max": args.s_max,
             "budget": args.budget,
             "format": args.format,
             "tolerances": dict(sorted(args.tolerances.items())),
@@ -202,7 +201,6 @@ def _config_block(args, inputs: list[str]) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
     p.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
-    p.add_argument("--s-max", dest="s_max", type=float, default=64.0, help="cap for Renyi order searches")
     p.add_argument("--budget", type=int, default=1 << 24, help="exhaustive enumeration budget")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
@@ -341,7 +339,7 @@ def _cmd_exponent_curve(args):
     _require(args.points >= 2, "--points must be >= 2")
     _require(args.r_max > args.r_min, "--r-max must exceed --r-min")
     rates = np.linspace(args.r_min, args.r_max, args.points)
-    curve = exponent_curve(cq, rates, mode=args.mode, s=args.s, s_max=args.s_max)
+    curve = exponent_curve(cq, rates, mode=args.mode, s=args.s)
     rows = []
     for pt in curve.points:
         row = {"r": pt.rate}
@@ -373,7 +371,7 @@ def _cmd_smooth(args):
         "pass exactly one of --rate (iid certificates) or --lam (one-shot)",
     )
     tols = args.tolerances
-    options = {"t": args.t, "s_max": args.s_max, "cluster_tol": tols["cluster"], "commute_tol": tols["commute"]}
+    options = {"t": args.t, "cluster_tol": tols["cluster"], "commute_tol": tols["commute"]}
 
     def bracket(cert) -> dict:
         exact = cert.exact if cert.exact is not None else ""
@@ -553,8 +551,9 @@ def _properties_suite(args) -> dict:
         cq = CQState(p, [rand_density(de) for _ in range(nx)])
         curve = ConditionalRenyiCurve(cq)
         rate = float(rng.uniform(curve.hmin(), curve.h1()))
-        golden = pa_upper_exponent(curve, rate, s_max=args.s_max)
-        coarse = np.linspace(0.0, args.s_max, 10001)
+        golden = pa_upper_exponent(curve, rate)
+        t = np.linspace(0.0, 1.0, 10001, endpoint=False)
+        coarse = t / (1.0 - t)  # every order s >= 0, through t = s / (1 + s)
         fvals = [curve.s_times_h(s) - s * rate for s in coarse]
         k = int(np.argmax(fvals))
         lo = coarse[max(0, k - 1)]

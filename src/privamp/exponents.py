@@ -3,7 +3,9 @@
 Every sup/inf over the Renyi order parameter s is a one-dimensional
 optimization of a concave (or convex) function built from cached curve
 evaluators; golden-section search with deterministic tie-breaking toward the
-smallest optimizer does all of them.
+smallest optimizer does all of them. A search over all s >= 0 runs on
+t = s / (1 + s) in [0, 1], a monotone reparametrization that keeps
+unimodality, so no order cap is needed.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from dataclasses import dataclass, field
 from .measures import ConditionalRenyiCurve, RenyiDivergenceCurve
 from .states import CQState
 
-DEFAULT_S_MAX = 64.0
 RATE_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Regime labels for the rate-dependent classification of the upper exponent:
 #   zero:      R >= H(X|E), no exponential decay is required
 #   high-rate: R_critical <= R < H(X|E), optimizer in (0, 1]
-#   low-rate:  H_min < R < R_critical, optimizer in (1, s_max]
+#   low-rate:  H_min < R < R_critical, optimizer in (1, inf)
 #   divergent: R <= H_min(X|E), insecurity vanishes faster than any exponential
 REGIME_ZERO = "zero"
 REGIME_HIGH_RATE = "high-rate"
@@ -110,9 +111,14 @@ def golden_section_max(f, lo: float, hi: float, *, xtol: float = 1e-12, max_iter
     return best_x, best_f
 
 
-def golden_section_min(f, lo: float, hi: float, **kw):
-    x, negfx = golden_section_max(lambda s: -f(s), lo, hi, **kw)
-    return x, -negfx
+def _sup_over_s(f):
+    """sup_{s >= 0} f(s) for a unimodal f that tends to -inf as s -> inf.
+
+    Golden section on t = s / (1 + s) in [0, 1], with t = 1 read as -inf;
+    returns (s, f(s)) for the best evaluated point, ties to the smallest s.
+    """
+    t, val = golden_section_max(lambda t: -math.inf if t >= 1.0 else f(t / (1.0 - t)), 0.0, 1.0)
+    return t / (1.0 - t), val
 
 
 def _as_cond_curve(state) -> ConditionalRenyiCurve:
@@ -123,7 +129,7 @@ def _as_cond_curve(state) -> ConditionalRenyiCurve:
     raise TypeError(f"expected a CQState or ConditionalRenyiCurve, got {type(state)!r}")
 
 
-def smoothing_exponent(rho, sigma, r: float, *, s_max: float = DEFAULT_S_MAX) -> ExponentValue:
+def smoothing_exponent(rho, sigma, r: float) -> ExponentValue:
     """Exponential decay rate of the iid smoothing quantity at budget rate r.
 
     Value (1/2) sup_{s >= 0} s (r - D_{1+s}(rho || sigma)): zero when
@@ -136,7 +142,7 @@ def smoothing_exponent(rho, sigma, r: float, *, s_max: float = DEFAULT_S_MAX) ->
     dmax = curve.dmax().value
     if r >= dmax - RATE_TOL:
         return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT)
-    s_star, g = golden_section_max(lambda s: s * r - curve.log2_q(1.0 + s), 0.0, s_max)
+    s_star, g = _sup_over_s(lambda s: s * r - curve.log2_q(1.0 + s))
     return ExponentValue(0.5 * max(g, 0.0), s_star, REGIME_INTERIOR)
 
 
@@ -162,14 +168,15 @@ def critical_rate(state) -> float:
     return rate_derivative(_as_cond_curve(state), 1.0)
 
 
-def pa_upper_exponent(state, rate: float, *, s_max: float = DEFAULT_S_MAX) -> ExponentValue:
+def pa_upper_exponent(state, rate: float) -> ExponentValue:
     """Achievable insecurity exponent sup_{s >= 0} s (H_{1+s}(X|E) - rate).
 
     The divergence-measure exponent is the value; the purified-distance
     exponent (half of it) rides along in purified_value. Classification:
     zero at rate >= H(X|E), divergent (+inf) at rate <= H_min(X|E), otherwise
     an interior optimum whose regime records which side of the critical rate
-    the request fell on.
+    the request fell on. The search covers every order s >= 0; the optimizer
+    grows without bound as the rate approaches H_min(X|E).
     """
     curve = _as_cond_curve(state)
     h1 = curve.h1()
@@ -178,17 +185,8 @@ def pa_upper_exponent(state, rate: float, *, s_max: float = DEFAULT_S_MAX) -> Ex
     hmin = curve.hmin()
     if rate <= hmin + RATE_TOL:
         return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT, purified_value=math.inf)
-    s_star, val = golden_section_max(
-        lambda s: curve.s_times_h(s) - s * rate, 0.0, s_max
-    )
+    s_star, val = _sup_over_s(lambda s: curve.s_times_h(s) - s * rate)
     val = max(val, 0.0)
-    if s_star >= s_max * (1.0 - 1e-9):
-        slope = rate_derivative(curve, s_max) - rate
-        if slope > RATE_TOL:
-            raise ValueError(
-                f"optimizer hit the s cap {s_max} with positive slope {slope:.3e}; "
-                "raise s_max"
-            )
     regime = REGIME_HIGH_RATE if rate >= critical_rate(curve) - RATE_TOL else REGIME_LOW_RATE
     return ExponentValue(val, s_star, regime, purified_value=0.5 * val)
 
@@ -204,7 +202,7 @@ def pa_lower_exponent(state, rate: float) -> ExponentValue:
     return ExponentValue(val, s_star, regime, purified_value=0.5 * val)
 
 
-def positive_part_decay_rate(rho, sigma, a: float, *, s_max: float = DEFAULT_S_MAX) -> ExponentValue:
+def positive_part_decay_rate(rho, sigma, a: float) -> ExponentValue:
     """inf_{s >= 0} s (D_{1+s}(rho || sigma) - a), the iid positive-part decay rate.
 
     Zero when a <= D(rho || sigma). For a >= D_max the infimum is unbounded
@@ -217,8 +215,8 @@ def positive_part_decay_rate(rho, sigma, a: float, *, s_max: float = DEFAULT_S_M
     dmax = curve.dmax().value
     if a >= dmax - RATE_TOL:
         return ExponentValue(-math.inf, math.inf, REGIME_UNBOUNDED)
-    s_star, val = golden_section_min(lambda s: curve.log2_q(1.0 + s) - s * a, 0.0, s_max)
-    return ExponentValue(min(val, 0.0), s_star, REGIME_INTERIOR)
+    s_star, val = _sup_over_s(lambda s: s * a - curve.log2_q(1.0 + s))
+    return ExponentValue(min(-val, 0.0), s_star, REGIME_INTERIOR)
 
 
 def equivocation_rate(state, rate: float, s: float) -> float:
@@ -257,14 +255,13 @@ def exponent_curve(
     *,
     mode: str = "both",
     s: float = 1.0,
-    s_max: float = DEFAULT_S_MAX,
 ) -> ExponentCurve:
     """Sample upper/lower (and optionally order-constrained) exponents on a rate grid."""
     curve = _as_cond_curve(state)
     rates = [float(r) for r in rates]
     points = []
     for r in rates:
-        upper = pa_upper_exponent(curve, r, s_max=s_max) if mode in ("upper", "both", "all") else None
+        upper = pa_upper_exponent(curve, r) if mode in ("upper", "both", "all") else None
         lower = pa_lower_exponent(curve, r) if mode in ("lower", "both", "all") else None
         ren = renyi_security_exponent(curve, r, s) if mode in ("renyi", "all") else None
         points.append(CurvePoint(r, upper, lower, ren))
@@ -272,7 +269,6 @@ def exponent_curve(
         "h": curve.h1(),
         "h_min": curve.hmin(),
         "critical_rate": critical_rate(curve),
-        "s_max": s_max,
         "mode": mode,
     }
     return ExponentCurve(tuple(points), meta)

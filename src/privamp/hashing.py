@@ -676,7 +676,7 @@ def example1_suite(
     cap_d = math.log2(9.0) + math.log2(2.0 * math.log(2.0)) / n
     checks.append(
         {
-            "name": "purified-distance exponent sample within its cap",
+            "name": "purified-distance exponent sample within its bound",
             "measured": exp_p,
             "bound": cap_p,
             "passed": exp_p <= cap_p + 1e-9,
@@ -684,7 +684,7 @@ def example1_suite(
     )
     checks.append(
         {
-            "name": "divergence exponent sample within its cap",
+            "name": "divergence exponent sample within its bound",
             "measured": exp_d,
             "bound": cap_d,
             "passed": exp_d <= cap_d + 1e-9,

@@ -103,10 +103,18 @@ def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
     epsilon = sqrt(1 - F^2), F = sum sqrt(p p'). KKT residuals of the
     solution are checked to KKT_TOL internally.
     """
-    p, ptilde, _ = _water_fill(p, q, lam, iters)
-    f = float(np.sqrt(p * ptilde).sum())
-    eps = math.sqrt(max(0.0, 1.0 - f * f))
-    return eps, ptilde
+    p, ptilde, target = _water_fill(p, q, lam, iters)
+    return _purified_epsilon(p, ptilde, target), ptilde
+
+
+def _purified_epsilon(p, ptilde, target: float) -> float:
+    """sqrt(1 - F^2) for F = sum sqrt(p p'), p normalized and p' of mass target.
+
+    1 - F comes from (sum (sqrt p - sqrt p')^2 + 1 - target) / 2, which does
+    not cancel below epsilon = 1e-7 as 1 - F^2 does.
+    """
+    one_minus_f = 0.5 * (float(((np.sqrt(p) - np.sqrt(ptilde)) ** 2).sum()) + (1.0 - target))
+    return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f)))
 
 
 def pinched_smoothing_witness(rho, sigma, lam: float, *, cluster_tol: float = DEFAULT_CLUSTER_TOL):
@@ -261,7 +269,7 @@ class SpectrumDistribution:
         wt = (self.weight[:, None] * other.weight[None, :]).ravel()
         out = _merge_atoms(lp, lq, wt)
         if out.natoms > atom_cap:
-            raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds cap {atom_cap}")
+            raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {atom_cap}")
         return out
 
     def log2_q_alpha(self, alpha: float) -> float:
@@ -291,8 +299,7 @@ class SpectrumDistribution:
         """Exact water-filling on the atom classes; returns (epsilon, atom p').
 
         The weights are renormalized, since n-fold convolution drifts their sum
-        by about 1e-14, and 1 - F comes from (sum (sqrt p - sqrt p')^2 + 1 -
-        target) / 2, which does not cancel below epsilon = 1e-7 as 1 - F^2 does.
+        by about 1e-14.
         """
         if abs(self.total_mass - 1.0) > 1e-9:
             raise ValueError(f"spectrum mass {self.total_mass!r} is not 1; oracle needs a normalized rho")
@@ -300,8 +307,7 @@ class SpectrumDistribution:
             q_eff = self.weight * np.exp2(np.clip(self.log2_q - self.log2_p, -_EXP2_CLIP, _EXP2_CLIP))
         q_eff = np.where(np.isneginf(self.log2_q), 0.0, q_eff)
         p, ptilde, target = _water_fill(self.weight / self.total_mass, q_eff, lam, 60)
-        one_minus_f = 0.5 * (float(((np.sqrt(p) - np.sqrt(ptilde)) ** 2).sum()) + (1.0 - target))
-        return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f))), ptilde
+        return _purified_epsilon(p, ptilde, target), ptilde
 
 
 def _merge_atoms(lp: np.ndarray, lq: np.ndarray, wt: np.ndarray, tol: float = MERGE_TOL) -> SpectrumDistribution:
@@ -361,11 +367,9 @@ class SmoothingCertificate:
             raise ValueError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
-def _grid_divergences(curve: RenyiDivergenceCurve, s_grid, s_max: float) -> list[tuple[float, float]]:
-    """(s, D_{1+s}) on the s-grid, s = 0 left out; default 0 and 400 points in [1e-4, s_max]."""
-    if s_grid is None:
-        s_grid = np.concatenate(([0.0], np.geomspace(1e-4, s_max, 400)))
-    return [(float(s), curve.divergence(1.0 + float(s)).value) for s in np.asarray(s_grid, dtype=float) if s != 0.0]
+def _grid_divergences(curve: RenyiDivergenceCurve) -> list[tuple[float, float]]:
+    """(s, D_{1+s}) on 400 geometric points in [1e-4, 64]; every grid point gives a valid bound."""
+    return [(float(s), curve.divergence(1.0 + float(s)).value) for s in np.geomspace(1e-4, 64.0, 400)]
 
 
 def _grid_upper(divergences, v_count: int, lam: float, n: int) -> float:
@@ -382,15 +386,13 @@ def smoothing_certificate(
     lam: float,
     *,
     t: float = DEFAULT_CONVERSE_T,
-    s_grid=None,
-    s_max: float = 64.0,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     commute_tol: float = DEFAULT_COMMUTE_TOL,
 ) -> SmoothingCertificate:
     """One-shot certificate for a single (rho, sigma, lam), witness included."""
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm), s_grid, s_max)
+    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     upper = _grid_upper(divergences, eig(sm, cluster_tol).distinct_count, lam, 1)
     lower = converse_bound(rm, sm, lam, t)
     witness, achieved = pinched_smoothing_witness(rm, sm, lam, cluster_tol=cluster_tol)
@@ -417,8 +419,6 @@ def iid_smoothing_certificate(
     ns,
     *,
     t: float = DEFAULT_CONVERSE_T,
-    s_grid=None,
-    s_max: float = 64.0,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     commute_tol: float = DEFAULT_COMMUTE_TOL,
     tensor_budget: int = 4096,
@@ -437,7 +437,7 @@ def iid_smoothing_certificate(
         raise ValueError("n must be >= 1")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm), s_grid, s_max)
+    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     commuting = commutes(rm, sm, commute_tol)
     base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol) if commuting else None
     certificates = []

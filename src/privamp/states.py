@@ -164,11 +164,11 @@ class CQState:
             raise ValueError("n must be >= 1")
         if self.dim_e**n > max_e_dim:
             raise BudgetExceededError(
-                f"side-system dimension {self.dim_e}^{n} exceeds cap {max_e_dim}"
+                f"side-system dimension {self.dim_e}^{n} exceeds the cap {max_e_dim}"
             )
         if self.nsymbols**n > max_symbols:
             raise BudgetExceededError(
-                f"symbol count {self.nsymbols}^{n} exceeds cap {max_symbols}"
+                f"symbol count {self.nsymbols}^{n} exceeds the cap {max_symbols}"
             )
         probs = self.probs
         conds = list(self.conditionals)

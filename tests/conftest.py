@@ -17,6 +17,17 @@ def rand_cq(rng: np.random.Generator, nx: int, dim_e: int) -> CQState:
     return CQState(probs, conds)
 
 
+def acceptance_states(count: int = 20) -> list[CQState]:
+    """The acceptance-criterion CQ states: seed [2026, 2], 2-3 symbols, d_E = 2-3."""
+    rng = np.random.default_rng(np.random.SeedSequence([2026, 2]))
+    out = []
+    for _ in range(count):
+        nx = int(rng.integers(2, 4))
+        de = int(rng.integers(2, 4))
+        out.append(rand_cq(rng, nx, de))
+    return out
+
+
 def rand_commuting_pair(rng: np.random.Generator, dim: int):
     """A density matrix and a PSD reference sharing one random eigenbasis."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -26,7 +26,6 @@ from privamp import (
     pa_lower_exponent,
     pa_upper_exponent,
     purified_distance,
-    rate_derivative,
     relative_entropy,
     sandwiched_renyi_divergence,
     smoothing_exponent,
@@ -41,20 +40,10 @@ from privamp.hashing import (
     positive_part_superadditivity_check,
 )
 from privamp.cli import main
-from conftest import rand_cq, rand_density
+from conftest import acceptance_states, rand_cq, rand_density
 
 P_HALF = np.diag([0.5, 0.5])
 Q_QUARTER = np.diag([0.25, 0.75])
-
-
-def _criterion_states(count: int = 20):
-    rng = np.random.default_rng(np.random.SeedSequence([2026, 2]))
-    out = []
-    for _ in range(count):
-        nx = int(rng.integers(2, 4))
-        de = int(rng.integers(2, 4))
-        out.append(rand_cq(rng, nx, de))
-    return out
 
 
 def _two_stage_grid_max(f, lo: float, hi: float, points: int = 2001) -> float:
@@ -92,7 +81,7 @@ def test_criterion_2_security_exponent_regime_map():
     start = time.perf_counter()
     regimes_hit = {"zero": 0, "high": 0, "low": 0, "divergent": 0}
     grid_checks = 0
-    for state in _criterion_states():
+    for state in acceptance_states():
         curve = ConditionalRenyiCurve(state)
         h, hmin, rc = curve.h1(), curve.hmin(), critical_rate(curve)
         rates = [h + 0.05, h + 1e-3]
@@ -104,14 +93,10 @@ def test_criterion_2_security_exponent_regime_map():
             grid_rates.add(mid)
             regimes_hit["high"] += 1
         if rc - hmin > 2e-3:
-            # keep the optimizer comfortably inside the default s cap
-            floor_r = rate_derivative(curve, 24.0) + 1e-6
-            low = [max(x, floor_r) for x in (hmin + 1e-3, 0.5 * (hmin + rc), rc - 1e-3)]
-            low = [x for x in low if x <= rc - 1e-3]
+            low = [hmin + 1e-3, 0.5 * (hmin + rc), rc - 1e-3]
             rates += low
-            if low:
-                grid_rates.add(low[0])
-                regimes_hit["low"] += 1
+            grid_rates.add(low[0])
+            regimes_hit["low"] += 1
         if hmin > 2e-3:
             rates += [hmin - 1e-3, 0.5 * hmin]
             regimes_hit["divergent"] += 1
@@ -142,7 +127,7 @@ def test_criterion_3_upper_and_lower_exponents_match_above_critical_rate():
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([2026, 3]))
     worst = 0.0
-    for state in _criterion_states():
+    for state in acceptance_states():
         curve = ConditionalRenyiCurve(state)
         h, rc = curve.h1(), critical_rate(curve)
         for u in rng.random(50):

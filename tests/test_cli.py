@@ -13,7 +13,8 @@ from privamp.cli import (
     load_state_file,
     main,
 )
-from privamp import CQState, StateDescriptor
+from privamp import CQState, ConditionalRenyiCurve, StateDescriptor
+from conftest import acceptance_states
 
 
 def write_json(path, doc):
@@ -125,7 +126,7 @@ def test_measure_document_shape(rho_path, sigma_path, capsys):
     assert code == EXIT_OK
     assert doc["artifact"]["name"] == "privamp"
     assert doc["command"] == "measure"
-    assert set(doc["config"]) == {"seed", "s_max", "budget", "format", "tolerances"}
+    assert set(doc["config"]) == {"seed", "budget", "format", "tolerances"}
     assert "threads" not in doc["config"]
     assert doc["inputs"][rho_path].startswith("sha256:")
     assert abs(doc["results"]["value"] - 0.20751874963942196) <= 1e-12
@@ -203,6 +204,32 @@ def test_exponent_curve_csv(cq_path, capsys):
     header = [l for l in lines if not l.startswith("#")]
     assert header[0].split(",")[0] == "r"
     assert len(header) == 4
+
+
+def test_exponent_curve_from_just_above_hmin(tmp_path, capsys):
+    state = acceptance_states(1)[0]
+    curve = ConditionalRenyiCurve(state)
+    path = write_json(
+        tmp_path / "state0.json",
+        {
+            "kind": "cq",
+            "dim": state.dim_e,
+            "probs": state.probs.tolist(),
+            "conditionals": [np.stack([c.real, c.imag], axis=-1).tolist() for c in state.conditionals],
+        },
+    )
+    rates = ["--r-min", repr(float(curve.hmin() + 1e-6)), "--r-max", repr(float(curve.h1()))]
+    code = main(["exponent-curve", path, "--mode", "all", *rates])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK, err
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 21
+    assert all(isinstance(row["e_upper"], float) and math.isfinite(row["e_upper"]) for row in doc["rows"])
+    assert doc["rows"][0]["regime"] == "low-rate"
+    with pytest.raises(SystemExit) as exc:
+        main(["exponent-curve", path, "--s-max", "8", *rates])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s-max" in capsys.readouterr().err
 
 
 def test_smooth_iid_rows(rho_path, sigma_path, capsys):

@@ -16,7 +16,6 @@ from privamp import (
     equivocation_rate,
     exponent_curve,
     golden_section_max,
-    golden_section_min,
     pa_lower_exponent,
     pa_upper_exponent,
     positive_part_decay_rate,
@@ -24,7 +23,8 @@ from privamp import (
     renyi_security_exponent,
     smoothing_exponent,
 )
-from conftest import rand_cq
+from privamp.exponents import _sup_over_s
+from conftest import acceptance_states, rand_cq
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
 
@@ -41,13 +41,20 @@ def test_golden_section_monotone_hits_endpoints():
     assert abs(x - 2.0) <= 1e-9 and abs(v - 6.0) <= 1e-8
     x, v = golden_section_max(lambda t: -t, 0.0, 2.0)
     assert x == 0.0 and v == 0.0
-    x, v = golden_section_min(lambda t: t, -1.0, 5.0)
-    assert x == -1.0 and v == -1.0
 
 
 def test_golden_section_plateau_prefers_smallest_maximizer():
     x, _ = golden_section_max(lambda t: min(t, 1.0), 0.0, 64.0)
     assert x <= 1.0 + 1e-6
+
+
+def test_sup_over_s_covers_every_order():
+    # 1000 ln(1 + s) - s peaks at s = 999
+    s, v = _sup_over_s(lambda s: 1000.0 * math.log1p(s) - s)
+    assert abs(s - 999.0) <= 1e-2
+    assert abs(v - (1000.0 * math.log(1000.0) - 999.0)) <= 1e-9
+    s, v = _sup_over_s(lambda s: -s)
+    assert s == 0.0 and v == 0.0
 
 
 def test_smoothing_exponent_thresholds():
@@ -159,11 +166,69 @@ def test_upper_and_lower_agree_above_critical_rate():
             assert abs(eu - el) <= 1e-8
 
 
-def test_upper_exponent_s_cap_guard():
+NEAR_HMIN_OFFSETS = (1e-2, 1e-3, 1e-4, 1e-6)
+
+
+def test_upper_exponent_is_finite_near_hmin_on_acceptance_states():
+    for state in acceptance_states():
+        curve = ConditionalRenyiCurve(state)
+        hmin = curve.hmin()
+        for eps in NEAR_HMIN_OFFSETS:
+            ev = pa_upper_exponent(curve, hmin + eps)
+            assert 0.0 < ev.value < math.inf, (eps, ev)
+            assert 0.0 < ev.maximizer_s < math.inf, (eps, ev)
+
+
+def test_upper_exponent_near_hmin_classical_closed_form():
+    # p = (1/3, 2/3): sum p^(1+s) = 3^-(1+s) (1 + 2^(1+s)), so at R = H_min + eps
+    # the optimum is 2^(1+s*) = (1 - eps) / eps with value H_min + eps - h2(eps)
     curve = ConditionalRenyiCurve(BIASED)
     hmin = curve.hmin()
-    with pytest.raises(ValueError):
-        pa_upper_exponent(curve, hmin + 1e-4, s_max=4.0)
+    for eps in (1e-4, 1e-6):
+        ev = pa_upper_exponent(curve, hmin + eps)
+        h2 = -eps * math.log2(eps) - (1.0 - eps) * math.log2(1.0 - eps)
+        assert abs(ev.value - (hmin + eps - h2)) <= 1e-12
+        assert ev.maximizer_s == pytest.approx(math.log2((1.0 - eps) / eps) - 1.0, rel=1e-4)
+
+
+def _mp_upper_exponent(cq: CQState, rate: float, s0: float) -> float:
+    """40-digit sup_s s (H_{1+s}(X|E) - rate) at the root of its s-derivative nearest s0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        probs = [mpmath.mpf(float(p)) for p in cq.probs]
+        conds = [mpmath.matrix(np.asarray(c).tolist()) for c in cq.conditionals]
+
+        def log2_q(alpha):
+            # recomputed at every call: mpmath.diff raises the working precision
+            rho_e = probs[0] * conds[0]
+            for p, c in zip(probs[1:], conds[1:]):
+                rho_e += p * c
+            mu, v = mpmath.eigh(rho_e)
+            e = (1 - alpha) / (2 * alpha)
+            root = v * mpmath.diag([m**e for m in mu]) * v.H
+            total = 0
+            for p, c in zip(probs, conds):
+                block = root * c * root
+                lam = mpmath.eigh((block + block.H) / 2, eigvals_only=True)
+                total += p**alpha * mpmath.fsum(max(x, 0) ** alpha for x in lam)
+            return mpmath.log(total, 2)
+
+        def objective(s):
+            return -log2_q(1 + s) - s * mpmath.mpf(rate)
+
+        s_star = mpmath.findroot(lambda s: mpmath.diff(objective, s), mpmath.mpf(s0))
+        return float(objective(s_star))
+
+
+def test_upper_exponent_near_hmin_matches_mpmath():
+    for state in acceptance_states(3):
+        curve = ConditionalRenyiCurve(state)
+        hmin = curve.hmin()
+        for eps in (1e-4, 1e-6):
+            ev = pa_upper_exponent(curve, hmin + eps)
+            assert ev.regime == "low-rate" and math.isfinite(ev.value)
+            want = _mp_upper_exponent(state, hmin + eps, ev.maximizer_s)
+            assert abs(ev.value - want) <= 1e-9, (eps, ev.value, want)
 
 
 def test_equivocation_rate_identity_and_validation():
@@ -224,7 +289,7 @@ def test_exponent_curve_modes_and_metadata():
     rates = np.linspace(0.2, 1.1, 7)
     curve = exponent_curve(BIASED, rates, mode="all", s=0.5)
     assert len(curve.points) == 7
-    assert set(curve.metadata) == {"h", "h_min", "critical_rate", "s_max", "mode"}
+    assert set(curve.metadata) == {"h", "h_min", "critical_rate", "mode"}
     uppers = [p.upper.value for p in curve.points]
     lowers = [p.lower.value for p in curve.points]
     assert all(b <= a + 1e-9 for a, b in zip(uppers, uppers[1:]))

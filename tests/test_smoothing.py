@@ -56,8 +56,7 @@ def test_oracle_epsilon_decreases_in_budget():
             e, ptilde = classical_smoothing_oracle(p, q, lam)
             caps = np.exp2(lam) * q
             assert np.all(ptilde <= caps + 1e-9)
-            f = float(np.sqrt(p * ptilde).sum())
-            assert abs(e - math.sqrt(max(0.0, 1.0 - f * f))) <= 1e-9
+            assert abs(e - _mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-9
 
 
 def test_oracle_handles_reference_zeros():
@@ -66,6 +65,16 @@ def test_oracle_handles_reference_zeros():
     eps, ptilde = classical_smoothing_oracle(p, q, 1.0)
     assert ptilde[1] == 0.0
     assert abs(eps - math.sqrt(1.0 - 0.6)) <= 1e-12
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _compositions(n - k, parts - 1):
+            yield (k, *rest)
 
 
 def _mp_iid_oracle_eps(p, q, n: int, lam: float):
@@ -78,18 +87,17 @@ def _mp_iid_oracle_eps(p, q, n: int, lam: float):
         qm = [mpmath.mpf(float(x)) for x in q]
         scale = mpmath.power(2, mpmath.mpf(lam))
         atoms = []
-        for k0 in range(n + 1):
-            for k1 in range(n + 1 - k0):
-                k = (k0, k1, n - k0 - k1)
-                mult = mpmath.factorial(n) / (mpmath.factorial(k[0]) * mpmath.factorial(k[1]) * mpmath.factorial(k[2]))
-                pa = mult * pm[0] ** k[0] * pm[1] ** k[1] * pm[2] ** k[2]
-                qa = mult * qm[0] ** k[0] * qm[1] ** k[1] * qm[2] ** k[2]
+        for k in _compositions(n, len(pm)):
+            mult = mpmath.factorial(n) / mpmath.fprod(mpmath.factorial(ki) for ki in k)
+            pa = mult * mpmath.fprod(x**ki for x, ki in zip(pm, k))
+            qa = mult * mpmath.fprod(x**ki for x, ki in zip(qm, k))
+            if pa > 0:
                 atoms.append((scale * qa / pa, pa, scale * qa))
         atoms.sort()
         target = min(mpmath.mpf(1), mpmath.fsum(a[2] for a in atoms))
         # mass(c) = sum of caps with ratio <= c + c * (p-mass with ratio > c); solve mass(c) = target
         capped, free = mpmath.mpf(0), mpmath.fsum(a[1] for a in atoms)
-        c = None
+        c = atoms[-1][0]  # every atom capped when the total cap mass is the target
         for ratio, pa, cap in atoms:
             if capped + ratio * free >= target:
                 c = (target - capped) / free
