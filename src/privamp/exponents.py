@@ -5,13 +5,19 @@ optimization of a concave (or convex) function built from cached curve
 evaluators; golden-section search with deterministic tie-breaking toward the
 smallest optimizer does all of them. A search over all s >= 0 runs on
 t = s / (1 + s) in [0, 1], a monotone reparametrization that keeps
-unimodality, so no order cap is needed.
+unimodality, so no order cap is needed. Searches run in lockstep: an
+exponent curve puts the upper, lower and Renyi brackets of all its rates
+into one run whose every round is one array call of the kernel, and each
+bracket visits the points it would visit alone. The one-rate functions are
+the same code with one rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .measures import ConditionalRenyiCurve, RenyiDivergenceCurve
 from .states import CQState
@@ -75,50 +81,94 @@ class ExponentCurve:
                 raise ValueError(f"{attr} exponent is not nonincreasing in the rate")
 
 
-def golden_section_max(f, lo: float, hi: float, *, xtol: float = 1e-12, max_iter: int = 400):
-    """Maximize a unimodal f on [lo, hi]; ties resolve to the smallest point.
+def golden_section_max(f, lo, hi, *, xtol: float = 1e-12, max_iter: int = 400):
+    """Maximize unimodal functions on the brackets [lo_k, hi_k], all in lockstep.
 
-    Returns (x, f(x)) for the best evaluated point, endpoints included, so a
-    monotone f is handled correctly.
+    f(x, k) returns the values at the points x of the brackets k (equal-length
+    1-D arrays). One call of f evaluates the endpoints and both interior
+    points of every bracket, and each later call one new point per unfinished
+    bracket; a bracket stops once b - a <= xtol. Every bracket therefore
+    visits the points a search of it alone would. Returns (x, f(x)) for the
+    best evaluated point of each bracket, endpoints included, so a monotone f
+    is handled correctly; ties resolve to the smallest point. Scalar bounds
+    give scalar results.
     """
-    if hi < lo:
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if (hi < lo).any():
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    evals = [(lo, f(lo))]
-    if hi > lo:
-        evals.append((hi, f(hi)))
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals.extend([(c, fc), (d, fd)])
+    los, his = lo.ravel().tolist(), hi.ravel().tolist()
+    n = len(los)
+    best = [None] * n
+
+    def evaluate(xs, owner):
+        vals = np.asarray(f(np.array(xs), np.array(owner, dtype=int)), dtype=float).tolist()
+        for k, x, fx in zip(owner, xs, vals):
+            if best[k] is None or fx > best[k][1] or (fx == best[k][1] and x < best[k][0]):
+                best[k] = (x, fx)
+        return vals
+
+    wide = [k for k in range(n) if his[k] > los[k]]
+    cs = [b - _INVPHI * (b - a) for a, b in zip(los, his)]
+    ds = [a + _INVPHI * (b - a) for a, b in zip(los, his)]
+    vals = evaluate(los + [his[k] for k in wide] + cs + ds, [*range(n), *wide, *range(n), *range(n)])
+    fcs, fds = vals[len(vals) - 2 * n : len(vals) - n], vals[len(vals) - n :]
+    state = [list(row) for row in zip(los, his, cs, ds, fcs, fds)]
+    live = list(range(n))
     for _ in range(max_iter):
-        if b - a <= xtol:
+        live = [k for k in live if not state[k][1] - state[k][0] <= xtol]
+        if not live:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            evals.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            evals.append((d, fd))
-    best_x, best_f = evals[0]
-    for x, fx in evals[1:]:
-        if fx > best_f or (fx == best_f and x < best_x):
-            best_x, best_f = x, fx
-    return best_x, best_f
+        xs, slots = [], []
+        for k in live:
+            a, b, c, d, fc, fd = state[k]
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                xs.append(c)
+                slots.append(4)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                xs.append(d)
+                slots.append(5)
+            state[k] = [a, b, c, d, fc, fd]
+        for k, slot, fx in zip(live, slots, evaluate(xs, live)):
+            state[k][slot] = fx
+    best_x = np.array([x for x, _ in best]).reshape(lo.shape)
+    best_f = np.array([fx for _, fx in best]).reshape(lo.shape)
+    return best_x[()], best_f[()]
+
+
+def _max_over_orders(f, lo, hi, on_t):
+    """Maximize f(s, k) on the order brackets k, all in one lockstep golden-section run.
+
+    Bracket k is [lo_k, hi_k] in s or, where on_t[k], in t = s / (1 + s),
+    on which [0, 1] covers every order s >= 0 and t = 1 reads as -inf. f
+    gets the orders of one round and their bracket indices. Returns the
+    arrays (s, f(s)) of each bracket's best evaluated point.
+    """
+    on_t = np.asarray(on_t, dtype=bool)
+
+    def g(x, k):
+        t = on_t[k]
+        end = t & (x >= 1.0)
+        # f sees s = 1 at a t = 1 end and its value is dropped
+        vals = f(np.divide(x, 1.0 - x, out=x.copy(), where=t & ~end), k)
+        return np.where(end, -math.inf, vals)
+
+    x, val = golden_section_max(g, lo, hi)
+    return np.divide(x, 1.0 - x, out=x.copy(), where=on_t), val
 
 
 def _sup_over_s(f):
     """sup_{s >= 0} f(s) for a unimodal f that tends to -inf as s -> inf.
 
-    Golden section on t = s / (1 + s) in [0, 1], with t = 1 read as -inf;
-    returns (s, f(s)) for the best evaluated point, ties to the smallest s.
+    f maps an array of orders to an array of values. Golden section on
+    t = s / (1 + s) in [0, 1]; returns (s, f(s)) for the best evaluated
+    point, ties to the smallest s.
     """
-    t, val = golden_section_max(lambda t: -math.inf if t >= 1.0 else f(t / (1.0 - t)), 0.0, 1.0)
-    return t / (1.0 - t), val
+    s, val = _max_over_orders(lambda s, i: f(s), [0.0], [1.0], [True])
+    return float(s[0]), float(val[0])
 
 
 def _as_cond_curve(state) -> ConditionalRenyiCurve:
@@ -155,17 +205,74 @@ def rate_derivative(state, s: float, *, h: float = 1e-4) -> float:
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    curve = _as_cond_curve(state)
-    hh = min(h, s / 2.0)
-    g = curve.s_times_h
-    d1 = (g(s + hh) - g(s - hh)) / (2.0 * hh)
-    d2 = (g(s + hh / 2.0) - g(s - hh / 2.0)) / hh
-    return (4.0 * d2 - d1) / 3.0
+    return _as_cond_curve(state).rate_derivative(s, h)
 
 
 def critical_rate(state) -> float:
-    """The rate separating optimizers s <= 1 from s > 1: rate_derivative at s = 1."""
-    return rate_derivative(_as_cond_curve(state), 1.0)
+    """The rate separating optimizers s <= 1 from s > 1: rate_derivative at s = 1, kept on the curve."""
+    return _as_cond_curve(state).critical_rate()
+
+
+def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> list[CurvePoint]:
+    """The exponents that mode asks for at every rate, from one lockstep order search.
+
+    Each rate contributes its brackets: upper, sup over every s >= 0 (t in
+    [0, 1]), for rates strictly between H_min and H; lower, max over
+    s in [0, 1], for rates below H; Renyi, sup over [s, 1]. Every bracket
+    advances in the same rounds, so a round is one kernel call.
+    """
+    want_upper = mode in ("upper", "both", "all")
+    want_lower = mode in ("lower", "both", "all")
+    want_renyi = mode in ("renyi", "all")
+    if want_renyi and not 0.0 < s <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {s}")
+    h1 = curve.h1()
+    hmin = curve.hmin() if want_upper else math.inf
+    brackets = []
+    for k, r in enumerate(rates):
+        if want_upper and hmin + RATE_TOL < r < h1 - RATE_TOL:
+            brackets.append(("upper", k))
+        if want_lower and r < h1 - RATE_TOL:
+            brackets.append(("lower", k))
+        if want_renyi:
+            brackets.append(("renyi", k))
+    bracket_rates = np.array([rates[k] for _, k in brackets])
+    s_best, f_best = _max_over_orders(
+        lambda x, i: curve.s_times_h(x) - x * bracket_rates[i],
+        [s if kind == "renyi" else 0.0 for kind, _ in brackets],
+        1.0,
+        [kind == "upper" for kind, _ in brackets],
+    )
+    best = dict(zip(brackets, zip(s_best.tolist(), f_best.tolist())))
+
+    points = []
+    for k, r in enumerate(rates):
+        upper = lower = renyi = None
+        if want_upper:
+            if r >= h1 - RATE_TOL:
+                upper = ExponentValue(0.0, 0.0, REGIME_ZERO, purified_value=0.0)
+            elif ("upper", k) not in best:
+                upper = ExponentValue(math.inf, math.inf, REGIME_DIVERGENT, purified_value=math.inf)
+            else:
+                s_star, val = best["upper", k]
+                val = max(val, 0.0)
+                regime = REGIME_HIGH_RATE if r >= curve.critical_rate() - RATE_TOL else REGIME_LOW_RATE
+                upper = ExponentValue(val, s_star, regime, purified_value=0.5 * val)
+        if want_lower:
+            if ("lower", k) in best:
+                s_star, val = best["lower", k]
+                val = max(val, 0.0)
+                lower = ExponentValue(val, s_star, None, purified_value=0.5 * val)
+            else:
+                lower = ExponentValue(0.0, 0.0, REGIME_ZERO, purified_value=0.0)
+        if want_renyi:
+            t_star, val = best["renyi", k]
+            val = max(0.0, val)
+            if val == 0.0:
+                t_star = s
+            renyi = ExponentValue(val, t_star, valid=bool(r >= curve.critical_rate() - RATE_TOL))
+        points.append(CurvePoint(r, upper, lower, renyi))
+    return points
 
 
 def pa_upper_exponent(state, rate: float) -> ExponentValue:
@@ -178,28 +285,12 @@ def pa_upper_exponent(state, rate: float) -> ExponentValue:
     the request fell on. The search covers every order s >= 0; the optimizer
     grows without bound as the rate approaches H_min(X|E).
     """
-    curve = _as_cond_curve(state)
-    h1 = curve.h1()
-    if rate >= h1 - RATE_TOL:
-        return ExponentValue(0.0, 0.0, REGIME_ZERO, purified_value=0.0)
-    hmin = curve.hmin()
-    if rate <= hmin + RATE_TOL:
-        return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT, purified_value=math.inf)
-    s_star, val = _sup_over_s(lambda s: curve.s_times_h(s) - s * rate)
-    val = max(val, 0.0)
-    regime = REGIME_HIGH_RATE if rate >= critical_rate(curve) - RATE_TOL else REGIME_LOW_RATE
-    return ExponentValue(val, s_star, regime, purified_value=0.5 * val)
+    return _curve_points(_as_cond_curve(state), [rate], "upper", 1.0)[0].upper
 
 
 def pa_lower_exponent(state, rate: float) -> ExponentValue:
     """Converse insecurity exponent max_{0 <= s <= 1} s (H_{1+s}(X|E) - rate)."""
-    curve = _as_cond_curve(state)
-    s_star, val = golden_section_max(lambda s: curve.s_times_h(s) - s * rate, 0.0, 1.0)
-    val = max(val, 0.0)
-    regime = REGIME_ZERO if rate >= curve.h1() - RATE_TOL else None
-    if regime == REGIME_ZERO:
-        s_star, val = 0.0, 0.0
-    return ExponentValue(val, s_star, regime, purified_value=0.5 * val)
+    return _curve_points(_as_cond_curve(state), [rate], "lower", 1.0)[0].lower
 
 
 def positive_part_decay_rate(rho, sigma, a: float) -> ExponentValue:
@@ -234,19 +325,7 @@ def renyi_security_exponent(state, rate: float, s: float) -> ExponentValue:
     whether rate >= critical_rate, the regime where this expression is known
     to be the exact decay rate.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
-    curve = _as_cond_curve(state)
-    if s == 1.0:
-        t_star, val = 1.0, curve.s_times_h(1.0) - rate
-    else:
-        t_star, val = golden_section_max(
-            lambda t: curve.s_times_h(t) - t * rate, s, 1.0
-        )
-    val = max(0.0, val)
-    if val == 0.0:
-        t_star = s
-    return ExponentValue(val, t_star, valid=bool(rate >= critical_rate(curve) - RATE_TOL))
+    return _curve_points(_as_cond_curve(state), [rate], "renyi", s)[0].renyi
 
 
 def exponent_curve(
@@ -256,19 +335,16 @@ def exponent_curve(
     mode: str = "both",
     s: float = 1.0,
 ) -> ExponentCurve:
-    """Sample upper/lower (and optionally order-constrained) exponents on a rate grid."""
+    """Sample upper/lower (and optionally order-constrained) exponents on a rate grid.
+
+    All order searches of the grid run in lockstep, one kernel call per round.
+    """
     curve = _as_cond_curve(state)
-    rates = [float(r) for r in rates]
-    points = []
-    for r in rates:
-        upper = pa_upper_exponent(curve, r) if mode in ("upper", "both", "all") else None
-        lower = pa_lower_exponent(curve, r) if mode in ("lower", "both", "all") else None
-        ren = renyi_security_exponent(curve, r, s) if mode in ("renyi", "all") else None
-        points.append(CurvePoint(r, upper, lower, ren))
+    points = _curve_points(curve, [float(r) for r in rates], mode, s)
     meta = {
         "h": curve.h1(),
         "h_min": curve.hmin(),
-        "critical_rate": critical_rate(curve),
+        "critical_rate": curve.critical_rate(),
         "mode": mode,
     }
     return ExponentCurve(tuple(points), meta)

@@ -1,17 +1,21 @@
 """Distance and divergence measures, all logarithms base 2.
 
 The sandwiched Renyi family is evaluated through one cached kernel,
-_SandwichedCurve, that diagonalizes the reference operator once and reduces
-each order-alpha evaluation to one small batched eigvalsh.
+_SandwichedCurve, that diagonalizes the reference operator once. log2_q
+takes a scalar order or a 1-D array of orders, and all orders of a call
+share one stacked eigvalsh, so an exponent search pays one call per round
+for all its brackets and a certificate one call for its whole order grid.
+The combination keeps the rounding of a one-order evaluation bit for bit.
 RenyiDivergenceCurve (an operator pair) and ConditionalRenyiCurve (a
 classical-quantum state) are its two uses; the hashing scans reuse the
-latter's blocks. Exponent optimizations call these evaluators hundreds of
-times, so the caching is what keeps the desk-scale suites fast.
+latter's blocks. ConditionalRenyiCurve computes H(X|E), H_min(X|E) and the
+critical rate once, on first use.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,13 @@ from .states import CQState, _as_state_matrix
 
 ALPHA_ONE_GUARD = 1e-6
 SUPPORT_VIOLATION_TOL = 1e-10
+# one stacked eigvalsh holds at most this many matrix entries (64 MiB complex)
+_STACK_ENTRIES = 1 << 22
+# exponents for which numpy rounds ndarray ** float through square, sqrt and reciprocal
+_FAST_POWERS = (2.0, 0.5, -1.0)
+# scales that stay positive when a block vanishes, and a floor below every finite log-term
+_TINY = sys.float_info.min
+_FLOOR = -sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -41,14 +52,40 @@ class DivergenceResult:
         return math.isinf(self.value)
 
 
-def _log2sumexp2(terms: np.ndarray) -> float:
-    """log2 of a sum of 2**terms, stable against overflow."""
+def _log2(x: np.ndarray) -> np.ndarray:
+    """math.log2 on every element, with log2(0) = -inf.
+
+    np.log2 rounds some inputs differently in the last bit; every log of the
+    kernel keeps the libm rounding of math.log2.
+    """
+    vals = (math.log2(v) if v else -math.inf for v in x.ravel().tolist())
+    return np.fromiter(vals, float, x.size).reshape(x.shape)
+
+
+def _power_rows(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** exps[k] for every k, stacked; base has one row per exponent or a single row.
+
+    Rounded as ndarray ** float rounds it: for the _FAST_POWERS a broadcast
+    np.power may call pow instead of square, sqrt or reciprocal, which can
+    differ in the last bit, so those rows are redone with a float exponent.
+    """
+    out = np.power(base, exps.reshape((-1,) + (1,) * (base.ndim - 1)))
+    for k, x in enumerate(exps.tolist()):
+        if x in _FAST_POWERS:
+            out[k] = np.broadcast_to(base, out.shape)[k] ** x
+    return out
+
+
+def _log2sumexp2(terms: np.ndarray):
+    """log2 of the sum of 2**terms along the last axis, stable against overflow.
+
+    -inf terms add nothing, and a row of them gives -inf. A 1-D input gives a
+    float.
+    """
     t = np.asarray(terms, dtype=float)
-    t = t[t != -math.inf]
-    if t.size == 0:
-        return -math.inf
-    m = float(t.max())
-    return m + math.log2(float(np.exp2(t - m).sum()))
+    top = t.max(axis=-1, initial=_FLOOR)
+    out = top + _log2(np.exp2(t - top[..., None]).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def _entropy_bits(w: np.ndarray) -> float:
@@ -95,8 +132,9 @@ class _SandwichedCurve:
     """alpha -> log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha, e = (1-alpha)/(2 alpha).
 
     sigma is diagonalized once and cut to its support; the blocks B_x are
-    rotated into that frame, so an order costs one scaling by mu^e and one
-    batched eigvalsh. alpha = inf means e = -1/2 (D_max and H_min).
+    rotated into that frame, so an order costs one scaling by mu^e, and any
+    number of orders share one stacked eigvalsh. alpha = inf means e = -1/2
+    (D_max and H_min).
     """
 
     def __init__(self, blocks, weights, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
@@ -112,30 +150,39 @@ class _SandwichedCurve:
         rot = np.stack([vk.conj().T @ b @ vk for b in blocks])
         self.blocks = (rot + np.conj(np.transpose(rot, (0, 2, 1)))) / 2.0
         self.weights = np.asarray(weights, dtype=float)
+        self._log2_weights = _log2(self.weights)
+        self._orders_per_stack = max(1, _STACK_ENTRIES // max(1, self.blocks.size))
+
+    def _sandwich(self, d: np.ndarray) -> np.ndarray:
+        """d B_x d for every block; d = mu^e of shape (m,), or (K, m) for K orders."""
+        return d[..., None, :, None] * self.blocks * d[..., None, None, :]
 
     def sandwiched_blocks(self, alpha: float) -> np.ndarray:
         """sigma^e B_x sigma^e for every block, in the support frame."""
         e = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
-        d = self._mu**e
-        return d[None, :, None] * self.blocks * d[None, None, :]
+        return self._sandwich(self._mu**e)
 
-    def log2_q(self, alpha: float) -> float:
-        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma)."""
-        if alpha <= 0:
+    def log2_q(self, alpha):
+        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma).
+
+        alpha is a scalar or a 1-D array of orders, and the result has its
+        shape. All orders go through one stacked eigvalsh; a batch too large
+        for one stack of _STACK_ENTRIES matrix entries is split.
+        """
+        a = np.asarray(alpha, dtype=float)
+        orders = a.reshape(-1)
+        if orders.size > self._orders_per_stack:
+            step = self._orders_per_stack
+            return np.concatenate([self.log2_q(orders[i : i + step]) for i in range(0, orders.size, step)])
+        if any(x <= 0 for x in orders.tolist()):
             raise ValueError(f"alpha must be positive, got {alpha}")
-        w = np.clip(np.linalg.eigvalsh(self.sandwiched_blocks(alpha)), 0.0, None)
-        terms = np.empty(len(self.weights))
-        for i, (px, wi) in enumerate(zip(self.weights, w)):
-            wmax = float(wi.max(initial=0.0))
-            if wmax <= 0.0:
-                terms[i] = -math.inf
-                continue
-            terms[i] = (
-                alpha * math.log2(px)
-                + alpha * math.log2(wmax)
-                + math.log2(float(((wi / wmax) ** alpha).sum()))
-            )
-        return _log2sumexp2(terms)
+        d = _power_rows(self._mu[None], (1.0 - orders) / (2.0 * orders))
+        w = np.maximum(np.linalg.eigvalsh(self._sandwich(d)), 0.0)
+        scale = w.max(axis=-1, initial=_TINY)
+        sums = _power_rows(w / scale[..., None], orders).sum(axis=-1)
+        ak = orders[:, None]
+        out = _log2sumexp2(ak * self._log2_weights + ak * _log2(scale) + _log2(sums))
+        return float(out[0]) if a.ndim == 0 else out
 
     def _lambda_max(self) -> float:
         """max_x w_x lambda_max(sigma^{-1/2} B_x sigma^{-1/2}), the alpha -> inf limit."""
@@ -234,21 +281,43 @@ class ConditionalRenyiCurve(_SandwichedCurve):
         mask = cq.probs > 0
         conds = [c for c, m in zip(cq.conditionals, mask) if m]
         super().__init__(conds, cq.probs[mask], cq.rho_e(), support_cut)
+        self._h1 = self._hmin = self._critical_rate = None
 
-    def s_times_h(self, s: float) -> float:
-        """s * H_{1+s}(X|E) = -log2 Q_{1+s}; concave in s, zero at s = 0."""
+    def s_times_h(self, s):
+        """s * H_{1+s}(X|E) = -log2 Q_{1+s}; concave in s, zero at s = 0. s may be an array."""
         return -self.log2_q(1.0 + s)
 
     def h1(self) -> float:
-        """von Neumann conditional entropy H(X|E) = H(XE) - H(E), in bits."""
-        h_xe = _entropy_bits(self.weights)
-        for px, block in zip(self.weights, self.blocks):
-            h_xe += px * _entropy_bits(np.linalg.eigvalsh(block))
-        return h_xe - self.sigma_entropy
+        """von Neumann conditional entropy H(X|E) = H(XE) - H(E), in bits; computed once."""
+        if self._h1 is None:
+            h_xe = _entropy_bits(self.weights)
+            for px, block in zip(self.weights, self.blocks):
+                h_xe += px * _entropy_bits(np.linalg.eigvalsh(block))
+            self._h1 = h_xe - self.sigma_entropy
+        return self._h1
 
     def hmin(self) -> float:
-        """H_min(X|E) = -log2 max_x lambda_max(p_x rho_E^{-1/2} rho_x rho_E^{-1/2})."""
-        return -math.log2(self._lambda_max())
+        """H_min(X|E) = -log2 max_x lambda_max(p_x rho_E^{-1/2} rho_x rho_E^{-1/2}); computed once."""
+        if self._hmin is None:
+            self._hmin = -math.log2(self._lambda_max())
+        return self._hmin
+
+    def rate_derivative(self, s: float, h: float = 1e-4) -> float:
+        """d/ds [s H_{1+s}(X|E)] by central differences with one Richardson step.
+
+        The four orders go through one kernel call.
+        """
+        hh = min(h, s / 2.0)
+        g = self.s_times_h(np.array([s + hh, s - hh, s + hh / 2.0, s - hh / 2.0]))
+        d1 = (g[0] - g[1]) / (2.0 * hh)
+        d2 = (g[2] - g[3]) / hh
+        return float((4.0 * d2 - d1) / 3.0)
+
+    def critical_rate(self) -> float:
+        """rate_derivative at s = 1, which separates optimizers s <= 1 from s > 1; computed once."""
+        if self._critical_rate is None:
+            self._critical_rate = self.rate_derivative(1.0)
+        return self._critical_rate
 
     def h(self, alpha: float) -> float:
         """Conditional Renyi entropy of order alpha (1 and inf included)."""

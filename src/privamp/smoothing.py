@@ -29,7 +29,7 @@ from .operators import (
     simultaneous_eigenbasis,
     tensor_power,
 )
-from .measures import RenyiDivergenceCurve, _log2sumexp2
+from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve, _log2sumexp2
 from .states import CQState, StateDescriptor, _as_state_matrix
 
 KKT_TOL = 1e-9
@@ -368,8 +368,16 @@ class SmoothingCertificate:
 
 
 def _grid_divergences(curve: RenyiDivergenceCurve) -> list[tuple[float, float]]:
-    """(s, D_{1+s}) on 400 geometric points in [1e-4, 64]; every grid point gives a valid bound."""
-    return [(float(s), curve.divergence(1.0 + float(s)).value) for s in np.geomspace(1e-4, 64.0, 400)]
+    """(s, D_{1+s}) on 400 geometric points in [1e-4, 64]; every grid point gives a valid bound.
+
+    All 400 orders go through one kernel call; mass of rho outside supp(sigma)
+    makes every D_{1+s} infinite, as divergence() has it.
+    """
+    s = np.geomspace(1e-4, 64.0, 400)
+    alpha = 1.0 + s
+    if curve.support_violation > SUPPORT_VIOLATION_TOL:
+        return [(x, math.inf) for x in s.tolist()]
+    return list(zip(s.tolist(), (curve.log2_q(alpha) / (alpha - 1.0)).tolist()))
 
 
 def _grid_upper(divergences, v_count: int, lam: float, n: int) -> float:
@@ -428,7 +436,9 @@ def iid_smoothing_certificate(
 
     The s-grid divergences, the commuting decision and the base spectrum do
     not depend on n and are computed once. Commuting pairs get the exact
-    spectrum-path epsilon plus the bracket; non-commuting pairs get the
+    spectrum-path epsilon plus the bracket; the n-fold spectrum continues the
+    convolution chain of the previous n (restarting from the base when n
+    decreases), the same chain iid_spectrum runs. Non-commuting pairs get the
     bracket only, with the converse computed on a dense tensor power under a
     budget.
     """
@@ -440,13 +450,17 @@ def iid_smoothing_certificate(
     divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     commuting = commutes(rm, sm, commute_tol)
     base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol) if commuting else None
+    spectrum, power = base, 1
     certificates = []
     for n in ns:
         lam = n * r
         v_n = distinct_eigenvalue_count_iid(sm, n, rel_tol=cluster_tol)
         upper = _grid_upper(divergences, v_n, lam, n)
         if commuting:
-            spectrum = iid_spectrum(base, n, atom_cap=atom_cap)
+            if n < power:
+                spectrum, power = base, 1
+            while power < n:
+                spectrum, power = spectrum.convolve(base, atom_cap=atom_cap), power + 1
             exact, _ = spectrum.smoothing_oracle(lam)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
         else:

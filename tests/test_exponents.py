@@ -23,7 +23,7 @@ from privamp import (
     renyi_security_exponent,
     smoothing_exponent,
 )
-from privamp.exponents import _sup_over_s
+from privamp.exponents import _INVPHI as INVPHI, _sup_over_s
 from conftest import acceptance_states, rand_cq
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
@@ -31,26 +31,81 @@ BIASED = CQState.classical([1 / 3, 2 / 3])
 
 def test_golden_section_concave_quadratic():
     # function values pin a smooth maximizer only to about sqrt(eps)
-    x, v = golden_section_max(lambda t: -((t - 0.37) ** 2) + 2.0, 0.0, 1.0)
+    x, v = golden_section_max(lambda t, _: -((t - 0.37) ** 2) + 2.0, 0.0, 1.0)
     assert abs(x - 0.37) <= 1e-6
     assert abs(v - 2.0) <= 1e-14
 
 
 def test_golden_section_monotone_hits_endpoints():
-    x, v = golden_section_max(lambda t: 3.0 * t, 0.0, 2.0)
+    x, v = golden_section_max(lambda t, _: 3.0 * t, 0.0, 2.0)
     assert abs(x - 2.0) <= 1e-9 and abs(v - 6.0) <= 1e-8
-    x, v = golden_section_max(lambda t: -t, 0.0, 2.0)
+    x, v = golden_section_max(lambda t, _: -t, 0.0, 2.0)
     assert x == 0.0 and v == 0.0
 
 
 def test_golden_section_plateau_prefers_smallest_maximizer():
-    x, _ = golden_section_max(lambda t: min(t, 1.0), 0.0, 64.0)
+    x, _ = golden_section_max(lambda t, _: np.minimum(t, 1.0), 0.0, 64.0)
     assert x <= 1.0 + 1e-6
+
+
+def _one_bracket_golden(f, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 400):
+    """Golden section on one bracket with scalar evaluations, the reference for the lockstep run."""
+    evals = [(lo, f(lo))]
+    if hi > lo:
+        evals.append((hi, f(hi)))
+    a, b = lo, hi
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    evals.extend([(c, fc), (d, fd)])
+    for _ in range(max_iter):
+        if b - a <= xtol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+            evals.append((c, fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+            evals.append((d, fd))
+    best_x, best_f = evals[0]
+    for x, fx in evals[1:]:
+        if fx > best_f or (fx == best_f and x < best_x):
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def test_golden_section_lockstep_matches_one_bracket_searches():
+    funcs = [
+        lambda t: -((t - 0.37) ** 2),
+        lambda t: min(t, 1.0),
+        lambda t: -t,
+        lambda t: math.sin(3.0 * t),
+        lambda t: 2.0,
+    ]
+    lo = [0.0, 0.0, 0.5, -1.0, 2.0]
+    hi = [1.0, 64.0, 0.5, 3.0, 2.5]
+    seen = [[] for _ in funcs]
+
+    def f(x, k):
+        for xi, ki in zip(x.tolist(), k.tolist()):
+            seen[ki].append(xi)
+        return [funcs[ki](xi) for xi, ki in zip(x.tolist(), k.tolist())]
+
+    xs, vals = golden_section_max(f, lo, hi)
+    for k, g in enumerate(funcs):
+        alone = []
+        want = _one_bracket_golden(lambda t: alone.append(t) or g(t), lo[k], hi[k])
+        assert (xs[k], vals[k]) == want
+        assert seen[k] == alone
 
 
 def test_sup_over_s_covers_every_order():
     # 1000 ln(1 + s) - s peaks at s = 999
-    s, v = _sup_over_s(lambda s: 1000.0 * math.log1p(s) - s)
+    s, v = _sup_over_s(lambda s: 1000.0 * np.log1p(s) - s)
     assert abs(s - 999.0) <= 1e-2
     assert abs(v - (1000.0 * math.log(1000.0) - 999.0)) <= 1e-9
     s, v = _sup_over_s(lambda s: -s)
@@ -310,3 +365,33 @@ def test_exponent_curve_rejects_bad_grids():
     ]
     with pytest.raises(ValueError):
         ExponentCurve(tuple(increasing))
+
+
+def test_exponent_curve_rows_equal_one_rate_calls():
+    for state in acceptance_states():
+        curve = ConditionalRenyiCurve(state)
+        h, hmin = curve.h1(), curve.hmin()
+        # divergent, low-rate, high-rate and zero rates alike
+        rates = np.linspace(hmin - 0.01, h + 0.01, 7)
+        got = exponent_curve(curve, rates, mode="all", s=0.5)
+        for p in got.points:
+            assert p.upper == pa_upper_exponent(curve, p.rate)
+            assert p.lower == pa_lower_exponent(curve, p.rate)
+            assert p.renyi == renyi_security_exponent(curve, p.rate, 0.5)
+
+
+def test_exponent_curve_runs_its_searches_in_lockstep(monkeypatch):
+    kernel = ConditionalRenyiCurve.log2_q
+    calls = []
+
+    def counted(self, alpha):
+        calls.append(np.size(alpha))
+        return kernel(self, alpha)
+
+    monkeypatch.setattr(ConditionalRenyiCurve, "log2_q", counted)
+    curve = ConditionalRenyiCurve(acceptance_states()[0])
+    h, hmin = curve.h1(), curve.hmin()
+    exponent_curve(curve, np.linspace(hmin + 0.2 * (h - hmin), h + 0.05, 21), mode="all", s=0.5)
+    # one call per golden-section round for all 21 rates, plus the critical rate
+    assert len(calls) <= 70
+    assert max(calls) >= 21

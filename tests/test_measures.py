@@ -235,3 +235,50 @@ def test_subnormalized_trace_distance_convention():
     b = np.diag([0.2, 0.4])
     delta_half = 0.5 * (abs(0.3) + abs(0.1))
     assert abs(trace_distance(a, b) - (delta_half + 0.5 * abs(0.8 - 0.6))) <= 1e-12
+
+
+def _loop_log2_q(curve, alpha: float) -> float:
+    """The kernel one order and one block at a time, the reference for its array form."""
+    e = (1.0 - alpha) / (2.0 * alpha)
+    d = curve._mu**e
+    w = np.clip(np.linalg.eigvalsh(d[None, :, None] * curve.blocks * d[None, None, :]), 0.0, None)
+    terms = []
+    for px, wi in zip(curve.weights, w):
+        wmax = float(wi.max(initial=0.0))
+        if wmax > 0.0:
+            terms.append(alpha * math.log2(px) + alpha * math.log2(wmax) + math.log2(float(((wi / wmax) ** alpha).sum())))
+    if not terms:
+        return -math.inf
+    t = np.array(terms)
+    m = float(t.max())
+    return m + math.log2(float(np.exp2(t - m).sum()))
+
+
+def test_array_log2_q_equals_scalar_and_loop_evaluations():
+    rng = np.random.default_rng(113)
+    # alpha = 1/5, 1/2 and 2 are the orders whose powers numpy rounds through sqrt and square
+    orders = np.array([0.2, 1 / 3, 0.5, 0.9, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 1.5, 2.0, 3.0, 65.0, 1e4])
+    padded = [np.pad(rand_density(rng, 2), ((0, 1), (0, 1))) for _ in range(3)]
+    # p_x = 1e-20 puts the second block below the support cut of rho_E: its term is -inf
+    faint = CQState([1.0 - 1e-20, 1e-20], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    curves = [
+        RenyiDivergenceCurve(rand_density(rng, 3), rand_density(rng, 3)),
+        RenyiDivergenceCurve(rand_density(rng, 3), np.diag([0.6, 0.4, 0.0])),
+        RenyiDivergenceCurve(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+        ConditionalRenyiCurve(rand_cq(rng, 3, 2)),
+        ConditionalRenyiCurve(CQState(rng.dirichlet(np.ones(3)), padded)),
+        ConditionalRenyiCurve(faint),
+    ]
+    assert np.linalg.matrix_rank(curves[4].cq.rho_e()) == 2
+    for curve in curves:
+        got = curve.log2_q(orders)
+        assert got.shape == orders.shape
+        scalar = [curve.log2_q(float(a)) for a in orders]
+        assert got.tolist() == scalar
+        assert scalar == [_loop_log2_q(curve, float(a)) for a in orders]
+        assert curve.log2_q(orders[::-1]).tolist() == scalar[::-1]
+        curve._orders_per_stack = 5  # a batch larger than one stack is split
+        assert curve.log2_q(orders).tolist() == scalar
+    assert all(v == -math.inf for v in curves[2].log2_q(orders))
+    assert np.isfinite(curves[5].log2_q(orders)).all()
+    assert curves[5].log2_q(orders).tolist() == ConditionalRenyiCurve(CQState.classical([1.0])).log2_q(orders).tolist()

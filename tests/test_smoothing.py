@@ -295,3 +295,26 @@ def test_smooth_min_entropy_input_validation():
     )
     with pytest.raises(ValueError):
         smooth_min_entropy(noncommuting, 0.01)
+
+
+def test_iid_certificates_continue_the_previous_spectrum():
+    rng = np.random.default_rng(157)
+    rho, sigma = rand_commuting_pair(rng, 3)
+    sigma = sigma / float(np.trace(sigma).real)
+    curve = RenyiDivergenceCurve(rho, sigma)
+    d1, dmax = curve.umegaki().value, curve.dmax().value
+    r = d1 + 0.2 * (dmax - d1)
+
+    def rows(certs):
+        return [(c.lam, c.lower, c.upper, c.exact, c.meta) for c in certs]
+
+    alone = [iid_smoothing_certificate(rho, sigma, r, [n])[0] for n in range(1, 41)]
+    assert rows(iid_smoothing_certificate(rho, sigma, r, range(1, 41))) == rows(alone)
+    # a list that skips or goes back continues from the last spectrum or restarts
+    ns = [9, 4, 4, 12, 2]
+    assert rows(iid_smoothing_certificate(rho, sigma, r, ns)) == rows([alone[n - 1] for n in ns])
+    # the atom cap still stops the chain at the first n whose spectrum exceeds it
+    cap = iid_spectrum(SpectrumDistribution.from_commuting_pair(rho, sigma), 6).natoms
+    iid_smoothing_certificate(rho, sigma, r, range(1, 7), atom_cap=cap)
+    with pytest.raises(BudgetExceededError):
+        iid_smoothing_certificate(rho, sigma, r, range(1, 8), atom_cap=cap)
