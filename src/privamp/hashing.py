@@ -2,7 +2,12 @@
 
 A hash function is a lookup table from source symbols to output symbols.
 Insecurity of a hashed CQ state is its distance to uniform-times-marginal
-under a selectable measure. Exhaustive searches enumerate tables as base-M
+under a selectable measure. One batched kernel evaluates all four measures
+for a stack of tables: it sums the source's ConditionalRenyiCurve blocks,
+already rotated into the support frame of rho_E, per output and reads one
+stacked eigvalsh (order 1 + s for Renyi, 1/2 for the purified-distance
+fidelity, 1 for relative entropy and trace distance). insecurity() is its
+identity-table case. Exhaustive searches enumerate tables as base-M
 integers ascending and reduce deterministically (min value, ties to the
 smaller integer), independent of the thread count.
 
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BudgetExceededError, _as_matrix, eig, mat_power, positive_part_trace
-from .measures import ConditionalRenyiCurve, _nuclear_norm
+from .operators import BudgetExceededError, _as_matrix, eig, positive_part_trace
+from .measures import ConditionalRenyiCurve
 from .states import CQState
 
 MEASURES = ("trace_distance", "purified_distance", "relative_entropy", "renyi")
@@ -58,6 +63,9 @@ class HashFunction:
 
     @classmethod
     def from_index(cls, idx: int, domain_size: int, range_size: int) -> "HashFunction":
+        """The table whose index is idx; idx must lie in [0, range_size^domain_size)."""
+        if not 0 <= idx < range_size**domain_size:
+            raise ValueError(f"index {idx} outside [0, {range_size}^{domain_size})")
         digits = []
         for _ in range(domain_size):
             digits.append(idx % range_size)
@@ -126,38 +134,19 @@ def _validate_measure(measure: str, s: float | None) -> None:
 def insecurity(state_ze: CQState, measure: str, s: float | None = None) -> InsecurityReport:
     """Distance of a hashed CQ state from uniform-Z times its own marginal.
 
-    relative_entropy is computed as log2 |Z| - H(Z|E) and cross-checked
-    against the direct blockwise divergence from the ideal state.
+    The identity-table case of the batched table kernel. relative_entropy,
+    log2 |Z| - H(Z|E) there, is cross-checked against the direct blockwise
+    divergence from the ideal state.
     """
     _validate_measure(measure, s)
     m = state_ze.nsymbols
-    re = state_ze.rho_e()
-    if measure == "trace_distance":
-        val = 0.0
-        for qz, cond in zip(state_ze.probs, state_ze.conditionals):
-            w = np.linalg.eigvalsh(qz * cond - re / m)
-            val += 0.5 * float(np.abs(w).sum())
-        return InsecurityReport(measure, val)
-    if measure == "purified_distance":
-        sq_re = mat_power(re, 0.5).mat
-        f = 0.0
-        for qz, cond in zip(state_ze.probs, state_ze.conditionals):
-            if qz <= 0:
-                continue
-            sq_block = mat_power(qz * cond, 0.5).mat
-            f += _nuclear_norm(sq_block @ sq_re) / math.sqrt(m)
-        val = math.sqrt(max(0.0, 1.0 - min(f, 1.0) ** 2))
-        return InsecurityReport(measure, val)
-    curve = ConditionalRenyiCurve(state_ze)
+    val = float(_batch_values(np.arange(m)[None], _SourceContext(state_ze), m, measure, s)[0])
     if measure == "relative_entropy":
-        val = math.log2(m) - curve.h1()
         direct = _blockwise_umegaki_vs_ideal(state_ze)
         if abs(val - direct) > 1e-9:
             raise ArithmeticError(
                 f"insecurity identity check failed: {val!r} vs direct {direct!r}"
             )
-        return InsecurityReport(measure, val)
-    val = math.log2(m) - curve.h(1.0 + s)
     return InsecurityReport(measure, val, s=s)
 
 
@@ -181,8 +170,10 @@ def _blockwise_umegaki_vs_ideal(state_ze: CQState) -> float:
 
 
 class _SourceContext:
-    """Precomputed pieces shared by all batched table evaluations of one source.
+    """The source's ConditionalRenyiCurve, shared by all batched table evaluations.
 
+    The curve holds the conditionals rotated into the support frame of rho_E,
+    where rho_E is diag(mu); every measure is read from sums of these blocks.
     Zero-probability symbols are dropped; mask selects the table columns kept.
     """
 
@@ -190,55 +181,47 @@ class _SourceContext:
         self.curve = ConditionalRenyiCurve(source)
         self.mask = source.probs > 0
         self.p = self.curve.weights
-        self.classical = source.dim_e == 1
-        self.conds = np.stack(source.conditionals)[self.mask]
-        self.rho_e = source.rho_e()
-        self.sqrt_rho_e = mat_power(self.rho_e, 0.5).mat
+
+
+def _output_blocks(tables: np.ndarray, ctx: _SourceContext, m: int, alpha: float) -> np.ndarray:
+    """rho_E^e (sum over f(x) = z of p_x rho_x) rho_E^e, e = (1 - alpha) / (2 alpha).
+
+    One block per table row and output z, in the support frame of rho_E.
+    """
+    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
+    return np.einsum("nxm,xij->nmij", weighted, ctx.curve.sandwiched_blocks(alpha))
+
+
+def _output_eigenvalues(tables: np.ndarray, ctx: _SourceContext, m: int, alpha: float) -> np.ndarray:
+    """Clipped eigenvalues of every _output_blocks block."""
+    return np.clip(np.linalg.eigvalsh(_output_blocks(tables, ctx, m, alpha)), 0.0, None)
 
 
 def _batch_q_renyi(tables: np.ndarray, ctx: _SourceContext, m: int, s: float) -> np.ndarray:
     """Q_{1+s}(rho^f_ZE || 1_Z (x) rho_E) for each table row."""
-    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
-    blocks = np.einsum("nxm,xij->nmij", weighted, ctx.curve.sandwiched_blocks(1.0 + s))
-    w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
-    return ((w ** (1.0 + s)).sum(axis=(1, 2))).astype(float)
+    return (_output_eigenvalues(tables, ctx, m, 1.0 + s) ** (1.0 + s)).sum(axis=(1, 2))
 
 
 def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str, s: float | None) -> np.ndarray:
-    """Insecurity of each table row under the requested measure."""
-    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
-    q = weighted.sum(axis=1)
-    if ctx.classical:
-        if measure == "trace_distance":
-            return 0.5 * np.abs(q - 1.0 / m).sum(axis=1)
-        if measure == "purified_distance":
-            f = np.sqrt(q / m).sum(axis=1)
-            return np.sqrt(np.clip(1.0 - np.minimum(f, 1.0) ** 2, 0.0, None))
-        if measure == "relative_entropy":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.where(q > 0, q * np.log2(q), 0.0).sum(axis=1)
-            return math.log2(m) + h
-        qs = (q ** (1.0 + s)).sum(axis=1)
-        return math.log2(m) + np.log2(qs) / s
+    """Insecurity of each table row under the requested measure.
+
+    Renyi reads the order-(1+s) blocks, purified distance the fidelity
+    sum sqrt(eig(rho_E^1/2 block rho_E^1/2)) / sqrt(m) at order 1/2,
+    relative entropy the entropy of the order-1 blocks, and trace distance
+    the order-1 blocks minus the ideal diag(mu) / m.
+    """
     if measure == "renyi":
-        qvals = _batch_q_renyi(tables, ctx, m, s)
-        return math.log2(m) + np.log2(qvals) / s
-    blocks = np.einsum("nxm,xij->nmij", weighted, ctx.conds)
+        return math.log2(m) + np.log2(_batch_q_renyi(tables, ctx, m, s)) / s
+    if measure == "purified_distance":
+        f = np.sqrt(_output_eigenvalues(tables, ctx, m, 0.5)).sum(axis=(1, 2)) / math.sqrt(m)
+        return np.sqrt(np.clip(1.0 - np.minimum(f, 1.0) ** 2, 0.0, None))
     if measure == "trace_distance":
-        w = np.linalg.eigvalsh(blocks - ctx.rho_e[None, None] / m)
+        w = np.linalg.eigvalsh(_output_blocks(tables, ctx, m, 1.0) - np.diag(ctx.curve._mu) / m)
         return 0.5 * np.abs(w).sum(axis=(1, 2))
-    if measure == "relative_entropy":
-        w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_blocks = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=(1, 2))
-        return math.log2(m) - (h_blocks - ctx.curve.sigma_entropy)
-    w, u = np.linalg.eigh(blocks)
-    w = np.clip(w, 0.0, None)
-    sqrt_blocks = (u * np.sqrt(w)[:, :, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
-    prod = sqrt_blocks @ ctx.sqrt_rho_e[None, None]
-    sv = np.linalg.svd(prod, compute_uv=False)
-    f = sv.sum(axis=(1, 2)) / math.sqrt(m)
-    return np.sqrt(np.clip(1.0 - np.minimum(f, 1.0) ** 2, 0.0, None))
+    w = _output_eigenvalues(tables, ctx, m, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_blocks = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=(1, 2))
+    return math.log2(m) - (h_blocks - ctx.curve.sigma_entropy)
 
 
 def _decode_tables(start: int, stop: int, domain: int, m: int) -> np.ndarray:
@@ -304,6 +287,15 @@ def min_insecurity_exhaustive(
     )
 
 
+def _max_pair_collision(tables: np.ndarray) -> float:
+    """Largest fraction of table rows on which two distinct symbols share an output."""
+    worst = 0.0
+    for x1 in range(tables.shape[1]):
+        for x2 in range(x1 + 1, tables.shape[1]):
+            worst = max(worst, float((tables[:, x1] == tables[:, x2]).mean()))
+    return worst
+
+
 class AllFunctionsFamily:
     """Uniform distribution over every table domain -> range."""
 
@@ -335,11 +327,7 @@ class AllFunctionsFamily:
         """
         bound = 1.0 / self.range_size
         if self.table_count <= budget:
-            tables = _decode_tables(0, self.table_count, self.domain_size, self.range_size)
-            worst = 0.0
-            for x1 in range(self.domain_size):
-                for x2 in range(x1 + 1, self.domain_size):
-                    worst = max(worst, float((tables[:, x1] == tables[:, x2]).mean()))
+            worst = _max_pair_collision(_decode_tables(0, self.table_count, self.domain_size, self.range_size))
             certified = worst <= bound + 1e-12
             return {"max_collision": worst, "bound": bound, "certified": certified, "method": "exhaustive"}
         return {"max_collision": bound, "bound": bound, "certified": True, "method": "entrywise-independence"}
@@ -388,12 +376,7 @@ class AffinePrimeFamily:
             raise BudgetExceededError(
                 f"exhaustive certification is limited to primes <= {max_prime}"
             )
-        members = np.arange(self.table_count)
-        tables = self._tables_for_members(members)
-        worst = 0.0
-        for x1 in range(self.domain_size):
-            for x2 in range(x1 + 1, self.domain_size):
-                worst = max(worst, float((tables[:, x1] == tables[:, x2]).mean()))
+        worst = _max_pair_collision(self._tables_for_members(np.arange(self.table_count)))
         bound = 1.0 / self.range_size
         return {
             "max_collision": worst,

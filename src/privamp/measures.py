@@ -95,20 +95,16 @@ def _entropy_bits(w: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
-def _nuclear_norm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
 def fidelity(rho, sigma) -> float:
     """Generalized fidelity of (sub)normalized states.
 
-    ||sqrt(rho) sqrt(sigma)||_1 plus the subnormalized cross term
-    sqrt((1 - tr rho)(1 - tr sigma)); the result is clamped to [0, 1].
+    ||sqrt(rho) sqrt(sigma)||_1 = sum sqrt(eig(sqrt(sigma) rho sqrt(sigma)))
+    plus the subnormalized cross term sqrt((1 - tr rho)(1 - tr sigma)); the
+    result is clamped to [0, 1].
     """
     rm, sm = _as_state_matrix(rho), _as_state_matrix(sigma)
-    sqr = mat_power(rm, 0.5).mat
     sqs = mat_power(sm, 0.5).mat
-    val = _nuclear_norm(sqr @ sqs)
+    val = float(np.sqrt(np.clip(np.linalg.eigvalsh(sqs @ rm @ sqs), 0.0, None)).sum())
     tr_r = min(1.0, float(np.trace(rm).real))
     tr_s = min(1.0, float(np.trace(sm).real))
     val += math.sqrt(max(0.0, 1.0 - tr_r) * max(0.0, 1.0 - tr_s))

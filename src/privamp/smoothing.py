@@ -148,26 +148,25 @@ def pinched_smoothing_witness(rho, sigma, lam: float, *, cluster_tol: float = DE
     return witness, achieved
 
 
-def _achievability_from_values(v_count: int, d_value: float, lam: float, s: float) -> float:
-    """sqrt(2 v^s 2^(s (D - lam))) clipped to 1, computed in log space."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if math.isinf(d_value):
-        return 1.0
-    log2_bound = 0.5 * (1.0 + s * math.log2(v_count) + s * (d_value - lam))
-    if log2_bound >= 0.0:
-        return 1.0
-    return float(np.exp2(log2_bound))
+def _least_achievability(s, d, v_count: int, lam: float) -> float:
+    """Least sqrt(2 v^s 2^(s (D_{1+s} - lam))) over orders s with divergences d, clipped to 1.
+
+    Taken in log space: exp2 is monotone, so the least bound is exp2 of the
+    least log2 bound, and an infinite D gives no bound below 1.
+    """
+    log2_bounds = 0.5 * (1.0 + s * math.log2(v_count) + s * (d - lam))
+    return float(np.exp2(np.min(log2_bounds, initial=0.0)))
 
 
 def achievability_bound(rho, sigma, lam: float, s: float, *, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
     """Pinching-based upper bound on the smoothing quantity at budget lam, order 1+s."""
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
     curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
     v = eig(_as_matrix(sigma), cluster_tol).distinct_count
     if s == 0.0:
         return 1.0
-    d = curve.divergence(1.0 + s).value
-    return _achievability_from_values(v, d, lam, s)
+    return _least_achievability(s, curve.divergence(1.0 + s).value, v, lam)
 
 
 def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> float:
@@ -367,7 +366,7 @@ class SmoothingCertificate:
             raise ValueError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
-def _grid_divergences(curve: RenyiDivergenceCurve) -> list[tuple[float, float]]:
+def _grid_divergences(curve: RenyiDivergenceCurve) -> tuple[np.ndarray, np.ndarray]:
     """(s, D_{1+s}) on 400 geometric points in [1e-4, 64]; every grid point gives a valid bound.
 
     All 400 orders go through one kernel call; mass of rho outside supp(sigma)
@@ -376,16 +375,8 @@ def _grid_divergences(curve: RenyiDivergenceCurve) -> list[tuple[float, float]]:
     s = np.geomspace(1e-4, 64.0, 400)
     alpha = 1.0 + s
     if curve.support_violation > SUPPORT_VIOLATION_TOL:
-        return [(x, math.inf) for x in s.tolist()]
-    return list(zip(s.tolist(), (curve.log2_q(alpha) / (alpha - 1.0)).tolist()))
-
-
-def _grid_upper(divergences, v_count: int, lam: float, n: int) -> float:
-    """Least achievability bound over the grid for n copies: D_{1+s} of the n-fold pair is n D_{1+s}."""
-    upper = 1.0
-    for s, d in divergences:
-        upper = min(upper, _achievability_from_values(v_count, d * n, lam, s))
-    return upper
+        return s, np.full_like(s, math.inf)
+    return s, curve.log2_q(alpha) / (alpha - 1.0)
 
 
 def smoothing_certificate(
@@ -400,8 +391,8 @@ def smoothing_certificate(
     """One-shot certificate for a single (rho, sigma, lam), witness included."""
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm))
-    upper = _grid_upper(divergences, eig(sm, cluster_tol).distinct_count, lam, 1)
+    s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
+    upper = _least_achievability(s_grid, d_grid, eig(sm, cluster_tol).distinct_count, lam)
     lower = converse_bound(rm, sm, lam, t)
     witness, achieved = pinched_smoothing_witness(rm, sm, lam, cluster_tol=cluster_tol)
     exact = None
@@ -447,7 +438,7 @@ def iid_smoothing_certificate(
         raise ValueError("n must be >= 1")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
-    divergences = _grid_divergences(RenyiDivergenceCurve(rm, sm))
+    s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     commuting = commutes(rm, sm, commute_tol)
     base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol) if commuting else None
     spectrum, power = base, 1
@@ -455,7 +446,8 @@ def iid_smoothing_certificate(
     for n in ns:
         lam = n * r
         v_n = distinct_eigenvalue_count_iid(sm, n, rel_tol=cluster_tol)
-        upper = _grid_upper(divergences, v_n, lam, n)
+        # D_{1+s} of the n-fold pair is n D_{1+s}
+        upper = _least_achievability(s_grid, d_grid * n, v_n, lam)
         if commuting:
             if n < power:
                 spectrum, power = base, 1

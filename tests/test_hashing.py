@@ -19,7 +19,11 @@ from privamp import (
     make_family,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,
+    purified_distance,
+    relative_entropy,
     renyi_conditional_entropy,
+    sandwiched_renyi_divergence,
+    trace_distance,
 )
 from conftest import rand_cq, rand_density
 
@@ -34,6 +38,12 @@ def test_hash_function_index_roundtrip():
     assert back.table == (1, 0, 1)
     assert HashFunction.from_index(0, 3, 2).table == (0, 0, 0)
     assert HashFunction.from_index(7, 3, 2).table == (1, 1, 1)
+
+
+def test_hash_function_from_index_rejects_out_of_range():
+    for idx in (-1, 8, 100):
+        with pytest.raises(ValueError):
+            HashFunction.from_index(idx, 3, 2)
 
 
 def test_apply_hash_merges_blocks():
@@ -80,6 +90,45 @@ def test_insecurity_renyi_identity():
         rep = insecurity(hashed, "renyi", s=s)
         want = 1.0 - renyi_conditional_entropy(hashed, 1.0 + s)
         assert abs(rep.value - want) <= 1e-10
+
+
+def _reference_case(case: str):
+    rng = np.random.default_rng(211)
+    if case == "full-rank":
+        return rand_cq(rng, 5, 2), [0, 1, 2, 0, 1]
+    if case == "rank-deficient":
+        # d_E = 3, every conditional inside one 2-dimensional subspace
+        iso = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
+        conds = [iso @ rand_density(rng, 2) @ iso.conj().T for _ in range(4)]
+        return CQState(rng.dirichlet(np.ones(4)), conds), [1, 0, 0, 1]
+    if case == "one-dim-E":
+        return CQState.classical(rng.dirichlet(np.ones(5))), [0, 1, 1, 0, 1]
+    # output 1 of three receives no symbol
+    return rand_cq(rng, 4, 3), [0, 2, 0, 2]
+
+
+@pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "one-dim-E", "empty-output"])
+def test_insecurity_matches_dense_reference(case):
+    # the batched kernel against the dense divergences from 1_Z/m (x) rho_E
+    cq, table = _reference_case(case)
+    hashed = apply_hash(cq, table)
+    m = hashed.nsymbols
+    rho = hashed.to_density().mat
+    ideal = np.kron(np.eye(m) / m, hashed.rho_e())
+    want = {
+        "trace_distance": trace_distance(rho, ideal),
+        "purified_distance": purified_distance(rho, ideal),
+        "relative_entropy": relative_entropy(rho, ideal).value,
+    }
+    for measure, value in want.items():
+        assert abs(insecurity(hashed, measure).value - value) <= 1e-10, measure
+    for s in (0.25, 1.0, 3.0):
+        value = sandwiched_renyi_divergence(rho, ideal, 1.0 + s).value
+        assert abs(insecurity(hashed, "renyi", s).value - value) <= 1e-10, s
+    # an order next to 1 is finite and near the relative entropy
+    near_one = insecurity(hashed, "renyi", 1e-7).value
+    assert math.isfinite(near_one)
+    assert abs(near_one - want["relative_entropy"]) <= 1e-6
 
 
 def test_insecurity_requires_order_for_renyi():
