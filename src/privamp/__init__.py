@@ -41,7 +41,6 @@ from .exponents import (
     critical_rate,
     equivocation_rate,
     exponent_curve,
-    golden_section_max,
     pa_lower_exponent,
     pa_upper_exponent,
     positive_part_decay_rate,

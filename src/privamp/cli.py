@@ -550,7 +550,7 @@ def _properties_suite(args) -> dict:
         cq = CQState(p, [rand_density(de) for _ in range(nx)])
         curve = ConditionalRenyiCurve(cq)
         rate = float(rng.uniform(curve.hmin(), curve.h1()))
-        golden = pa_upper_exponent(curve, rate)
+        found = pa_upper_exponent(curve, rate)
         t = np.linspace(0.0, 1.0, 10001, endpoint=False)
         coarse = t / (1.0 - t)  # every order s >= 0, through t = s / (1 + s)
         k = int(np.argmax(curve.s_times_h(coarse) - coarse * rate))
@@ -558,9 +558,9 @@ def _properties_suite(args) -> dict:
         hi = coarse[min(len(coarse) - 1, k + 1)]
         fine = np.linspace(lo, hi, 10001)
         gval = float(np.max(curve.s_times_h(fine) - fine * rate))
-        if math.isfinite(golden.value):
-            worst = max(worst, abs(golden.value - gval))
-    record("golden section vs refined grid", worst, 1e-6)
+        if math.isfinite(found.value):
+            worst = max(worst, abs(found.value - gval))
+    record("exponent search vs refined grid", worst, 1e-6)
 
     return {
         "trials": args.trials,

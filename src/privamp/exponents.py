@@ -1,20 +1,23 @@
 """Error and security exponents from Renyi divergence curves.
 
-Every sup/inf over the Renyi order parameter s is a one-dimensional
-optimization of a concave (or convex) function built from cached curve
-evaluators; golden-section search with deterministic tie-breaking toward the
-smallest optimizer does all of them. A search over all s >= 0 runs on
-t = s / (1 + s) in [0, 1], a monotone reparametrization that keeps
-unimodality, so no order cap is needed. Searches run in lockstep: an
-exponent curve puts the upper, lower and Renyi brackets of all its rates
-into one run whose every round is one array call of the kernel, and each
-bracket visits the points it would visit alone. The one-rate functions are
-the same code with one rate.
+Every exponent is a supremum over the Renyi parameter s of the concave
+F(s) = c s - log2 Q_{1+s}: c is minus the rate for a CQ state, the budget
+rate for a pair, and log2 Q is convex in the order. F' falls monotonically,
+so one root s* of F' decides every exponent at a rate: a supremum over all
+s >= 0 is F(s*), one over an order interval is F at s* clamped into it.
+The root is searched by Brent's method on t = s / (1 + s) in [0, 1], whose
+endpoint slopes are known (H(X|E) and H_min(X|E), or D and D_max), with the
+exact order derivative of the curve, so no order cap is needed. An exponent
+curve searches the roots of all its rates in lockstep, one derivative call
+per round, and then reads all its values in one log2_q call; each search
+visits the points it would visit alone, so the one-rate functions are the
+same code with one rate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,9 @@ from .measures import ConditionalRenyiCurve, RenyiDivergenceCurve
 from .states import CQState
 
 RATE_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the root searches stop once the bracket in t = s / (1 + s) is this narrow
+_T_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 # Regime labels for the rate-dependent classification of the upper exponent:
 #   zero:      R >= H(X|E), no exponential decay is required
@@ -81,94 +86,74 @@ class ExponentCurve:
                 raise ValueError(f"{attr} exponent is not nonincreasing in the rate")
 
 
-def golden_section_max(f, lo, hi, *, xtol: float = 1e-12, max_iter: int = 400):
-    """Maximize unimodal functions on the brackets [lo_k, hi_k], all in lockstep.
+def _brent(g0: float, g1: float):
+    """Root of a decreasing g on [0, 1] with g(0) = g0 > 0 > g1 = g(1), by Brent's method.
 
-    f(x, k) returns the values at the points x of the brackets k (equal-length
-    1-D arrays). One call of f evaluates the endpoints and both interior
-    points of every bracket, and each later call one new point per unfinished
-    bracket; a bracket stops once b - a <= xtol. Every bracket therefore
-    visits the points a search of it alone would. Returns (x, f(x)) for the
-    best evaluated point of each bracket, endpoints included, so a monotone f
-    is handled correctly; ties resolve to the smallest point. Scalar bounds
-    give scalar results.
+    A generator: it yields each point t at which it needs g and is sent
+    g(t) back; it returns the point of smallest |g| once the bracket around
+    the root is narrower than about _T_TOL. Inverse quadratic and secant
+    steps are taken where they stay well inside the bracket, bisection
+    otherwise.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if (hi < lo).any():
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    los, his = lo.ravel().tolist(), hi.ravel().tolist()
-    n = len(los)
-    best = [None] * n
-
-    def evaluate(xs, owner):
-        vals = np.asarray(f(np.array(xs), np.array(owner, dtype=int)), dtype=float).tolist()
-        for k, x, fx in zip(owner, xs, vals):
-            if best[k] is None or fx > best[k][1] or (fx == best[k][1] and x < best[k][0]):
-                best[k] = (x, fx)
-        return vals
-
-    wide = [k for k in range(n) if his[k] > los[k]]
-    cs = [b - _INVPHI * (b - a) for a, b in zip(los, his)]
-    ds = [a + _INVPHI * (b - a) for a, b in zip(los, his)]
-    vals = evaluate(los + [his[k] for k in wide] + cs + ds, [*range(n), *wide, *range(n), *range(n)])
-    fcs, fds = vals[len(vals) - 2 * n : len(vals) - n], vals[len(vals) - n :]
-    state = [list(row) for row in zip(los, his, cs, ds, fcs, fds)]
-    live = list(range(n))
-    for _ in range(max_iter):
-        live = [k for k in live if not state[k][1] - state[k][0] <= xtol]
-        if not live:
-            break
-        xs, slots = [], []
-        for k in live:
-            a, b, c, d, fc, fd = state[k]
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                xs.append(c)
-                slots.append(4)
+    a, fa, b, fb = 0.0, g0, 1.0, g1
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * _T_TOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:
+                p, q = 2.0 * m * r, 1.0 - r
             else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                xs.append(d)
-                slots.append(5)
-            state[k] = [a, b, c, d, fc, fd]
-        for k, slot, fx in zip(live, slots, evaluate(xs, live)):
-            state[k][slot] = fx
-    best_x = np.array([x for x, _ in best]).reshape(lo.shape)
-    best_f = np.array([fx for _, fx in best]).reshape(lo.shape)
-    return best_x[()], best_f[()]
+                qa, qb = fa / fc, fb / fc
+                p = r * (2.0 * m * qa * (qa - qb) - (b - a) * (qb - 1.0))
+                q = (qa - 1.0) * (qb - 1.0) * (r - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = yield b
 
 
-def _max_over_orders(f, lo, hi, on_t):
-    """Maximize f(s, k) on the order brackets k, all in one lockstep golden-section run.
+def _maximizers(curve, slopes, d_one: float, d_inf: float) -> list[float]:
+    """argmax over s >= 0 of c s - log2 Q_{1+s} for every slope c in (d_one, d_inf).
 
-    Bracket k is [lo_k, hi_k] in s or, where on_t[k], in t = s / (1 + s),
-    on which [0, 1] covers every order s >= 0 and t = 1 reads as -inf. f
-    gets the orders of one round and their bracket indices. Returns the
-    arrays (s, f(s)) of each bracket's best evaluated point.
+    d_one and d_inf are d/dalpha log2 Q_alpha at alpha = 1 and as alpha ->
+    inf. log2 Q is convex in alpha, so each maximizer is the one root of
+    c - d/dalpha log2 Q at alpha = 1 + s, searched by _brent on t = s / (1 + s)
+    in [0, 1] (alpha = 1 / (1 - t)), which covers every order. The searches
+    run in lockstep: a round is one d_log2_q call at every unfinished
+    search's point, and each search visits the points it would visit alone.
     """
-    on_t = np.asarray(on_t, dtype=bool)
-
-    def g(x, k):
-        t = on_t[k]
-        end = t & (x >= 1.0)
-        # f sees s = 1 at a t = 1 end and its value is dropped
-        vals = f(np.divide(x, 1.0 - x, out=x.copy(), where=t & ~end), k)
-        return np.where(end, -math.inf, vals)
-
-    x, val = golden_section_max(g, lo, hi)
-    return np.divide(x, 1.0 - x, out=x.copy(), where=on_t), val
-
-
-def _sup_over_s(f):
-    """sup_{s >= 0} f(s) for a unimodal f that tends to -inf as s -> inf.
-
-    f maps an array of orders to an array of values. Golden section on
-    t = s / (1 + s) in [0, 1]; returns (s, f(s)) for the best evaluated
-    point, ties to the smallest s.
-    """
-    s, val = _max_over_orders(lambda s, i: f(s), [0.0], [1.0], [True])
-    return float(s[0]), float(val[0])
+    slopes = np.asarray(slopes, dtype=float).tolist()
+    searches = [_brent(c - d_one, c - d_inf) for c in slopes]
+    pending = {k: next(search) for k, search in enumerate(searches)}  # search -> its next point
+    roots = [0.0] * len(slopes)
+    while pending:
+        slope_d = curve.d_log2_q(1.0 / (1.0 - np.array(list(pending.values()))))
+        for k, dk in zip(list(pending), slope_d.tolist()):
+            try:
+                pending[k] = searches[k].send(slopes[k] - dk)
+            except StopIteration as done:
+                roots[k] = done.value
+                del pending[k]
+    return [t / (1.0 - t) for t in roots]
 
 
 def _as_cond_curve(state) -> ConditionalRenyiCurve:
@@ -179,25 +164,35 @@ def _as_cond_curve(state) -> ConditionalRenyiCurve:
     raise TypeError(f"expected a CQState or ConditionalRenyiCurve, got {type(state)!r}")
 
 
+def _pair_sup(rho, sigma, r: float) -> tuple[float, float, str]:
+    """(s*, sup_{s >= 0} s r - log2 Q_{1+s}(rho || sigma), regime) for a pair or its curve.
+
+    The regime is zero, with (0, 0), when r <= D(rho || sigma), and
+    divergent, with (inf, inf), when r >= D_max(rho || sigma).
+    """
+    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
+    d1 = curve.umegaki().value
+    if r <= d1 + RATE_TOL:
+        return 0.0, 0.0, REGIME_ZERO
+    dmax = curve.dmax().value
+    if r >= dmax - RATE_TOL:
+        return math.inf, math.inf, REGIME_DIVERGENT
+    (s_star,) = _maximizers(curve, [r], d1, dmax)
+    return s_star, s_star * r - curve.log2_q(1.0 + s_star), REGIME_INTERIOR
+
+
 def smoothing_exponent(rho, sigma, r: float) -> ExponentValue:
     """Exponential decay rate of the iid smoothing quantity at budget rate r.
 
     Value (1/2) sup_{s >= 0} s (r - D_{1+s}(rho || sigma)): zero when
     r <= D(rho || sigma), +inf when r >= D_max(rho || sigma).
     """
-    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
-    d1 = curve.umegaki().value
-    if r <= d1 + RATE_TOL:
-        return ExponentValue(0.0, 0.0, REGIME_ZERO)
-    dmax = curve.dmax().value
-    if r >= dmax - RATE_TOL:
-        return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT)
-    s_star, g = _sup_over_s(lambda s: s * r - curve.log2_q(1.0 + s))
-    return ExponentValue(0.5 * max(g, 0.0), s_star, REGIME_INTERIOR)
+    s_star, g, regime = _pair_sup(rho, sigma, r)
+    return ExponentValue(0.5 * max(g, 0.0), s_star, regime)
 
 
-def rate_derivative(state, s: float, *, h: float = 1e-4) -> float:
-    """d/ds [s H_{1+s}(X|E)] by central differences with one Richardson step.
+def rate_derivative(state, s: float) -> float:
+    """d/ds [s H_{1+s}(X|E)], from the exact order derivative of the curve.
 
     This is the extraction rate at which order 1+s becomes the optimizer of
     the upper security exponent; it decreases from H(X|E) at s -> 0 to
@@ -205,7 +200,7 @@ def rate_derivative(state, s: float, *, h: float = 1e-4) -> float:
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    return _as_cond_curve(state).rate_derivative(s, h)
+    return -_as_cond_curve(state).d_log2_q(1.0 + s)
 
 
 def critical_rate(state) -> float:
@@ -214,36 +209,26 @@ def critical_rate(state) -> float:
 
 
 def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> list[CurvePoint]:
-    """The exponents that mode asks for at every rate, from one lockstep order search.
+    """The exponents that mode asks for at every rate, from one maximizer per rate.
 
-    Each rate contributes its brackets: upper, sup over every s >= 0 (t in
-    [0, 1]), for rates strictly between H_min and H; lower, max over
-    s in [0, 1], for rates below H; Renyi, sup over [s, 1]. Every bracket
-    advances in the same rounds, so a round is one kernel call.
+    phi(x) = x (H_{1+x}(X|E) - rate) is concave with its maximum at the root
+    s* of phi'; s* is 0 for rates at or above H and inf at or below H_min.
+    The upper exponent is phi(s*), the lower phi(min(s*, 1)) and the Renyi
+    exponent phi(clamp(s*, s, 1)). The roots of all rates are searched in
+    lockstep and every phi is read from one log2_q call.
     """
     want_upper = mode in ("upper", "both", "all")
     want_lower = mode in ("lower", "both", "all")
     want_renyi = mode in ("renyi", "all")
     if want_renyi and not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
-    h1 = curve.h1()
-    hmin = curve.hmin() if want_upper else math.inf
-    brackets = []
-    for k, r in enumerate(rates):
-        if want_upper and hmin + RATE_TOL < r < h1 - RATE_TOL:
-            brackets.append(("upper", k))
-        if want_lower and r < h1 - RATE_TOL:
-            brackets.append(("lower", k))
-        if want_renyi:
-            brackets.append(("renyi", k))
-    bracket_rates = np.array([rates[k] for _, k in brackets])
-    s_best, f_best = _max_over_orders(
-        lambda x, i: curve.s_times_h(x) - x * bracket_rates[i],
-        [s if kind == "renyi" else 0.0 for kind, _ in brackets],
-        1.0,
-        [kind == "upper" for kind, _ in brackets],
-    )
-    best = dict(zip(brackets, zip(s_best.tolist(), f_best.tolist())))
+    h1, hmin = curve.h1(), curve.hmin()
+    inside = [k for k, r in enumerate(rates) if hmin + RATE_TOL < r < h1 - RATE_TOL]
+    found = dict(zip(inside, _maximizers(curve, [-rates[k] for k in inside], -h1, -hmin)))
+    roots = [found.get(k, math.inf if r <= hmin + RATE_TOL else 0.0) for k, r in enumerate(rates)]
+    # the orders of the upper (1.0 stands in for an infinite s*), lower and Renyi exponents
+    x = np.array([[root if math.isfinite(root) else 1.0, min(root, 1.0), min(max(root, s), 1.0)] for root in roots])
+    phi = (curve.s_times_h(x.ravel()).reshape(x.shape) - x * np.array(rates)[:, None]).tolist()
 
     points = []
     for k, r in enumerate(rates):
@@ -251,25 +236,21 @@ def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> l
         if want_upper:
             if r >= h1 - RATE_TOL:
                 upper = ExponentValue(0.0, 0.0, REGIME_ZERO, purified_value=0.0)
-            elif ("upper", k) not in best:
+            elif k not in found:
                 upper = ExponentValue(math.inf, math.inf, REGIME_DIVERGENT, purified_value=math.inf)
             else:
-                s_star, val = best["upper", k]
-                val = max(val, 0.0)
+                val = max(phi[k][0], 0.0)
                 regime = REGIME_HIGH_RATE if r >= curve.critical_rate() - RATE_TOL else REGIME_LOW_RATE
-                upper = ExponentValue(val, s_star, regime, purified_value=0.5 * val)
+                upper = ExponentValue(val, roots[k], regime, purified_value=0.5 * val)
         if want_lower:
-            if ("lower", k) in best:
-                s_star, val = best["lower", k]
-                val = max(val, 0.0)
-                lower = ExponentValue(val, s_star, None, purified_value=0.5 * val)
+            if r < h1 - RATE_TOL:
+                val = max(phi[k][1], 0.0)
+                lower = ExponentValue(val, min(roots[k], 1.0), None, purified_value=0.5 * val)
             else:
                 lower = ExponentValue(0.0, 0.0, REGIME_ZERO, purified_value=0.0)
         if want_renyi:
-            t_star, val = best["renyi", k]
-            val = max(0.0, val)
-            if val == 0.0:
-                t_star = s
+            val = max(0.0, phi[k][2])
+            t_star = min(max(roots[k], s), 1.0) if val > 0.0 else s
             renyi = ExponentValue(val, t_star, valid=bool(r >= curve.critical_rate() - RATE_TOL))
         points.append(CurvePoint(r, upper, lower, renyi))
     return points
@@ -299,15 +280,8 @@ def positive_part_decay_rate(rho, sigma, a: float) -> ExponentValue:
     Zero when a <= D(rho || sigma). For a >= D_max the infimum is unbounded
     below; that is reported as value -inf with an inf optimizer marker.
     """
-    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
-    d1 = curve.umegaki().value
-    if a <= d1 + RATE_TOL:
-        return ExponentValue(0.0, 0.0, REGIME_ZERO)
-    dmax = curve.dmax().value
-    if a >= dmax - RATE_TOL:
-        return ExponentValue(-math.inf, math.inf, REGIME_UNBOUNDED)
-    s_star, val = _sup_over_s(lambda s: s * a - curve.log2_q(1.0 + s))
-    return ExponentValue(min(-val, 0.0), s_star, REGIME_INTERIOR)
+    s_star, g, regime = _pair_sup(rho, sigma, a)
+    return ExponentValue(min(0.0, -g), s_star, REGIME_UNBOUNDED if regime == REGIME_DIVERGENT else regime)
 
 
 def equivocation_rate(state, rate: float, s: float) -> float:

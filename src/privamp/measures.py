@@ -3,17 +3,20 @@
 The sandwiched Renyi family is evaluated through one cached kernel,
 _SandwichedCurve, that diagonalizes the reference operator once. log2_q
 takes a scalar order or a 1-D array of orders, and all orders of a call
-share one stacked eigvalsh, so an exponent search pays one call per round
-for all its brackets and a certificate one call for its whole order grid.
-The combination keeps the rounding of a one-order evaluation bit for bit.
-RenyiDivergenceCurve (an operator pair) and ConditionalRenyiCurve (a
-classical-quantum state) are its two uses; the hashing scans reuse the
-latter's blocks. ConditionalRenyiCurve computes H(X|E), H_min(X|E) and the
-critical rate once, on first use.
+share one stacked eigvalsh, so an exponent curve reads all its values and a
+certificate its whole order grid in one call. The combination keeps the
+rounding of a one-order evaluation bit for bit. d_log2_q gives the exact
+order derivative d/dalpha log2 Q_alpha of any number of orders through one
+stacked eigh; an exponent search pays one such call per round for the root
+searches of all its rates. RenyiDivergenceCurve (an operator pair) and
+ConditionalRenyiCurve (a classical-quantum state) are its two uses; the
+hashing scans reuse the latter's blocks. ConditionalRenyiCurve computes
+H(X|E), H_min(X|E) and the critical rate once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -124,6 +127,26 @@ def trace_distance(rho, sigma) -> float:
     return 0.5 * (float(np.abs(w).sum()) + abs(float(np.trace(rm - sm).real)))
 
 
+def _per_order_batch(kernel):
+    """Let kernel(self, orders) of a 1-D array of positive orders take a scalar order or an array.
+
+    The result has the shape of the argument. A batch too large for one
+    stack of _STACK_ENTRIES matrix entries goes through kernel in parts.
+    """
+
+    @functools.wraps(kernel)
+    def batched(self, alpha):
+        a = np.asarray(alpha, dtype=float)
+        orders = a.reshape(-1)
+        if any(x <= 0 for x in orders.tolist()):
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        step = self._orders_per_stack
+        out = np.concatenate([kernel(self, orders[i : i + step]) for i in range(0, max(1, orders.size), step)])
+        return float(out[0]) if a.ndim == 0 else out
+
+    return batched
+
+
 class _SandwichedCurve:
     """alpha -> log2 sum_x w_x^alpha tr(sigma^e B_x sigma^e)^alpha, e = (1-alpha)/(2 alpha).
 
@@ -158,27 +181,40 @@ class _SandwichedCurve:
         e = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
         return self._sandwich(self._mu**e)
 
-    def log2_q(self, alpha):
-        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma).
-
-        alpha is a scalar or a 1-D array of orders, and the result has its
-        shape. All orders go through one stacked eigvalsh; a batch too large
-        for one stack of _STACK_ENTRIES matrix entries is split.
-        """
-        a = np.asarray(alpha, dtype=float)
-        orders = a.reshape(-1)
-        if orders.size > self._orders_per_stack:
-            step = self._orders_per_stack
-            return np.concatenate([self.log2_q(orders[i : i + step]) for i in range(0, orders.size, step)])
-        if any(x <= 0 for x in orders.tolist()):
-            raise ValueError(f"alpha must be positive, got {alpha}")
+    @_per_order_batch
+    def log2_q(self, orders):
+        """log2 sum_x w_x^alpha tr((sigma^e B_x sigma^e)^alpha) on supp(sigma), through one stacked eigvalsh."""
         d = _power_rows(self._mu[None], (1.0 - orders) / (2.0 * orders))
         w = np.maximum(np.linalg.eigvalsh(self._sandwich(d)), 0.0)
         scale = w.max(axis=-1, initial=_TINY)
         sums = _power_rows(w / scale[..., None], orders).sum(axis=-1)
         ak = orders[:, None]
-        out = _log2sumexp2(ak * self._log2_weights + ak * _log2(scale) + _log2(sums))
-        return float(out[0]) if a.ndim == 0 else out
+        return _log2sumexp2(ak * self._log2_weights + ak * _log2(scale) + _log2(sums))
+
+    @_per_order_batch
+    def d_log2_q(self, orders):
+        """d/dalpha log2 Q_alpha, through one stacked eigh.
+
+        With A_x = mu^e B_x mu^e this is the mean over x, weighted by each
+        block's share of Q, of log2 w_x + tr(A^alpha (log2 A - diag(log2 mu)
+        / alpha)) / tr A^alpha, read from one eigendecomposition of A_x. Each
+        block's eigenvalues are scaled by its largest one, so large orders do
+        not overflow; a vanished block has share 0.
+        """
+        lam, vec = np.linalg.eigh(self._sandwich(_power_rows(self._mu[None], (1.0 - orders) / (2.0 * orders))))
+        scale = lam.max(axis=-1, initial=_TINY)
+        nu = np.maximum(lam, 0.0) / scale[..., None]
+        pw = _power_rows(nu, orders)
+        sums = pw.sum(axis=-1)
+        ak = orders[:, None]
+        log_block = self._log2_weights + _log2(scale)
+        log_share = ak * log_block + _log2(sums)
+        share = np.exp2(log_share - log_share.max(axis=-1, keepdims=True))
+        # diagonal of V^dagger diag(log2 mu) V, one entry per eigenvalue
+        log_mu = (np.abs(vec) ** 2 * _log2(self._mu)[:, None]).sum(axis=-2)
+        log_a = np.where(nu > 0, _log2(nu), 0.0) - log_mu / ak[..., None]
+        terms = log_block + (pw * log_a).sum(axis=-1) / np.maximum(sums, _TINY)
+        return (share * terms).sum(axis=-1) / share.sum(axis=-1)
 
     def _lambda_max(self) -> float:
         """max_x w_x lambda_max(sigma^{-1/2} B_x sigma^{-1/2}), the alpha -> inf limit."""
@@ -289,7 +325,7 @@ class ConditionalRenyiCurve(_SandwichedCurve):
             h_xe = _entropy_bits(self.weights)
             for px, block in zip(self.weights, self.blocks):
                 h_xe += px * _entropy_bits(np.linalg.eigvalsh(block))
-            self._h1 = h_xe - self.sigma_entropy
+            self._h1 = float(h_xe - self.sigma_entropy)
         return self._h1
 
     def hmin(self) -> float:
@@ -298,21 +334,10 @@ class ConditionalRenyiCurve(_SandwichedCurve):
             self._hmin = -math.log2(self._lambda_max())
         return self._hmin
 
-    def rate_derivative(self, s: float, h: float = 1e-4) -> float:
-        """d/ds [s H_{1+s}(X|E)] by central differences with one Richardson step.
-
-        The four orders go through one kernel call.
-        """
-        hh = min(h, s / 2.0)
-        g = self.s_times_h(np.array([s + hh, s - hh, s + hh / 2.0, s - hh / 2.0]))
-        d1 = (g[0] - g[1]) / (2.0 * hh)
-        d2 = (g[2] - g[3]) / hh
-        return float((4.0 * d2 - d1) / 3.0)
-
     def critical_rate(self) -> float:
-        """rate_derivative at s = 1, which separates optimizers s <= 1 from s > 1; computed once."""
+        """d/ds [s H_{1+s}(X|E)] at s = 1, which separates optimizers s <= 1 from s > 1; computed once."""
         if self._critical_rate is None:
-            self._critical_rate = self.rate_derivative(1.0)
+            self._critical_rate = -self.d_log2_q(2.0)
         return self._critical_rate
 
     def h(self, alpha: float) -> float:

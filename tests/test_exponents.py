@@ -15,7 +15,6 @@ from privamp import (
     critical_rate,
     equivocation_rate,
     exponent_curve,
-    golden_section_max,
     pa_lower_exponent,
     pa_upper_exponent,
     positive_part_decay_rate,
@@ -23,93 +22,9 @@ from privamp import (
     renyi_security_exponent,
     smoothing_exponent,
 )
-from privamp.exponents import _INVPHI as INVPHI, _sup_over_s
-from conftest import acceptance_states, rand_cq
+from conftest import acceptance_states, rand_cq, rand_density
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
-
-
-def test_golden_section_concave_quadratic():
-    # function values pin a smooth maximizer only to about sqrt(eps)
-    x, v = golden_section_max(lambda t, _: -((t - 0.37) ** 2) + 2.0, 0.0, 1.0)
-    assert abs(x - 0.37) <= 1e-6
-    assert abs(v - 2.0) <= 1e-14
-
-
-def test_golden_section_monotone_hits_endpoints():
-    x, v = golden_section_max(lambda t, _: 3.0 * t, 0.0, 2.0)
-    assert abs(x - 2.0) <= 1e-9 and abs(v - 6.0) <= 1e-8
-    x, v = golden_section_max(lambda t, _: -t, 0.0, 2.0)
-    assert x == 0.0 and v == 0.0
-
-
-def test_golden_section_plateau_prefers_smallest_maximizer():
-    x, _ = golden_section_max(lambda t, _: np.minimum(t, 1.0), 0.0, 64.0)
-    assert x <= 1.0 + 1e-6
-
-
-def _one_bracket_golden(f, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 400):
-    """Golden section on one bracket with scalar evaluations, the reference for the lockstep run."""
-    evals = [(lo, f(lo))]
-    if hi > lo:
-        evals.append((hi, f(hi)))
-    a, b = lo, hi
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals.extend([(c, fc), (d, fd)])
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-            evals.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-            evals.append((d, fd))
-    best_x, best_f = evals[0]
-    for x, fx in evals[1:]:
-        if fx > best_f or (fx == best_f and x < best_x):
-            best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def test_golden_section_lockstep_matches_one_bracket_searches():
-    funcs = [
-        lambda t: -((t - 0.37) ** 2),
-        lambda t: min(t, 1.0),
-        lambda t: -t,
-        lambda t: math.sin(3.0 * t),
-        lambda t: 2.0,
-    ]
-    lo = [0.0, 0.0, 0.5, -1.0, 2.0]
-    hi = [1.0, 64.0, 0.5, 3.0, 2.5]
-    seen = [[] for _ in funcs]
-
-    def f(x, k):
-        for xi, ki in zip(x.tolist(), k.tolist()):
-            seen[ki].append(xi)
-        return [funcs[ki](xi) for xi, ki in zip(x.tolist(), k.tolist())]
-
-    xs, vals = golden_section_max(f, lo, hi)
-    for k, g in enumerate(funcs):
-        alone = []
-        want = _one_bracket_golden(lambda t: alone.append(t) or g(t), lo[k], hi[k])
-        assert (xs[k], vals[k]) == want
-        assert seen[k] == alone
-
-
-def test_sup_over_s_covers_every_order():
-    # 1000 ln(1 + s) - s peaks at s = 999
-    s, v = _sup_over_s(lambda s: 1000.0 * np.log1p(s) - s)
-    assert abs(s - 999.0) <= 1e-2
-    assert abs(v - (1000.0 * math.log(1000.0) - 999.0)) <= 1e-9
-    s, v = _sup_over_s(lambda s: -s)
-    assert s == 0.0 and v == 0.0
 
 
 def test_smoothing_exponent_thresholds():
@@ -246,33 +161,101 @@ def test_upper_exponent_near_hmin_classical_closed_form():
         assert ev.maximizer_s == pytest.approx(math.log2((1.0 - eps) / eps) - 1.0, rel=1e-4)
 
 
+def _mp_log2_q(mpmath, cq: CQState):
+    """alpha -> 40-digit log2 Q_alpha(rho_XE || 1 (x) rho_E), with no support cut.
+
+    Powers of rho_E are taken on its support only (eigenvalues below 1e-30
+    count as zero), so a rank-deficient rho_E is handled.
+    """
+    probs = [mpmath.mpf(float(p)) for p in cq.probs]
+    conds = [mpmath.matrix(np.asarray(c).tolist()) for c in cq.conditionals]
+
+    def log2_q(alpha):
+        # recomputed at every call: mpmath.diff raises the working precision
+        rho_e = probs[0] * conds[0]
+        for p, c in zip(probs[1:], conds[1:]):
+            rho_e += p * c
+        mu, v = mpmath.eigh(rho_e)
+        e = (1 - alpha) / (2 * alpha)
+        root = v * mpmath.diag([m**e if m > 1e-30 else 0 for m in mu]) * v.H
+        total = 0
+        for p, c in zip(probs, conds):
+            block = root * c * root
+            lam = mpmath.eigh((block + block.H) / 2, eigvals_only=True)
+            total += p**alpha * mpmath.fsum(max(x, 0) ** alpha for x in lam)
+        return mpmath.log(total, 2)
+
+    return log2_q
+
+
 def _mp_upper_exponent(cq: CQState, rate: float, s0: float) -> float:
     """40-digit sup_s s (H_{1+s}(X|E) - rate) at the root of its s-derivative nearest s0."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        probs = [mpmath.mpf(float(p)) for p in cq.probs]
-        conds = [mpmath.matrix(np.asarray(c).tolist()) for c in cq.conditionals]
-
-        def log2_q(alpha):
-            # recomputed at every call: mpmath.diff raises the working precision
-            rho_e = probs[0] * conds[0]
-            for p, c in zip(probs[1:], conds[1:]):
-                rho_e += p * c
-            mu, v = mpmath.eigh(rho_e)
-            e = (1 - alpha) / (2 * alpha)
-            root = v * mpmath.diag([m**e for m in mu]) * v.H
-            total = 0
-            for p, c in zip(probs, conds):
-                block = root * c * root
-                lam = mpmath.eigh((block + block.H) / 2, eigvals_only=True)
-                total += p**alpha * mpmath.fsum(max(x, 0) ** alpha for x in lam)
-            return mpmath.log(total, 2)
+        log2_q = _mp_log2_q(mpmath, cq)
 
         def objective(s):
             return -log2_q(1 + s) - s * mpmath.mpf(rate)
 
         s_star = mpmath.findroot(lambda s: mpmath.diff(objective, s), mpmath.mpf(s0))
         return float(objective(s_star))
+
+
+def test_upper_and_lower_match_mpmath_above_critical_rate():
+    # above R_c the lower exponent is the upper one's clamp, so check both against an outside reference
+    for state in acceptance_states(3):
+        curve = ConditionalRenyiCurve(state)
+        rc, h1 = critical_rate(curve), curve.h1()
+        for frac in (0.1, 0.5, 0.9):
+            r = rc + frac * (h1 - rc)
+            upper = pa_upper_exponent(curve, r)
+            want = _mp_upper_exponent(state, r, upper.maximizer_s)
+            assert abs(upper.value - want) <= 1e-9, (r, upper.value, want)
+            assert abs(pa_lower_exponent(curve, r).value - want) <= 1e-9, r
+
+
+def _derivative_states() -> list[CQState]:
+    """The first 5 acceptance states and three hard cases for the order derivative."""
+    rng = np.random.default_rng(17)
+    lifted = np.zeros((3, 3), dtype=complex)
+    lifted[:2, :2] = rand_density(rng, 2)
+    cut = np.zeros((3, 3), dtype=complex)
+    cut[2, 2] = 1.0
+    return [
+        *acceptance_states(5),
+        # rank-deficient rho_E: nothing lives on the third basis vector
+        CQState([0.4, 0.6], [lifted, np.pad(rand_density(rng, 2), ((0, 1), (0, 1)))]),
+        # a block proportional to the identity
+        CQState([0.3, 0.7], [np.eye(2) / 2.0, rand_density(rng, 2)]),
+        # the third block lies on an eigenvalue of rho_E below the support cut
+        CQState([0.5 - 5e-16, 0.5 - 5e-16, 1e-15], [lifted, np.pad(rand_density(rng, 2), ((0, 1), (0, 1))), cut]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_order_derivative_matches_mpmath(k):
+    mpmath = pytest.importorskip("mpmath")
+    state = _derivative_states()[k]
+    curve = ConditionalRenyiCurve(state)
+    orders = np.array([1.3, 2.0, 6.0])
+    got = curve.d_log2_q(orders)
+    with mpmath.workdps(40):
+        log2_q = _mp_log2_q(mpmath, state)
+        want = [float(mpmath.diff(log2_q, mpmath.mpf(a))) for a in orders.tolist()]
+    assert np.max(np.abs(got - want)) <= 1e-12, (got, want)
+    assert got.tolist() == [curve.d_log2_q(a) for a in orders.tolist()]
+    assert rate_derivative(curve, 1.0) == -got[1]
+
+
+def test_pair_order_derivative_runs_from_umegaki_to_dmax():
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        curve = RenyiDivergenceCurve(rand_density(rng, 3), rand_density(rng, 3))
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        assert abs(curve.d_log2_q(1.0) - d1) <= 1e-12
+        slopes = curve.d_log2_q(np.array([1.0, 2.0, 10.0, 1e2, 1e4]))
+        assert all(b > a for a, b in zip(slopes, slopes[1:]))
+        assert 0.0 <= dmax - slopes[-1] <= 1e-6
 
 
 def test_upper_exponent_near_hmin_matches_mpmath():
@@ -380,18 +363,37 @@ def test_exponent_curve_rows_equal_one_rate_calls():
             assert p.renyi == renyi_security_exponent(curve, p.rate, 0.5)
 
 
-def test_exponent_curve_runs_its_searches_in_lockstep(monkeypatch):
-    kernel = ConditionalRenyiCurve.log2_q
+def _count_kernel_calls(monkeypatch) -> list[int]:
+    """Record the number of orders of every log2_q and d_log2_q call of a conditional curve."""
     calls = []
+    for name in ("log2_q", "d_log2_q"):
+        kernel = getattr(ConditionalRenyiCurve, name)
 
-    def counted(self, alpha):
-        calls.append(np.size(alpha))
-        return kernel(self, alpha)
+        def counted(self, alpha, kernel=kernel):
+            calls.append(np.size(alpha))
+            return kernel(self, alpha)
 
-    monkeypatch.setattr(ConditionalRenyiCurve, "log2_q", counted)
+        monkeypatch.setattr(ConditionalRenyiCurve, name, counted)
+    return calls
+
+
+def test_exponent_curve_runs_its_searches_in_lockstep(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
     curve = ConditionalRenyiCurve(acceptance_states()[0])
     h, hmin = curve.h1(), curve.hmin()
     exponent_curve(curve, np.linspace(hmin + 0.2 * (h - hmin), h + 0.05, 21), mode="all", s=0.5)
-    # one call per golden-section round for all 21 rates, plus the critical rate
-    assert len(calls) <= 70
+    # one derivative call per root-search round for all 21 rates, the critical
+    # rate, and one log2_q call for every exponent of the grid
+    assert len(calls) <= 25
     assert max(calls) >= 21
+
+
+def test_one_rate_exponent_takes_few_kernel_calls(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for state in acceptance_states():
+        curve = ConditionalRenyiCurve(state)
+        h, hmin = curve.h1(), curve.hmin()
+        for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
+            calls.clear()
+            pa_upper_exponent(curve, hmin + frac * (h - hmin))
+            assert len(calls) <= 20, (frac, len(calls))

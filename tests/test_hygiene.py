@@ -3,13 +3,15 @@
 No linter ships with the project, so this ast pass stands in for one. It
 reads src/privamp/*.py and fails on any name bound by an import that the
 module never references (__init__.py is skipped: its imports are the public
-re-exports), and on any module-level private name (a function, class or
-assigned constant starting with _) that no module of the package references.
+re-exports), and on any private name (a module-level function, class or
+assigned constant, or a method of a module-level class, starting with _)
+that no module of the package references.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import pathlib
 
@@ -65,8 +67,12 @@ def test_no_unused_imports(path):
 
 
 def _private_definitions(tree: ast.Module):
-    """(name, line) of each module-level function, class or assigned constant starting with _."""
+    """(name, line) of each module-level function, class, assigned constant or class method starting with _."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(item.name):
+                    yield item.name, item.lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -75,8 +81,22 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            if _is_private(name):
                 yield name, node.lineno
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _pieces(stmt: ast.stmt):
+    """(node, the names it defines) for one module-level statement; each method of a class is a piece of its own."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(stmt, {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else set())]
+    methods = [n for n in stmt.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    rest = copy.copy(stmt)
+    rest.body = [n for n in stmt.body if n not in methods]
+    return [(rest, {stmt.name})] + [(m, {stmt.name, m.name}) for m in methods]
 
 
 @functools.cache
@@ -85,15 +105,14 @@ def _package_references() -> frozenset[str]:
     used = set()
     for path in PACKAGE:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            refs = _referenced_names(stmt)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    refs.update(alias.name for alias in node.names)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                refs.discard(stmt.name)  # a recursive helper does not keep itself alive
-            used |= refs
+            for node, own in _pieces(stmt):
+                refs = _referenced_names(node)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute):
+                        refs.add(sub.attr)
+                    elif isinstance(sub, ast.ImportFrom):
+                        refs.update(alias.name for alias in sub.names)
+                used |= refs - own  # a recursive helper does not keep itself alive
     return frozenset(used)
 
 
