@@ -74,7 +74,6 @@ from .hashing import (
     hashed_q_expectation_check,
     insecurity,
     leftover_hash_exponent_check,
-    make_family,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,
 )

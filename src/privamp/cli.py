@@ -42,10 +42,12 @@ from .smoothing import (
 )
 from .hashing import (
     MEASURES,
+    AffinePrimeFamily,
+    AllFunctionsFamily,
+    PermutationProductFamily,
     example1_suite,
     example2_suite,
     family_expectation,
-    make_family,
     min_insecurity_exhaustive,
 )
 
@@ -438,13 +440,13 @@ def _cmd_pa_family(args):
     _require(isinstance(cq, CQState), f"{args.state}: expected kind 'cq'")
     if args.family == "all_functions":
         _require(args.range_size is not None, "all_functions needs --range-size")
-        fam = make_family("all_functions", domain_size=cq.nsymbols, range_size=args.range_size)
+        fam = AllFunctionsFamily(cq.nsymbols, args.range_size)
     elif args.family == "affine_prime":
         _require(args.prime is not None and args.range_size is not None, "affine_prime needs --prime and --range-size")
-        fam = make_family("affine_prime", prime=args.prime, domain_size=cq.nsymbols, range_size=args.range_size)
+        fam = AffinePrimeFamily(args.prime, cq.nsymbols, args.range_size)
     else:
         _require(args.n is not None, "example2_permutation needs --n")
-        fam = make_family("example2_permutation", n=args.n)
+        fam = PermutationProductFamily(args.n)
     exp = family_expectation(
         fam,
         cq,

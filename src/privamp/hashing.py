@@ -7,9 +7,17 @@ for a stack of tables: it sums the source's ConditionalRenyiCurve blocks,
 already rotated into the support frame of rho_E, per output and reads one
 stacked eigvalsh (order 1 + s for Renyi, 1/2 for the purified-distance
 fidelity, 1 for relative entropy and trace distance). insecurity() is its
-identity-table case. Exhaustive searches enumerate tables as base-M
-integers ascending and reduce deterministically (min value, ties to the
-smaller integer), independent of the thread count.
+identity-table case.
+
+A hash family numbers its members 0 .. table_count - 1: tables(members)
+maps an int64 array of member indices to their tables, and
+sample_tables(rng, count) draws count tables in one generator call. Every
+scan runs through one loop over chunks of _CHUNK = 2048 tables: exhaustive
+scans take the members in index order, and Monte Carlo draws chunk i from
+its own generator SeedSequence([seed, i]), so the chunk size is part of the
+seed contract and no result depends on the thread count. The exhaustive
+minimum scans every table as a base-M integer (AllFunctionsFamily) and
+reduces deterministically: min value, ties to the smaller integer.
 
 Relabeling the outputs of a table does not change its insecurity under any
 of the four measures, so tables come in twins. An exhaustive search reports
@@ -33,7 +41,9 @@ from .states import CQState
 
 MEASURES = ("trace_distance", "purified_distance", "relative_entropy", "renyi")
 DEFAULT_BUDGET = 1 << 24
-DEFAULT_CHUNK = 2048
+# tables per scan chunk; Monte Carlo draws each chunk from its own generator,
+# so this size is part of the seed contract
+_CHUNK = 2048
 LEMMA_SLACK = 1e-9
 
 
@@ -224,20 +234,34 @@ def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str,
     return math.log2(m) - (h_blocks - ctx.curve.sigma_entropy)
 
 
-def _decode_tables(start: int, stop: int, domain: int, m: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    powers = m ** np.arange(domain - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % m
+def _chunk_values(family, values, threads: int, *, budget: int = 0, count: int = 0, seed: int | None = None):
+    """Yield (first row, values(tables)) for each _CHUNK rows of tables, in row order.
 
+    Without a seed the rows are every member of the family, ascending, and a
+    family larger than budget raises BudgetExceededError. With a seed they are
+    count draws, chunk i drawn from SeedSequence([seed, i]). Either way the
+    rows do not depend on the thread count.
+    """
+    if seed is None:
+        count = family.table_count
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} tables exceed the exhaustive budget {budget}; use monte_carlo sampling instead"
+            )
 
-def _chunked_scan(jobs, evaluate, threads: int):
-    """Evaluate jobs (ordered) and yield results in submission order."""
+    def evaluate(lo):
+        size = min(_CHUNK, count - lo)
+        if seed is None:
+            return lo, values(family.tables(np.arange(lo, lo + size, dtype=np.int64)))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
+        return lo, values(family.sample_tables(rng, size))
+
+    starts = range(0, count, _CHUNK)
     if threads <= 1:
-        for job in jobs:
-            yield evaluate(job)
+        yield from map(evaluate, starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(evaluate, jobs)
+            yield from pool.map(evaluate, starts)
 
 
 def min_insecurity_exhaustive(
@@ -248,42 +272,30 @@ def min_insecurity_exhaustive(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> InsecurityReport:
     """Exhaustive minimum insecurity over all tables domain -> [range_size].
 
     Tables are enumerated as base-range_size integers ascending; ties resolve
-    to the smallest integer, making the result independent of threading and
-    chunking; the winner is reported as its canonical twin (module docstring).
-    Totals above the budget raise BudgetExceededError.
+    to the smallest integer, making the result independent of threading; the
+    winner is reported as its canonical twin (module docstring). Totals above
+    the budget raise BudgetExceededError.
     """
     _validate_measure(measure, s)
-    total = range_size**source.nsymbols
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} tables exceed the exhaustive budget {budget}; "
-            "use family_expectation with monte_carlo sampling instead"
-        )
+    family = AllFunctionsFamily(source.nsymbols, range_size)
     ctx = _SourceContext(source)
-    bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-    def evaluate(bound):
-        lo, hi = bound
-        tables = _decode_tables(lo, hi, source.nsymbols, range_size)
-        vals = _batch_values(tables, ctx, range_size, measure, s)
-        k = int(np.argmin(vals))
-        return float(vals[k]), lo + k
-
     best_val, best_idx = math.inf, -1
-    for val, idx in _chunked_scan(bounds, evaluate, threads):
-        if val < best_val:
-            best_val, best_idx = val, idx
+    for lo, vals in _chunk_values(
+        family, lambda tables: _batch_values(tables, ctx, range_size, measure, s), threads, budget=budget
+    ):
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_idx = float(vals[k]), lo + k
     # relabel outputs by order of first appearance: the smallest index among the winner's twins
     labels: dict[int, int] = {}
     winner = HashFunction.from_index(best_idx, source.nsymbols, range_size).table
     f = HashFunction(source.nsymbols, range_size, tuple(labels.setdefault(z, len(labels)) for z in winner))
     return InsecurityReport(
-        measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=total
+        measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=family.table_count
     )
 
 
@@ -297,7 +309,10 @@ def _max_pair_collision(tables: np.ndarray) -> float:
 
 
 class AllFunctionsFamily:
-    """Uniform distribution over every table domain -> range."""
+    """Uniform distribution over every table domain -> range.
+
+    Member k is the table whose big-endian base-range digits spell k.
+    """
 
     kind = "all_functions"
 
@@ -311,30 +326,32 @@ class AllFunctionsFamily:
     def table_count(self) -> int:
         return self.range_size**self.domain_size
 
-    def enumerate_tables(self, chunk: int = DEFAULT_CHUNK):
-        total = self.table_count
-        for lo in range(0, total, chunk):
-            yield _decode_tables(lo, min(lo + chunk, total), self.domain_size, self.range_size)
+    def tables(self, members: np.ndarray) -> np.ndarray:
+        powers = self.range_size ** np.arange(self.domain_size - 1, -1, -1, dtype=np.int64)
+        return (members[:, None] // powers[None, :]) % self.range_size
 
-    def sample_table(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.range_size, size=self.domain_size)
+    def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.integers(0, self.range_size, size=(count, self.domain_size))
 
-    def collision_certificate(self, budget: int = 1 << 16) -> dict:
+    def collision_certificate(self) -> dict:
         """Max pair-collision probability; exactly 1/range for this family.
 
-        Verified exhaustively when the enumeration fits the budget, otherwise
-        by the exact per-pair independence of table entries.
+        Verified exhaustively up to 2^16 tables, otherwise by the exact
+        per-pair independence of table entries.
         """
         bound = 1.0 / self.range_size
-        if self.table_count <= budget:
-            worst = _max_pair_collision(_decode_tables(0, self.table_count, self.domain_size, self.range_size))
+        if self.table_count <= 1 << 16:
+            worst = _max_pair_collision(self.tables(np.arange(self.table_count)))
             certified = worst <= bound + 1e-12
             return {"max_collision": worst, "bound": bound, "certified": certified, "method": "exhaustive"}
         return {"max_collision": bound, "bound": bound, "certified": True, "method": "entrywise-independence"}
 
 
 class AffinePrimeFamily:
-    """Tables x -> ((a x + b) mod p) mod range, a in [1, p), b in [0, p)."""
+    """Tables x -> ((a x + b) mod p) mod range, a in [1, p), b in [0, p).
+
+    Member k has a = 1 + k // p and b = k % p.
+    """
 
     kind = "affine_prime"
 
@@ -353,30 +370,21 @@ class AffinePrimeFamily:
     def table_count(self) -> int:
         return (self.prime - 1) * self.prime
 
-    def _tables_for_members(self, members: np.ndarray) -> np.ndarray:
+    def tables(self, members: np.ndarray) -> np.ndarray:
         a = 1 + members // self.prime
         b = members % self.prime
         x = np.arange(self.domain_size)
         return ((a[:, None] * x[None, :] + b[:, None]) % self.prime) % self.range_size
 
-    def enumerate_tables(self, chunk: int = DEFAULT_CHUNK):
-        total = self.table_count
-        for lo in range(0, total, chunk):
-            yield self._tables_for_members(np.arange(lo, min(lo + chunk, total)))
+    def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        a, b = rng.integers([1, 0], [self.prime, self.prime], size=(count, 2)).T
+        return self.tables((a - 1) * self.prime + b)
 
-    def sample_table(self, rng: np.random.Generator) -> np.ndarray:
-        a = int(rng.integers(1, self.prime))
-        b = int(rng.integers(0, self.prime))
-        x = np.arange(self.domain_size)
-        return ((a * x + b) % self.prime) % self.range_size
-
-    def collision_certificate(self, max_prime: int = 257) -> dict:
-        """Exhaustive pair-collision count over all (a, b) members."""
-        if self.prime > max_prime:
-            raise BudgetExceededError(
-                f"exhaustive certification is limited to primes <= {max_prime}"
-            )
-        worst = _max_pair_collision(self._tables_for_members(np.arange(self.table_count)))
+    def collision_certificate(self) -> dict:
+        """Exhaustive pair-collision count over all (a, b) members, for primes up to 257."""
+        if self.prime > 257:
+            raise BudgetExceededError("exhaustive certification is limited to primes <= 257")
+        worst = _max_pair_collision(self.tables(np.arange(self.table_count)))
         bound = 1.0 / self.range_size
         return {
             "max_collision": worst,
@@ -393,11 +401,13 @@ class PermutationProductFamily:
     {0, 1, 2, 3} and then the balanced map (0,0,1,1); its worst pair-collision
     probability is exactly 1/3 <= 1/2, certified by enumerating all 24
     permutations. n copies draw their permutations independently, hashing
-    4^n symbols to n bits.
+    4^n symbols to n bits. Member k applies, to copy i, the permutation
+    numbered by the i-th big-endian base-24 digit of k.
     """
 
     kind = "example2_permutation"
     _base_map = np.array([0, 0, 1, 1])
+    _perms = np.array(list(itertools.permutations(range(4))))
 
     def __init__(self, n: int):
         if n < 1:
@@ -405,33 +415,25 @@ class PermutationProductFamily:
         self.n = n
         self.domain_size = 4**n
         self.range_size = 2**n
-        self._perms = np.array(list(itertools.permutations(range(4))))
-        self._digits = _decode_tables(0, self.domain_size, n, 4)
-        self._bit_weights = 2 ** np.arange(n - 1, -1, -1)
 
     @property
     def table_count(self) -> int:
         return 24**self.n
 
-    def _table_for_perms(self, perm_rows: np.ndarray) -> np.ndarray:
-        bits = np.empty((self.domain_size, self.n), dtype=int)
-        for i in range(self.n):
-            bits[:, i] = self._base_map[perm_rows[i][self._digits[:, i]]]
-        return bits @ self._bit_weights
+    def _tables_for_perms(self, perms: np.ndarray) -> np.ndarray:
+        """One table per row of perms, shape (rows, n, 4): copy i permuted by perms[:, i]."""
+        place = np.arange(self.n - 1, -1, -1)
+        digits = (np.arange(self.domain_size)[:, None] // 4 ** place[None, :]) % 4
+        return self._base_map[perms[:, np.arange(self.n), digits]] @ 2**place
 
-    def enumerate_tables(self, chunk: int = DEFAULT_CHUNK):
-        member_digits_powers = 24 ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        total = self.table_count
-        for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            digits = (idx[:, None] // member_digits_powers[None, :]) % 24
-            yield np.stack([self._table_for_perms(self._perms[row]) for row in digits])
+    def tables(self, members: np.ndarray) -> np.ndarray:
+        digits = (members[:, None] // 24 ** np.arange(self.n - 1, -1, -1, dtype=np.int64)[None, :]) % 24
+        return self._tables_for_perms(self._perms[digits])
 
-    def sample_table(self, rng: np.random.Generator) -> np.ndarray:
-        perm_rows = np.stack([rng.permutation(4) for _ in range(self.n)])
-        return self._table_for_perms(perm_rows)
+    def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self._tables_for_perms(rng.permuted(np.tile(np.arange(4), (count, self.n, 1)), axis=-1))
 
-    def base_collision_certificate(self) -> dict:
+    def collision_certificate(self) -> dict:
         """Exact worst collision probability of the single-copy family."""
         worst = 0.0
         hits = np.zeros((4, 4))
@@ -449,35 +451,19 @@ class PermutationProductFamily:
             "method": "exhaustive-base",
         }
 
-    def collision_certificate(self) -> dict:
-        return self.base_collision_certificate()
-
-
-def make_family(kind: str, **kwargs):
-    if kind == "all_functions":
-        return AllFunctionsFamily(kwargs["domain_size"], kwargs["range_size"])
-    if kind == "affine_prime":
-        return AffinePrimeFamily(kwargs["prime"], kwargs["domain_size"], kwargs["range_size"])
-    if kind == "example2_permutation":
-        return PermutationProductFamily(kwargs["n"])
-    raise ValueError(f"unknown family kind {kind!r}")
-
 
 def _check_domain(family, source: CQState) -> None:
     if family.domain_size != source.nsymbols:
         raise ValueError(f"family domain {family.domain_size} != source symbols {source.nsymbols}")
 
 
-def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int, chunk: int):
-    """(mean of values(tables) over every member, count), summed chunk by chunk in order."""
+def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int) -> float:
+    """Mean of values(tables) over every member, summed chunk by chunk in order."""
     _check_domain(family, source)
-    if family.table_count > budget:
-        raise BudgetExceededError(f"{family.table_count} members exceed budget {budget}; use monte_carlo")
-    total, cnt = 0.0, 0
-    for vals in _chunked_scan(list(family.enumerate_tables(chunk)), values, threads):
+    total = 0.0
+    for _, vals in _chunk_values(family, values, threads, budget=budget):
         total += float(vals.sum())
-        cnt += vals.size
-    return total / cnt, cnt
+    return total / family.table_count
 
 
 def family_expectation(
@@ -491,13 +477,12 @@ def family_expectation(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> FamilyExpectation:
     """Expected insecurity over a hash family, exhaustive or Monte-Carlo.
 
-    Monte-Carlo draws all tables from one seeded generator before any
-    evaluation, so results do not depend on the thread count; the standard
-    error of the mean is reported alongside.
+    Monte-Carlo draws each chunk of tables from its own generator keyed by
+    (seed, chunk index), so results do not depend on the thread count; the
+    standard error of the mean is reported alongside.
     """
     _validate_measure(measure, s)
     ctx = _SourceContext(source)
@@ -507,23 +492,14 @@ def family_expectation(
         return _batch_values(tables, ctx, m, measure, s)
 
     if sampling == "exhaustive":
-        mean, cnt = _exhaustive_mean(family, source, values, budget=budget, threads=threads, chunk=chunk)
-        return FamilyExpectation(mean, None, cnt, "exhaustive")
+        mean = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
+        return FamilyExpectation(mean, None, family.table_count, "exhaustive")
     if sampling != "monte_carlo":
         raise ValueError(f"sampling must be 'exhaustive' or 'monte_carlo', got {sampling!r}")
     if count < 2:
         raise ValueError("monte_carlo needs count >= 2")
     _check_domain(family, source)
-    # fixed-size chunks with per-chunk generators keyed by (seed, chunk index):
-    # the draw and the mean are identical for every thread count
-    jobs = [(i, lo, min(lo + chunk, count)) for i, lo in enumerate(range(0, count, chunk))]
-
-    def evaluate(job):
-        i, lo, hi = job
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        return values(np.stack([family.sample_table(rng) for _ in range(hi - lo)]))
-
-    vals = np.concatenate(list(_chunked_scan(jobs, evaluate, threads)))
+    vals = np.concatenate([v for _, v in _chunk_values(family, values, threads, count=count, seed=seed)])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(count))
     return FamilyExpectation(mean, se, count, "monte_carlo")
@@ -554,7 +530,6 @@ def hashed_q_expectation_check(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ):
     """E_F Q_{1+s}(rho^F_ZE || 1_Z (x) rho_E) against its two-universal bound.
 
@@ -565,9 +540,8 @@ def hashed_q_expectation_check(
         raise ValueError(f"s must be positive, got {s}")
     ctx = _SourceContext(source)
     m = family.range_size
-    lhs, _ = _exhaustive_mean(
-        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s),
-        budget=budget, threads=threads, chunk=chunk,
+    lhs = _exhaustive_mean(
+        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads
     )
     q_source = float(np.exp2(ctx.curve.log2_q(1.0 + s)))
     v = eig(source.rho_e()).distinct_count
@@ -584,7 +558,6 @@ def leftover_hash_exponent_check(
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ):
     """E_F 2^(s D_{1+s}(rho^F_ZE || ideal)) against 1 + v^s 2^(s(log M - H_{1+s})).
 
@@ -594,9 +567,8 @@ def leftover_hash_exponent_check(
         raise ValueError(f"s must be positive, got {s}")
     ctx = _SourceContext(source)
     m = family.range_size
-    lhs, _ = _exhaustive_mean(
-        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s),
-        budget=budget, threads=threads, chunk=chunk,
+    lhs = _exhaustive_mean(
+        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads
     )
     v = eig(source.rho_e()).distinct_count
     rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - ctx.curve.h(1.0 + s))))
@@ -693,7 +665,6 @@ def example2_suite(
     *,
     realizations: int = 100,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> dict:
     """Uniform 4-ary source hashed by independent per-copy permutations.
 
@@ -704,12 +675,13 @@ def example2_suite(
     faster than any exponential (marker inf).
     """
     family = PermutationProductFamily(n)
-    cert = family.base_collision_certificate()
+    cert = family.collision_certificate()
     source = CQState.classical(np.full(4**n, 0.25**n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    tol = 1e-12
     worst = {"purified_distance": 0.0, "relative_entropy": 0.0, "renyi": 0.0}
-    for _ in range(realizations):
-        hashed = apply_hash(source, family.sample_table(rng))
+    for table in family.sample_tables(rng, realizations):
+        hashed = apply_hash(source, table)
         worst["purified_distance"] = max(
             worst["purified_distance"], insecurity(hashed, "purified_distance").value
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DEFAULT_SUPPORT_CUT, _as_matrix, mat_power
+from .operators import SUPPORT_CUT, _as_matrix, mat_power
 from .states import CQState, _as_state_matrix
 
 ALPHA_ONE_GUARD = 1e-6
@@ -156,13 +156,13 @@ class _SandwichedCurve:
     (D_max and H_min).
     """
 
-    def __init__(self, blocks, weights, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
+    def __init__(self, blocks, weights, sigma):
         w, v = np.linalg.eigh(sigma)
         scale = max(1.0, float(np.max(np.abs(w))))
         if float(w[0]) < -1e-9 * scale:
             raise ValueError(f"reference operator not PSD: min eigenvalue {w[0]:.3e}")
         lam_max = float(w[-1])
-        keep = w > support_cut * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
+        keep = w > SUPPORT_CUT * lam_max if lam_max > 0 else np.zeros_like(w, dtype=bool)
         self._mu = np.clip(w[keep], 0.0, None)
         vk = v[:, keep]
         self.sigma_entropy = _entropy_bits(w)
@@ -230,12 +230,12 @@ class RenyiDivergenceCurve(_SandwichedCurve):
     inside log2_q.
     """
 
-    def __init__(self, rho, sigma, support_cut: float = DEFAULT_SUPPORT_CUT):
+    def __init__(self, rho, sigma):
         rm = _as_state_matrix(rho)
         sm = _as_matrix(sigma)
         if rm.shape != sm.shape:
             raise ValueError(f"dimension mismatch: {rm.shape} vs {sm.shape}")
-        super().__init__([rm], [1.0], sm, support_cut)
+        super().__init__([rm], [1.0], sm)
         self.rho_trace = float(np.trace(rm).real)
         self.support_violation = max(0.0, self.rho_trace - float(np.trace(self.blocks[0]).real))
         self.tr_rho_sigma = float(np.trace(rm @ sm).real)
@@ -308,11 +308,11 @@ class ConditionalRenyiCurve(_SandwichedCurve):
     are dropped.
     """
 
-    def __init__(self, cq: CQState, support_cut: float = DEFAULT_SUPPORT_CUT):
+    def __init__(self, cq: CQState):
         self.cq = cq
         mask = cq.probs > 0
         conds = [c for c, m in zip(cq.conditionals, mask) if m]
-        super().__init__(conds, cq.probs[mask], cq.rho_e(), support_cut)
+        super().__init__(conds, cq.probs[mask], cq.rho_e())
         self._h1 = self._hmin = self._critical_rate = None
 
     def s_times_h(self, s):

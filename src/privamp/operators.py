@@ -15,9 +15,10 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-9
-DEFAULT_SUPPORT_CUT = 1e-12
+SUPPORT_CUT = 1e-12
 DEFAULT_COMMUTE_TOL = 1e-9
-DEFAULT_TENSOR_BUDGET = 4096
+TENSOR_BUDGET = 4096
+IID_ATOM_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
@@ -43,16 +44,16 @@ class HermitianOperator:
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries, *, tol: float = HERMITICITY_TOL):
+    def __init__(self, entries):
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         scale = 1.0 + float(np.max(np.abs(m)))
         defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > tol * scale:
+        if defect > HERMITICITY_TOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-                f"{tol:.1e} * (1 + max entry) = {tol * scale:.3e}"
+                f"{HERMITICITY_TOL:.1e} * (1 + max entry) = {HERMITICITY_TOL * scale:.3e}"
             )
         m = (m + m.conj().T) / 2.0
         m.flags.writeable = False
@@ -144,10 +145,10 @@ def eig(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(w, u, tuple(clusters), cluster_tol)
 
 
-def mat_power(a, t: float, support_cut: float = DEFAULT_SUPPORT_CUT) -> HermitianOperator:
+def mat_power(a, t: float) -> HermitianOperator:
     """A^t for PSD A, defined on the support of A (pseudo-power).
 
-    Eigenvalues at or below support_cut * lambda_max count as the kernel.
+    Eigenvalues at or below SUPPORT_CUT * lambda_max count as the kernel.
     Negative powers of the zero operator raise.
     """
     sd = eig(a)
@@ -160,7 +161,7 @@ def mat_power(a, t: float, support_cut: float = DEFAULT_SUPPORT_CUT) -> Hermitia
         if t < 0:
             raise ValueError("negative power of the zero operator")
         return HermitianOperator(np.zeros_like(_as_matrix(a)))
-    keep = w > support_cut * lam_max
+    keep = w > SUPPORT_CUT * lam_max
     u = sd.eigenvectors[:, keep]
     powered = (u * (w[keep] ** t)) @ u.conj().T
     return HermitianOperator(powered)
@@ -187,14 +188,14 @@ def positive_part_trace(a) -> float:
     return float(w[w > 0].sum())
 
 
-def tensor_power(a, n: int, budget: int = DEFAULT_TENSOR_BUDGET) -> HermitianOperator:
-    """n-fold Kronecker power, refused above a total-dimension budget."""
+def tensor_power(a, n: int) -> HermitianOperator:
+    """n-fold Kronecker power, refused above TENSOR_BUDGET total dimensions."""
     m = _as_matrix(a)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m.shape[0] ** n > budget:
+    if m.shape[0] ** n > TENSOR_BUDGET:
         raise BudgetExceededError(
-            f"dense tensor power dim {m.shape[0]}^{n} exceeds budget {budget}; "
+            f"dense tensor power dim {m.shape[0]}^{n} exceeds budget {TENSOR_BUDGET}; "
             "use the spectrum fast path for iid inputs"
         )
     out = m
@@ -203,14 +204,14 @@ def tensor_power(a, n: int, budget: int = DEFAULT_TENSOR_BUDGET) -> HermitianOpe
     return HermitianOperator(out)
 
 
-def simultaneous_eigenbasis(a, b, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> np.ndarray:
+def simultaneous_eigenbasis(a, b) -> np.ndarray:
     """Common eigenbasis of two commuting Hermitian matrices.
 
     Diagonalizes a, then diagonalizes b compressed to each eigenvalue cluster
     of a. Commutation is the caller's responsibility; the result diagonalizes
     b exactly only when [a, b] = 0.
     """
-    sd = eig(a, cluster_tol)
+    sd = eig(a)
     u = np.array(sd.eigenvectors)
     bm = _as_matrix(b)
     for cluster in sd.clusters:
@@ -241,7 +242,6 @@ def distinct_eigenvalue_count_iid(
     sigma,
     n: int,
     rel_tol: float = DEFAULT_CLUSTER_TOL,
-    atom_budget: int = 10**7,
 ) -> int:
     """Number of distinct eigenvalues of the n-fold tensor power of sigma.
 
@@ -262,7 +262,7 @@ def distinct_eigenvalue_count_iid(
     lam_max = float(reps.max())
     if lam_max <= 0.0:
         return 1
-    positive = reps > DEFAULT_SUPPORT_CUT * lam_max
+    positive = reps > SUPPORT_CUT * lam_max
     has_zero = bool((~positive).any())
     logs = np.log2(reps[positive])
     # relative tolerance on products maps to an absolute gap in log2
@@ -275,8 +275,8 @@ def distinct_eigenvalue_count_iid(
             boundaries = np.diff(sums) > log_tol
             keep = np.concatenate(([True], boundaries))
             sums = sums[keep]
-        if sums.size > atom_budget:
+        if sums.size > IID_ATOM_BUDGET:
             raise BudgetExceededError(
-                f"distinct-product enumeration exceeded {atom_budget} atoms at n={n}"
+                f"distinct-product enumeration exceeded {IID_ATOM_BUDGET} atoms at n={n}"
             )
     return int(sums.size) + (1 if has_zero else 0)

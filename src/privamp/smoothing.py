@@ -19,7 +19,7 @@ from .operators import (
     BudgetExceededError,
     DEFAULT_CLUSTER_TOL,
     DEFAULT_COMMUTE_TOL,
-    DEFAULT_SUPPORT_CUT,
+    SUPPORT_CUT,
     _as_matrix,
     commutator_defect,
     commutes,
@@ -36,6 +36,8 @@ KKT_TOL = 1e-9
 WITNESS_PSD_TOL = 1e-9
 MERGE_TOL = 1e-12
 ATOM_CAP = 10**7
+WATER_FILL_ITERS = 60
+SMOOTH_MIN_ENTROPY_RESOLUTION = 1e-6
 DEFAULT_CONVERSE_T = 9.0
 _EXP2_CLIP = 1000.0
 
@@ -44,7 +46,7 @@ def _exp2_clipped(x: float) -> float:
     return float(np.exp2(min(x, _EXP2_CLIP)))
 
 
-def _water_fill(p, q, lam: float, iters: int):
+def _water_fill(p, q, lam: float):
     """(p, p', target) with p'_x = min(c p_x, 2^lam q_x) of total mass target.
 
     target = min(1, total cap mass) and c is found by bisection. KKT
@@ -79,7 +81,7 @@ def _water_fill(p, q, lam: float, iters: int):
             if guard > 300:
                 raise ArithmeticError("water-filling bisection failed to bracket")
         c_lo = 0.0
-        for _ in range(iters):
+        for _ in range(WATER_FILL_ITERS):
             mid = 0.5 * (c_lo + c_hi)
             if mass(mid) < 1.0:
                 c_lo = mid
@@ -95,7 +97,7 @@ def _water_fill(p, q, lam: float, iters: int):
     return p, ptilde, target
 
 
-def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
+def classical_smoothing_oracle(p, q, lam: float):
     """Exact smoothing of a classical pair: min purified distance to p' <= 2^lam q.
 
     Water-filling: p'_x = min(c p_x, 2^lam q_x) with c chosen by bisection so
@@ -103,7 +105,7 @@ def classical_smoothing_oracle(p, q, lam: float, *, iters: int = 60):
     epsilon = sqrt(1 - F^2), F = sum sqrt(p p'). KKT residuals of the
     solution are checked to KKT_TOL internally.
     """
-    p, ptilde, target = _water_fill(p, q, lam, iters)
+    p, ptilde, target = _water_fill(p, q, lam)
     return _purified_epsilon(p, ptilde, target), ptilde
 
 
@@ -183,7 +185,7 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
     if math.isinf(c):
         sd = eig(sm)
         wmax = float(sd.eigenvalues[0])
-        kernel = sd.eigenvalues <= DEFAULT_SUPPORT_CUT * max(wmax, 0.0)
+        kernel = sd.eigenvalues <= SUPPORT_CUT * max(wmax, 0.0)
         if not kernel.any():
             return 0.0
         k = sd.eigenvectors[:, kernel]
@@ -260,15 +262,15 @@ class SpectrumDistribution:
         qv = np.clip(np.real(np.einsum("ij,jk,ki->i", u.conj().T, sm, u)), 0.0, None)
         return cls.from_vectors(pv, qv)
 
-    def convolve(self, other: "SpectrumDistribution", *, atom_cap: int = ATOM_CAP) -> "SpectrumDistribution":
+    def convolve(self, other: "SpectrumDistribution") -> "SpectrumDistribution":
         """Tensor-product spectrum: atomwise sums of logs, products of weights."""
         lp = (self.log2_p[:, None] + other.log2_p[None, :]).ravel()
         with np.errstate(invalid="ignore"):
             lq = (self.log2_q[:, None] + other.log2_q[None, :]).ravel()
         wt = (self.weight[:, None] * other.weight[None, :]).ravel()
         out = _merge_atoms(lp, lq, wt)
-        if out.natoms > atom_cap:
-            raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {atom_cap}")
+        if out.natoms > ATOM_CAP:
+            raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {ATOM_CAP}")
         return out
 
     def log2_q_alpha(self, alpha: float) -> float:
@@ -305,7 +307,7 @@ class SpectrumDistribution:
         with np.errstate(invalid="ignore", over="ignore"):
             q_eff = self.weight * np.exp2(np.clip(self.log2_q - self.log2_p, -_EXP2_CLIP, _EXP2_CLIP))
         q_eff = np.where(np.isneginf(self.log2_q), 0.0, q_eff)
-        p, ptilde, target = _water_fill(self.weight / self.total_mass, q_eff, lam, 60)
+        p, ptilde, target = _water_fill(self.weight / self.total_mass, q_eff, lam)
         return _purified_epsilon(p, ptilde, target), ptilde
 
 
@@ -330,13 +332,13 @@ def _merge_atoms(lp: np.ndarray, lq: np.ndarray, wt: np.ndarray, tol: float = ME
     return SpectrumDistribution(out_lp, out_lq, out_w)
 
 
-def iid_spectrum(base: SpectrumDistribution, n: int, *, atom_cap: int = ATOM_CAP) -> SpectrumDistribution:
+def iid_spectrum(base: SpectrumDistribution, n: int) -> SpectrumDistribution:
     """n-fold convolution of a base joint spectrum with atom merging."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = base
     for _ in range(n - 1):
-        out = out.convolve(base, atom_cap=atom_cap)
+        out = out.convolve(base)
     return out
 
 
@@ -420,8 +422,6 @@ def iid_smoothing_certificate(
     t: float = DEFAULT_CONVERSE_T,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     commute_tol: float = DEFAULT_COMMUTE_TOL,
-    tensor_budget: int = 4096,
-    atom_cap: int = ATOM_CAP,
 ) -> list[SmoothingCertificate]:
     """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
@@ -452,14 +452,12 @@ def iid_smoothing_certificate(
             if n < power:
                 spectrum, power = base, 1
             while power < n:
-                spectrum, power = spectrum.convolve(base, atom_cap=atom_cap), power + 1
+                spectrum, power = spectrum.convolve(base), power + 1
             exact, _ = spectrum.smoothing_oracle(lam)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
         else:
             exact = None
-            lower = converse_bound(
-                tensor_power(rm, n, budget=tensor_budget), tensor_power(sm, n, budget=tensor_budget), lam, t
-            )
+            lower = converse_bound(tensor_power(rm, n), tensor_power(sm, n), lam, t)
         certificates.append(
             SmoothingCertificate(
                 lam=lam,
@@ -473,18 +471,19 @@ def iid_smoothing_certificate(
     return certificates
 
 
-def smooth_min_entropy(cq: CQState, eps: float, *, resolution: float = 1e-6, commute_tol: float = DEFAULT_COMMUTE_TOL) -> float:
+def smooth_min_entropy(cq: CQState, eps: float) -> float:
     """Smooth min-entropy H_min^eps(X|E) of a commuting CQ state.
 
     Defined through the exact smoothing oracle: the negative of the least
     budget lambda at which the smoothing quantity against 1_X (x) rho_E drops
-    to eps, located by bisection to the given lambda resolution. Requires
-    every conditional to commute with the marginal (classical_pair raises
-    otherwise); non-commuting inputs should use certificate bounds instead.
+    to eps, located by bisection to SMOOTH_MIN_ENTROPY_RESOLUTION in lambda.
+    Requires every conditional to commute with the marginal (classical_pair
+    raises otherwise); non-commuting inputs should use certificate bounds
+    instead.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    p, q = cq.classical_pair(commute_tol)
+    p, q = cq.classical_pair()
     spectrum = SpectrumDistribution.from_vectors(p, q)
 
     def eps_at(lam: float) -> float:
@@ -501,7 +500,7 @@ def smooth_min_entropy(cq: CQState, eps: float, *, resolution: float = 1e-6, com
         lo = hi - step
         if step > 2.0**64:
             raise ArithmeticError("failed to bracket the smoothing budget")
-    while hi - lo > resolution:
+    while hi - lo > SMOOTH_MIN_ENTROPY_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if eps_at(mid) <= eps:
             hi = mid

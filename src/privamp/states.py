@@ -18,6 +18,8 @@ from .operators import (
 
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-9
+MAX_E_DIM = 512
+MAX_SYMBOLS = 1 << 16
 
 Kind = Literal["normalized", "subnormalized"]
 
@@ -158,17 +160,17 @@ class CQState:
             out[i * d : (i + 1) * d, i * d : (i + 1) * d] = re
         return HermitianOperator(out)
 
-    def tensor_power(self, n: int, *, max_e_dim: int = 512, max_symbols: int = 1 << 16) -> "CQState":
+    def tensor_power(self, n: int) -> "CQState":
         """iid n-copy ensemble over symbol tuples."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.dim_e**n > max_e_dim:
+        if self.dim_e**n > MAX_E_DIM:
             raise BudgetExceededError(
-                f"side-system dimension {self.dim_e}^{n} exceeds the cap {max_e_dim}"
+                f"side-system dimension {self.dim_e}^{n} exceeds the cap {MAX_E_DIM}"
             )
-        if self.nsymbols**n > max_symbols:
+        if self.nsymbols**n > MAX_SYMBOLS:
             raise BudgetExceededError(
-                f"symbol count {self.nsymbols}^{n} exceeds the cap {max_symbols}"
+                f"symbol count {self.nsymbols}^{n} exceeds the cap {MAX_SYMBOLS}"
             )
         probs = self.probs
         conds = list(self.conditionals)

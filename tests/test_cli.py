@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,25 @@ def test_pa_family_requires_matching_options(cq_path, capsys):
         main(["pa-family", cq_path, "--family", "affine_prime", "--measure", "renyi", "--s", "1"])
         == EXIT_VALIDATION
     )
+
+
+def test_pa_family_domain_mismatch_exits_before_building_tables(tmp_path, capsys):
+    # ten permutation copies hash 4^10 symbols; a 2-symbol state must be
+    # refused without materializing anything of that size
+    path = write_json(
+        tmp_path / "two.json",
+        {"kind": "cq", "dim": 1, "probs": [0.5, 0.5], "conditionals": [[[1.0]], [[1.0]]]},
+    )
+    argv = ["pa-family", path, "--family", "example2_permutation", "--n", "10", "--measure", "trace_distance"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    assert "family domain 1048576 != source symbols 2" in capsys.readouterr().err
+    assert peak < 16 * 2**20
 
 
 def test_suite_example2_passes(capsys):

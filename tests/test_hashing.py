@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from privamp import (
+    AffinePrimeFamily,
+    AllFunctionsFamily,
     BudgetExceededError,
     CQState,
     HashFunction,
+    PermutationProductFamily,
     apply_hash,
     example1_suite,
     example2_suite,
@@ -16,7 +20,6 @@ from privamp import (
     hashed_q_expectation_check,
     insecurity,
     leftover_hash_exponent_check,
-    make_family,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,
     purified_distance,
@@ -25,6 +28,7 @@ from privamp import (
     sandwiched_renyi_divergence,
     trace_distance,
 )
+from privamp import hashing
 from conftest import rand_cq, rand_density
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
@@ -147,11 +151,13 @@ def test_exhaustive_minimum_biased_source():
     assert rep.hash_index == HashFunction(2, 2, rep.hash_table).index
 
 
-def test_exhaustive_minimum_thread_invariance():
+def test_exhaustive_minimum_thread_invariance(monkeypatch):
+    # 16 tables in chunks of 3, the last one short
+    monkeypatch.setattr(hashing, "_CHUNK", 3)
     rng = np.random.default_rng(173)
     cq = rand_cq(rng, 4, 2)
     reports = [
-        min_insecurity_exhaustive(cq, 2, "purified_distance", threads=t, chunk=3)
+        min_insecurity_exhaustive(cq, 2, "purified_distance", threads=t)
         for t in (1, 2, 5)
     ]
     assert len({r.hash_index for r in reports}) == 1
@@ -183,7 +189,7 @@ def test_exhaustive_budget_gate():
 
 
 def test_all_functions_family_certificate():
-    fam = make_family("all_functions", domain_size=3, range_size=2)
+    fam = AllFunctionsFamily(3, 2)
     assert fam.table_count == 8
     cert = fam.collision_certificate()
     assert cert["max_collision"] == pytest.approx(0.5, abs=1e-15)
@@ -192,30 +198,101 @@ def test_all_functions_family_certificate():
 
 
 def test_affine_prime_family_basics():
-    fam = make_family("affine_prime", prime=5, domain_size=5, range_size=2)
+    fam = AffinePrimeFamily(5, 5, 2)
     assert fam.table_count == 4 * 5
     cert = fam.collision_certificate()
     assert cert["max_collision"] <= cert["bound"] + 1e-15
     with pytest.raises(ValueError):
-        make_family("affine_prime", prime=6, domain_size=5, range_size=2)
+        AffinePrimeFamily(6, 5, 2)
 
 
 def test_affine_prime_family_rejects_oversized_domain():
     with pytest.raises(ValueError):
-        make_family("affine_prime", prime=5, domain_size=6, range_size=2)
+        AffinePrimeFamily(5, 6, 2)
 
 
 def test_permutation_family_members():
-    fam = make_family("example2_permutation", n=2)
+    fam = PermutationProductFamily(2)
     assert fam.domain_size == 16
     assert fam.range_size == 4
     assert fam.table_count == 24**2
     cert = fam.collision_certificate()
     assert cert["max_collision"] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    tables = np.concatenate([c for c in fam.enumerate_tables(chunk=100)])
+    tables = fam.tables(np.arange(fam.table_count))
     assert tables.shape == (24**2, 16)
     # every member table is onto {0,1} x {0,1} pairs encoded in base 4
     assert np.array_equal(np.unique(tables), np.arange(4))
+
+
+# The families once drew one table per call and enumerated their members
+# chunk by chunk; these loops are those reference paths. The chunked scans
+# draw a whole chunk per generator call, and Monte Carlo documents stay the
+# same only while the two give the same tables from the same generator.
+def _digits(idx: np.ndarray, places: int, base: int) -> np.ndarray:
+    powers = base ** np.arange(places - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // powers[None, :]) % base
+
+
+def _perm_table(n: int, perm_rows: np.ndarray) -> np.ndarray:
+    digits = _digits(np.arange(4**n), n, 4)
+    bits = np.empty((4**n, n), dtype=int)
+    for i in range(n):
+        bits[:, i] = np.array([0, 0, 1, 1])[perm_rows[i][digits[:, i]]]
+    return bits @ 2 ** np.arange(n - 1, -1, -1)
+
+
+def _looped_table(fam, rng: np.random.Generator) -> np.ndarray:
+    if isinstance(fam, AllFunctionsFamily):
+        return rng.integers(0, fam.range_size, size=fam.domain_size)
+    if isinstance(fam, AffinePrimeFamily):
+        a = int(rng.integers(1, fam.prime))
+        b = int(rng.integers(0, fam.prime))
+        x = np.arange(fam.domain_size)
+        return ((a * x + b) % fam.prime) % fam.range_size
+    return _perm_table(fam.n, np.stack([rng.permutation(4) for _ in range(fam.n)]))
+
+
+def _enumerated_tables(fam) -> np.ndarray:
+    idx = np.arange(fam.table_count, dtype=np.int64)
+    if isinstance(fam, AllFunctionsFamily):
+        return _digits(idx, fam.domain_size, fam.range_size)
+    if isinstance(fam, AffinePrimeFamily):
+        x = np.arange(fam.domain_size)
+        a, b = 1 + idx // fam.prime, idx % fam.prime
+        return ((a[:, None] * x[None, :] + b[:, None]) % fam.prime) % fam.range_size
+    perms = np.array(list(itertools.permutations(range(4))))
+    return np.stack([_perm_table(fam.n, perms[row]) for row in _digits(idx, fam.n, 24)])
+
+
+SAMPLED_FAMILIES = {
+    "all_functions": [
+        AllFunctionsFamily(x, m) for x, m in ((1, 2), (2, 7), (3, 3), (4, 5), (5, 2), (6, 6), (7, 4), (13, 2))
+    ],
+    "affine_prime": [
+        AffinePrimeFamily(p, x, m)
+        for p, x, m in ((2, 1, 2), (2, 2, 2), (3, 3, 3), (5, 4, 2), (7, 7, 7), (13, 9, 4), (101, 14, 3), (257, 40, 6))
+    ],
+    "example2_permutation": [PermutationProductFamily(n) for n in (1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("kind", SAMPLED_FAMILIES)
+def test_sample_tables_match_looped_draws(kind):
+    for fam in SAMPLED_FAMILIES[kind]:
+        for count, seeds in ((1, range(40)), (7, range(40)), (2048, range(2))):
+            for seed in seeds:
+                rng = np.random.default_rng(np.random.SeedSequence([seed, count]))
+                want = np.stack([_looped_table(fam, rng) for _ in range(count)])
+                rng = np.random.default_rng(np.random.SeedSequence([seed, count]))
+                got = fam.sample_tables(rng, count)
+                assert np.array_equal(got, want), (fam.kind, vars(fam), count, seed)
+
+
+@pytest.mark.parametrize("kind", SAMPLED_FAMILIES)
+def test_member_maps_match_enumeration(kind):
+    for fam in SAMPLED_FAMILIES[kind]:
+        if fam.table_count <= 1 << 16:
+            assert np.array_equal(fam.tables(np.arange(fam.table_count)), _enumerated_tables(fam)), vars(fam)
 
 
 @pytest.mark.parametrize("zero_symbol", [False, True], ids=["full", "zero-prob"])
@@ -229,7 +306,7 @@ def test_family_expectation_exhaustive_matches_direct_mean(measure, s, zero_symb
     cq = rand_cq(rng, 3, 2)
     if zero_symbol:
         cq = CQState([cq.probs[0] + cq.probs[1], 0.0, cq.probs[2]], cq.conditionals)
-    fam = make_family("all_functions", domain_size=3, range_size=2)
+    fam = AllFunctionsFamily(3, 2)
     exp = family_expectation(fam, cq, measure, s)
     direct = np.mean(
         [
@@ -242,10 +319,12 @@ def test_family_expectation_exhaustive_matches_direct_mean(measure, s, zero_symb
     assert exp.std_error is None
 
 
-def test_family_expectation_monte_carlo_reproducible():
+def test_family_expectation_monte_carlo_reproducible(monkeypatch):
+    # 600 draws in chunks of 64, the last one short
+    monkeypatch.setattr(hashing, "_CHUNK", 64)
     rng = np.random.default_rng(181)
     cq = rand_cq(rng, 5, 2)
-    fam = make_family("all_functions", domain_size=5, range_size=2)
+    fam = AllFunctionsFamily(5, 2)
     runs = [
         family_expectation(
             fam, cq, "renyi", 0.5, sampling="monte_carlo", count=600, seed=42, threads=t
@@ -261,7 +340,7 @@ def test_family_expectation_monte_carlo_reproducible():
 
 
 def test_family_expectation_validates_domain():
-    fam = make_family("all_functions", domain_size=3, range_size=2)
+    fam = AllFunctionsFamily(3, 2)
     with pytest.raises(ValueError):
         family_expectation(fam, BIASED, "trace_distance")
 
@@ -281,7 +360,7 @@ def test_hashed_q_expectation_bound_holds():
     rng = np.random.default_rng(193)
     for nx, mz in ((3, 2), (4, 3)):
         cq = rand_cq(rng, nx, 2)
-        fam = make_family("all_functions", domain_size=nx, range_size=mz)
+        fam = AllFunctionsFamily(nx, mz)
         for s in (0.25, 1.0):
             lhs, rhs = hashed_q_expectation_check(cq, fam, s)
             assert lhs <= rhs + 1e-9
@@ -291,17 +370,17 @@ def test_leftover_hash_exponent_bound_holds():
     rng = np.random.default_rng(197)
     for nx, mz in ((3, 2), (4, 2)):
         cq = rand_cq(rng, nx, 2)
-        fam = make_family("all_functions", domain_size=nx, range_size=mz)
+        fam = AllFunctionsFamily(nx, mz)
         for s in (0.5, 1.0):
             lhs, rhs = leftover_hash_exponent_check(cq, fam, s)
             assert lhs <= rhs + 1e-9
 
 
 def test_lemma_checks_validate_inputs():
-    fam = make_family("all_functions", domain_size=2, range_size=2)
+    fam = AllFunctionsFamily(2, 2)
     with pytest.raises(ValueError):
         hashed_q_expectation_check(BIASED, fam, 0.0)
-    small = make_family("all_functions", domain_size=2, range_size=2)
+    small = AllFunctionsFamily(2, 2)
     with pytest.raises(BudgetExceededError):
         leftover_hash_exponent_check(BIASED, small, 0.5, budget=2)
 

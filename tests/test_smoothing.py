@@ -22,6 +22,7 @@ from privamp import (
     smoothing_certificate,
     tensor_power,
 )
+from privamp import smoothing
 from conftest import rand_commuting_pair, rand_density
 
 P = np.array([0.5, 0.5])
@@ -297,7 +298,7 @@ def test_smooth_min_entropy_input_validation():
         smooth_min_entropy(noncommuting, 0.01)
 
 
-def test_iid_certificates_continue_the_previous_spectrum():
+def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
     rng = np.random.default_rng(157)
     rho, sigma = rand_commuting_pair(rng, 3)
     sigma = sigma / float(np.trace(sigma).real)
@@ -315,6 +316,7 @@ def test_iid_certificates_continue_the_previous_spectrum():
     assert rows(iid_smoothing_certificate(rho, sigma, r, ns)) == rows([alone[n - 1] for n in ns])
     # the atom cap still stops the chain at the first n whose spectrum exceeds it
     cap = iid_spectrum(SpectrumDistribution.from_commuting_pair(rho, sigma), 6).natoms
-    iid_smoothing_certificate(rho, sigma, r, range(1, 7), atom_cap=cap)
+    monkeypatch.setattr(smoothing, "ATOM_CAP", cap)
+    iid_smoothing_certificate(rho, sigma, r, range(1, 7))
     with pytest.raises(BudgetExceededError):
-        iid_smoothing_certificate(rho, sigma, r, range(1, 8), atom_cap=cap)
+        iid_smoothing_certificate(rho, sigma, r, range(1, 8))
