@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .operators import BudgetExceededError, eig, pinching
+from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_COMMUTE_TOL, BudgetExceededError, eig, pinching
 from .states import CQState, StateDescriptor
 from .measures import (
     ConditionalRenyiCurve,
@@ -37,10 +37,12 @@ from .exponents import (
     pa_upper_exponent,
 )
 from .smoothing import (
+    DEFAULT_CONVERSE_T,
     iid_smoothing_certificate,
     smoothing_certificate,
 )
 from .hashing import (
+    DEFAULT_BUDGET,
     MEASURES,
     AffinePrimeFamily,
     AllFunctionsFamily,
@@ -56,7 +58,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-KNOWN_TOL_KEYS = ("cluster", "commute")
+TOLERANCE_DEFAULTS = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
+KNOWN_TOL_KEYS = tuple(TOLERANCE_DEFAULTS)
+_STATE_KINDS = {"density": StateDescriptor, "cq": CQState}
+# pair measures of `measure`: distances give a float, divergences a DivergenceResult
+_DISTANCES = {"fidelity": fidelity, "purified": purified_distance, "trace": trace_distance}
+_DIVERGENCES = {"renyi": sandwiched_renyi_divergence, "relative": relative_entropy, "dmax": max_relative_entropy}
 
 
 class ValidationError(ValueError):
@@ -200,23 +207,8 @@ def _config_block(args, inputs: list[str]) -> dict:
     }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
-    p.add_argument("--budget", type=int, default=1 << 24, help="exhaustive enumeration budget")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="KEY=VAL",
-        help=f"override a tolerance; keys: {', '.join(KNOWN_TOL_KEYS)}",
-    )
-    p.add_argument("--out", default=None, help="write the document here instead of stdout")
-
-
 def _parse_tols(args) -> None:
-    tols = {"cluster": 1e-9, "commute": 1e-9}
+    tols = dict(TOLERANCE_DEFAULTS)
     for item in args.tol:
         if "=" not in item:
             raise ValidationError(f"--tol expects KEY=VAL, got {item!r}")
@@ -231,46 +223,52 @@ def _parse_tols(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
+    common.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument(
+        "--tol",
+        action="append",
+        default=[],
+        metavar="KEY=VAL",
+        help=f"override a tolerance; keys: {', '.join(KNOWN_TOL_KEYS)}",
+    )
+    common.add_argument("--out", default=None, help="write the document here instead of stdout")
+
     top = argparse.ArgumentParser(prog="privamp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("measure", help="evaluate one divergence or entropy")
+    p = sub.add_parser("measure", parents=[common], help="evaluate one divergence or entropy")
     p.add_argument("states", nargs="+", help="state files (two for pair divergences, one CQ file for conditional entropies)")
-    p.add_argument(
-        "--divergence",
-        required=True,
-        choices=("renyi", "relative", "dmax", "fidelity", "purified", "trace", "cond-renyi"),
-    )
+    p.add_argument("--divergence", required=True, choices=(*_DIVERGENCES, *_DISTANCES, "cond-renyi"))
     p.add_argument("--alpha", type=float, default=None, help="Renyi order (use 'inf' for min-entropy)")
-    _add_common(p)
 
-    p = sub.add_parser("exponent-curve", help="security exponents on a rate grid")
+    p = sub.add_parser("exponent-curve", parents=[common], help="security exponents on a rate grid")
     p.add_argument("state", help="CQ state file")
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--mode", choices=("upper", "lower", "both", "all"), default="both")
     p.add_argument("--s", type=float, default=1.0, help="order parameter for the constrained exponent in mode=all")
-    _add_common(p)
 
-    p = sub.add_parser("smooth", help="smoothing certificates over an n grid or one budget")
+    p = sub.add_parser("smooth", parents=[common], help="smoothing certificates over an n grid or one budget")
     p.add_argument("rho", help="state file")
     p.add_argument("sigma", help="reference operator file")
     p.add_argument("--rate", type=float, default=None, help="per-copy budget rate r (lambda = n r)")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=1)
     p.add_argument("--lam", type=float, default=None, help="one-shot budget lambda")
-    p.add_argument("--t", type=float, default=9.0, help="converse threshold parameter")
-    _add_common(p)
+    p.add_argument("--t", type=float, default=DEFAULT_CONVERSE_T, help="converse threshold parameter")
 
-    p = sub.add_parser("pa-search", help="exhaustive minimum insecurity over all hash tables")
+    p = sub.add_parser("pa-search", parents=[common], help="exhaustive minimum insecurity over all hash tables")
     p.add_argument("state", help="CQ state file")
     p.add_argument("--range-size", type=int, required=True)
     p.add_argument("--measure", required=True, choices=MEASURES)
     p.add_argument("--s", type=float, default=None)
-    _add_common(p)
 
-    p = sub.add_parser("pa-family", help="expected insecurity over a hash family")
+    p = sub.add_parser("pa-family", parents=[common], help="expected insecurity over a hash family")
     p.add_argument("state", help="CQ state file")
     p.add_argument("--family", required=True, choices=("all_functions", "affine_prime", "example2_permutation"))
     p.add_argument("--range-size", type=int, default=None)
@@ -280,15 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--sampling", choices=("exhaustive", "monte_carlo"), default="exhaustive")
     p.add_argument("--count", type=int, default=10**4, help="monte_carlo sample count")
-    _add_common(p)
 
-    p = sub.add_parser("suite", help="built-in verification suites")
+    p = sub.add_parser("suite", parents=[common], help="built-in verification suites")
     p.add_argument("which", choices=("example1", "example2", "properties"))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--range-bits", type=int, default=1)
     p.add_argument("--realizations", type=int, default=100)
     p.add_argument("--trials", type=int, default=20)
-    _add_common(p)
 
     return top
 
@@ -298,46 +294,35 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _load(path: str, kind: str):
+    """The state in path, which must be of the given kind ('density' or 'cq')."""
+    state = load_state_file(path)
+    _require(isinstance(state, _STATE_KINDS[kind]), f"{path}: expected kind '{kind}'")
+    return state
+
+
 def _cmd_measure(args):
     div = args.divergence
-    pair_kinds = ("renyi", "relative", "dmax", "fidelity", "purified", "trace")
-    if div in pair_kinds:
-        _require(len(args.states) == 2, f"--divergence {div} needs two state files")
-        a = load_state_file(args.states[0])
-        b = load_state_file(args.states[1])
-        _require(isinstance(a, StateDescriptor), f"{args.states[0]}: expected kind 'density'")
-        _require(isinstance(b, StateDescriptor), f"{args.states[1]}: expected kind 'density'")
-        if div == "fidelity":
-            res = {"value": fidelity(a, b)}
-        elif div == "purified":
-            res = {"value": purified_distance(a, b)}
-        elif div == "trace":
-            res = {"value": trace_distance(a, b)}
-        elif div == "relative":
-            d = relative_entropy(a, b.mat)
-            res = {"value": d.value, "support_violation": d.support_violation}
-        elif div == "dmax":
-            d = max_relative_entropy(a, b.mat)
-            res = {"value": d.value, "support_violation": d.support_violation}
-        else:
-            _require(args.alpha is not None, "--divergence renyi needs --alpha")
-            d = sandwiched_renyi_divergence(a, b.mat, args.alpha)
-            res = {"value": d.value, "alpha": args.alpha, "support_violation": d.support_violation}
-    else:
+    if div == "cond-renyi":
         _require(len(args.states) == 1, "--divergence cond-renyi needs one CQ state file")
-        cq = load_state_file(args.states[0])
-        _require(isinstance(cq, CQState), f"{args.states[0]}: expected kind 'cq'")
+        cq = _load(args.states[0], "cq")
         _require(args.alpha is not None, "--divergence cond-renyi needs --alpha (inf allowed)")
         res = {"value": renyi_conditional_entropy(cq, args.alpha), "alpha": args.alpha}
-    doc = _config_block(args, args.states)
-    doc["command"] = "measure"
-    doc["results"] = dict(res, divergence=div)
-    return doc, None, EXIT_OK
+    else:
+        _require(len(args.states) == 2, f"--divergence {div} needs two state files")
+        a, b = (_load(path, "density") for path in args.states)
+        if div in _DISTANCES:
+            res = {"value": _DISTANCES[div](a, b)}
+        else:
+            _require(div != "renyi" or args.alpha is not None, "--divergence renyi needs --alpha")
+            order = {"alpha": args.alpha} if div == "renyi" else {}
+            d = _DIVERGENCES[div](a, b.mat, *order.values())
+            res = {"value": d.value, "support_violation": d.support_violation, **order}
+    return args.states, dict(res, divergence=div), None, EXIT_OK
 
 
 def _cmd_exponent_curve(args):
-    cq = load_state_file(args.state)
-    _require(isinstance(cq, CQState), f"{args.state}: expected kind 'cq'")
+    cq = _load(args.state, "cq")
     _require(args.points >= 2, "--points must be >= 2")
     _require(args.r_max > args.r_min, "--r-max must exceed --r-min")
     rates = np.linspace(args.r_min, args.r_max, args.points)
@@ -357,17 +342,12 @@ def _cmd_exponent_curve(args):
         if pt.renyi is not None:
             row.update(e_renyi=pt.renyi.value, renyi_valid=pt.renyi.valid)
         rows.append(row)
-    doc = _config_block(args, [args.state])
-    doc["command"] = "exponent-curve"
-    doc["results"] = curve.metadata
-    return doc, rows, EXIT_OK
+    return [args.state], curve.metadata, rows, EXIT_OK
 
 
 def _cmd_smooth(args):
-    rho = load_state_file(args.rho)
-    sigma = load_state_file(args.sigma)
-    _require(isinstance(rho, StateDescriptor), f"{args.rho}: expected kind 'density'")
-    _require(isinstance(sigma, StateDescriptor), f"{args.sigma}: expected kind 'density'")
+    rho = _load(args.rho, "density")
+    sigma = _load(args.sigma, "density")
     _require(
         (args.rate is None) != (args.lam is None),
         "pass exactly one of --rate (iid certificates) or --lam (one-shot)",
@@ -404,15 +384,11 @@ def _cmd_smooth(args):
                 }
             )
         results = {"mode": "iid", "rate": args.rate, "t": args.t}
-    doc = _config_block(args, [args.rho, args.sigma])
-    doc["command"] = "smooth"
-    doc["results"] = results
-    return doc, rows, EXIT_OK
+    return [args.rho, args.sigma], results, rows, EXIT_OK
 
 
 def _cmd_pa_search(args):
-    cq = load_state_file(args.state)
-    _require(isinstance(cq, CQState), f"{args.state}: expected kind 'cq'")
+    cq = _load(args.state, "cq")
     _require(args.range_size >= 1, "--range-size must be >= 1")
     rep = min_insecurity_exhaustive(
         cq,
@@ -422,9 +398,7 @@ def _cmd_pa_search(args):
         budget=args.budget,
         threads=args.threads,
     )
-    doc = _config_block(args, [args.state])
-    doc["command"] = "pa-search"
-    doc["results"] = {
+    results = {
         "measure": rep.measure,
         "s": rep.s,
         "min_value": rep.value,
@@ -432,12 +406,11 @@ def _cmd_pa_search(args):
         "hash_table": list(rep.hash_table),
         "evaluated": rep.evaluated,
     }
-    return doc, None, EXIT_OK
+    return [args.state], results, None, EXIT_OK
 
 
 def _cmd_pa_family(args):
-    cq = load_state_file(args.state)
-    _require(isinstance(cq, CQState), f"{args.state}: expected kind 'cq'")
+    cq = _load(args.state, "cq")
     if args.family == "all_functions":
         _require(args.range_size is not None, "all_functions needs --range-size")
         fam = AllFunctionsFamily(cq.nsymbols, args.range_size)
@@ -458,9 +431,7 @@ def _cmd_pa_family(args):
         budget=args.budget,
         threads=args.threads,
     )
-    doc = _config_block(args, [args.state])
-    doc["command"] = "pa-family"
-    doc["results"] = {
+    results = {
         "family": args.family,
         "measure": args.measure,
         "s": args.s,
@@ -470,7 +441,7 @@ def _cmd_pa_family(args):
         "sampling": exp.sampling,
         "collision_certificate": fam.collision_certificate(),
     }
-    return doc, None, EXIT_OK
+    return [args.state], results, None, EXIT_OK
 
 
 def _properties_suite(args) -> dict:
@@ -587,10 +558,7 @@ def _cmd_suite(args):
         results = example2_suite(args.n, realizations=args.realizations, seed=args.seed)
     else:
         results = _properties_suite(args)
-    doc = _config_block(args, [])
-    doc["command"] = f"suite {args.which}"
-    doc["results"] = results
-    return doc, None, EXIT_OK if results["passed"] else EXIT_CHECK_FAILED
+    return [], results, None, EXIT_OK if results["passed"] else EXIT_CHECK_FAILED
 
 
 HANDLERS = {
@@ -601,14 +569,14 @@ HANDLERS = {
     "pa-family": _cmd_pa_family,
     "suite": _cmd_suite,
 }
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         _parse_tols(args)
-        doc, rows, code = HANDLERS[args.command](args)
+        inputs, results, rows, code = HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -621,6 +589,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    doc = _config_block(args, inputs)
+    doc["command"] = f"suite {args.which}" if args.command == "suite" else args.command
+    doc["results"] = results
     text = _emit(doc, rows, args)
     if args.out:
         with open(args.out, "w") as fh:
