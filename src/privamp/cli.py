@@ -64,6 +64,8 @@ _STATE_KINDS = {"density": StateDescriptor, "cq": CQState}
 # pair measures of `measure`: distances give a float, divergences a DivergenceResult
 _DISTANCES = {"fidelity": fidelity, "purified": purified_distance, "trace": trace_distance}
 _DIVERGENCES = {"renyi": sandwiched_renyi_divergence, "relative": relative_entropy, "dmax": max_relative_entropy}
+# the options each hash family of `pa-family` takes; its document records the others as null
+_FAMILY_OPTIONS = {"all_functions": ("range_size",), "affine_prime": ("prime", "range_size"), "example2_permutation": ("n",)}
 
 
 class ValidationError(ValueError):
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pa-family", parents=[common], help="expected insecurity over a hash family")
     p.add_argument("state", help="CQ state file")
-    p.add_argument("--family", required=True, choices=("all_functions", "affine_prime", "example2_permutation"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILY_OPTIONS))
     p.add_argument("--range-size", type=int, default=None)
     p.add_argument("--prime", type=int, default=None, help="modulus for affine_prime")
     p.add_argument("--n", type=int, default=None, help="copies for example2_permutation")
@@ -342,7 +344,7 @@ def _cmd_exponent_curve(args):
         if pt.renyi is not None:
             row.update(e_renyi=pt.renyi.value, renyi_valid=pt.renyi.valid)
         rows.append(row)
-    return [args.state], curve.metadata, rows, EXIT_OK
+    return [args.state], dict(curve.metadata, s=args.s if args.mode == "all" else None), rows, EXIT_OK
 
 
 def _cmd_smooth(args):
@@ -411,14 +413,16 @@ def _cmd_pa_search(args):
 
 def _cmd_pa_family(args):
     cq = _load(args.state, "cq")
+    taken = _FAMILY_OPTIONS[args.family]
+    _require(
+        all(getattr(args, key) is not None for key in taken),
+        f"{args.family} needs " + " and ".join("--" + key.replace("_", "-") for key in taken),
+    )
     if args.family == "all_functions":
-        _require(args.range_size is not None, "all_functions needs --range-size")
         fam = AllFunctionsFamily(cq.nsymbols, args.range_size)
     elif args.family == "affine_prime":
-        _require(args.prime is not None and args.range_size is not None, "affine_prime needs --prime and --range-size")
         fam = AffinePrimeFamily(args.prime, cq.nsymbols, args.range_size)
     else:
-        _require(args.n is not None, "example2_permutation needs --n")
         fam = PermutationProductFamily(args.n)
     exp = family_expectation(
         fam,
@@ -440,6 +444,7 @@ def _cmd_pa_family(args):
         "count": exp.count,
         "sampling": exp.sampling,
         "collision_certificate": fam.collision_certificate(),
+        **{key: getattr(args, key) if key in taken else None for key in ("range_size", "prime", "n")},
     }
     return [args.state], results, None, EXIT_OK
 

@@ -15,6 +15,7 @@ from privamp.cli import (
     main,
 )
 from privamp import CQState, ConditionalRenyiCurve, StateDescriptor
+from privamp.operators import DEFAULT_CLUSTER_TOL, DEFAULT_COMMUTE_TOL
 from conftest import acceptance_states
 
 
@@ -233,6 +234,17 @@ def test_exponent_curve_from_just_above_hmin(tmp_path, capsys):
     assert "unrecognized arguments: --s-max" in capsys.readouterr().err
 
 
+def test_exponent_curve_records_the_order_of_mode_all(cq_path, capsys):
+    # e_renyi depends on --s, so the document must say which order it used
+    rates = ["--r-min", "0.9", "--r-max", "1.3", "--points", "3"]
+    docs = [run_json(["exponent-curve", cq_path, "--mode", "all", "--s", s, *rates], capsys)[1] for s in ("0.5", "0.9")]
+    assert [doc["results"]["s"] for doc in docs] == [0.5, 0.9]
+    assert [row["e_renyi"] for row in docs[0]["rows"]] != [row["e_renyi"] for row in docs[1]["rows"]]
+    code, doc = run_json(["exponent-curve", cq_path, "--mode", "both", "--s", "0.5", *rates], capsys)
+    assert code == EXIT_OK
+    assert doc["results"]["s"] is None
+
+
 def test_smooth_iid_rows(rho_path, sigma_path, capsys):
     code, doc = run_json(
         ["smooth", rho_path, sigma_path, "--rate", "0.6", "--n-min", "1", "--n-max", "4"],
@@ -331,6 +343,30 @@ def test_pa_family_requires_matching_options(cq_path, capsys):
     )
 
 
+def test_pa_family_records_the_options_its_family_takes(tmp_path, capsys):
+    five = write_json(
+        tmp_path / "five.json",
+        {"kind": "cq", "dim": 1, "probs": [0.1, 0.15, 0.2, 0.25, 0.3], "conditionals": [[[1.0]]] * 5},
+    )
+    four = write_json(
+        tmp_path / "four.json",
+        {"kind": "cq", "dim": 1, "probs": [0.1, 0.2, 0.3, 0.4], "conditionals": [[[1.0]]] * 4},
+    )
+
+    def options(path, *argv):
+        code, doc = run_json(["pa-family", path, "--measure", "trace_distance", *argv], capsys)
+        assert code == EXIT_OK
+        res = doc["results"]
+        return res["expectation"], (res["prime"], res["range_size"], res["n"])
+
+    # options a family does not take are recorded as null, even when passed
+    affine = [options(five, "--family", "affine_prime", "--prime", p, "--range-size", "3", "--n", "2") for p in ("11", "13")]
+    assert affine[0][0] != affine[1][0]
+    assert [recorded for _, recorded in affine] == [(11, 3, None), (13, 3, None)]
+    assert options(five, "--family", "all_functions", "--range-size", "2", "--prime", "7")[1] == (None, 2, None)
+    assert options(four, "--family", "example2_permutation", "--n", "1", "--range-size", "2")[1] == (None, None, 1)
+
+
 def test_pa_family_domain_mismatch_exits_before_building_tables(tmp_path, capsys):
     # ten permutation copies hash 4^10 symbols; a 2-symbol state must be
     # refused without materializing anything of that size
@@ -367,3 +403,29 @@ def test_csv_format_flattens_headers(rho_path, sigma_path, capsys):
     assert code == EXIT_OK
     assert "# results.value=0.965925826289" in out
     assert "np." not in out
+
+
+def test_shared_parser_keeps_no_state_between_calls(rho_path, sigma_path, cq_path, capsys):
+    relative = ["measure", rho_path, sigma_path, "--divergence", "relative"]
+    assert run_json([*relative, "--tol", "cluster=1e-7"], capsys)[1]["config"]["tolerances"]["cluster"] == 1e-7
+    defaults = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
+    assert run_json(relative, capsys)[1]["config"]["tolerances"] == defaults
+    # each call sets shared options the others leave at their defaults
+    calls = [
+        ["measure", rho_path, sigma_path, "--divergence", "renyi", "--alpha", "2", "--tol", "commute=1e-6"],
+        ["smooth", rho_path, sigma_path, "--rate", "0.6", "--n-max", "3", "--t", "4", "--format", "csv"],
+        ["pa-search", cq_path, "--range-size", "2", "--measure", "renyi", "--s", "0.5", "--budget", "100"],
+        [
+            "pa-family", cq_path, "--family", "all_functions", "--range-size", "2", "--measure", "trace_distance",
+            "--sampling", "monte_carlo", "--count", "50", "--seed", "3", "--threads", "2",
+        ],
+    ]
+
+    def documents(order):
+        out = {}
+        for i in order:
+            assert main(calls[i]) == EXIT_OK
+            out[i] = capsys.readouterr().out
+        return out
+
+    assert documents(range(len(calls))) == documents(reversed(range(len(calls))))
