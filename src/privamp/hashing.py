@@ -150,7 +150,7 @@ def insecurity(state_ze: CQState, measure: str, s: float | None = None) -> Insec
     """
     _validate_measure(measure, s)
     m = state_ze.nsymbols
-    val = float(_batch_values(np.arange(m)[None], _SourceContext(state_ze), m, measure, s)[0])
+    val = float(_batch_values(np.arange(m)[None], ConditionalRenyiCurve(state_ze), m, measure, s)[0])
     if measure == "relative_entropy":
         direct = _blockwise_umegaki_vs_ideal(state_ze)
         if abs(val - direct) > 1e-9:
@@ -179,40 +179,29 @@ def _blockwise_umegaki_vs_ideal(state_ze: CQState) -> float:
     return total
 
 
-class _SourceContext:
-    """The source's ConditionalRenyiCurve, shared by all batched table evaluations.
-
-    The curve holds the conditionals rotated into the support frame of rho_E,
-    where rho_E is diag(mu); every measure is read from sums of these blocks.
-    Zero-probability symbols are dropped; mask selects the table columns kept.
-    """
-
-    def __init__(self, source: CQState):
-        self.curve = ConditionalRenyiCurve(source)
-        self.mask = source.probs > 0
-        self.p = self.curve.weights
-
-
-def _output_blocks(tables: np.ndarray, ctx: _SourceContext, m: int, alpha: float) -> np.ndarray:
+def _output_blocks(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alpha: float) -> np.ndarray:
     """rho_E^e (sum over f(x) = z of p_x rho_x) rho_E^e, e = (1 - alpha) / (2 alpha).
 
-    One block per table row and output z, in the support frame of rho_E.
+    One block per table row and output z, in the support frame of rho_E. The
+    curve drops zero-probability symbols, and so do the table columns here.
     """
-    weighted = (tables[:, ctx.mask, None] == np.arange(m)[None, None, :]) * ctx.p[None, :, None]
-    return np.einsum("nxm,xij->nmij", weighted, ctx.curve.sandwiched_blocks(alpha))
+    weighted = (tables[:, curve.cq.probs > 0, None] == np.arange(m)[None, None, :]) * curve.weights[None, :, None]
+    return np.einsum("nxm,xij->nmij", weighted, curve.sandwiched_blocks(alpha))
 
 
-def _output_eigenvalues(tables: np.ndarray, ctx: _SourceContext, m: int, alpha: float) -> np.ndarray:
+def _output_eigenvalues(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alpha: float) -> np.ndarray:
     """Clipped eigenvalues of every _output_blocks block."""
-    return np.clip(np.linalg.eigvalsh(_output_blocks(tables, ctx, m, alpha)), 0.0, None)
+    return np.clip(np.linalg.eigvalsh(_output_blocks(tables, curve, m, alpha)), 0.0, None)
 
 
-def _batch_q_renyi(tables: np.ndarray, ctx: _SourceContext, m: int, s: float) -> np.ndarray:
+def _batch_q_renyi(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, s: float) -> np.ndarray:
     """Q_{1+s}(rho^f_ZE || 1_Z (x) rho_E) for each table row."""
-    return (_output_eigenvalues(tables, ctx, m, 1.0 + s) ** (1.0 + s)).sum(axis=(1, 2))
+    return (_output_eigenvalues(tables, curve, m, 1.0 + s) ** (1.0 + s)).sum(axis=(1, 2))
 
 
-def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str, s: float | None) -> np.ndarray:
+def _batch_values(
+    tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, measure: str, s: float | None
+) -> np.ndarray:
     """Insecurity of each table row under the requested measure.
 
     Renyi reads the order-(1+s) blocks, purified distance the fidelity
@@ -221,17 +210,17 @@ def _batch_values(tables: np.ndarray, ctx: _SourceContext, m: int, measure: str,
     the order-1 blocks minus the ideal diag(mu) / m.
     """
     if measure == "renyi":
-        return math.log2(m) + np.log2(_batch_q_renyi(tables, ctx, m, s)) / s
+        return math.log2(m) + np.log2(_batch_q_renyi(tables, curve, m, s)) / s
     if measure == "purified_distance":
-        f = np.sqrt(_output_eigenvalues(tables, ctx, m, 0.5)).sum(axis=(1, 2)) / math.sqrt(m)
+        f = np.sqrt(_output_eigenvalues(tables, curve, m, 0.5)).sum(axis=(1, 2)) / math.sqrt(m)
         return np.sqrt(np.clip(1.0 - np.minimum(f, 1.0) ** 2, 0.0, None))
     if measure == "trace_distance":
-        w = np.linalg.eigvalsh(_output_blocks(tables, ctx, m, 1.0) - np.diag(ctx.curve._mu) / m)
+        w = np.linalg.eigvalsh(_output_blocks(tables, curve, m, 1.0) - np.diag(curve._mu) / m)
         return 0.5 * np.abs(w).sum(axis=(1, 2))
-    w = _output_eigenvalues(tables, ctx, m, 1.0)
+    w = _output_eigenvalues(tables, curve, m, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         h_blocks = -np.where(w > 0, w * np.log2(w), 0.0).sum(axis=(1, 2))
-    return math.log2(m) - (h_blocks - ctx.curve.sigma_entropy)
+    return math.log2(m) - (h_blocks - curve.sigma_entropy)
 
 
 def _chunk_values(family, values, threads: int, *, budget: int = 0, count: int = 0, seed: int | None = None):
@@ -282,10 +271,10 @@ def min_insecurity_exhaustive(
     """
     _validate_measure(measure, s)
     family = AllFunctionsFamily(source.nsymbols, range_size)
-    ctx = _SourceContext(source)
+    curve = ConditionalRenyiCurve(source)
     best_val, best_idx = math.inf, -1
     for lo, vals in _chunk_values(
-        family, lambda tables: _batch_values(tables, ctx, range_size, measure, s), threads, budget=budget
+        family, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads, budget=budget
     ):
         k = int(np.argmin(vals))
         if vals[k] < best_val:
@@ -434,16 +423,8 @@ class PermutationProductFamily:
         return self._tables_for_perms(rng.permuted(np.tile(np.arange(4), (count, self.n, 1)), axis=-1))
 
     def collision_certificate(self) -> dict:
-        """Exact worst collision probability of the single-copy family."""
-        worst = 0.0
-        hits = np.zeros((4, 4))
-        for perm in self._perms:
-            out = self._base_map[np.asarray(perm)]
-            hits += out[:, None] == out[None, :]
-        frac = hits / len(self._perms)
-        for x1 in range(4):
-            for x2 in range(x1 + 1, 4):
-                worst = max(worst, float(frac[x1, x2]))
+        """Exact worst collision probability of the single-copy family, over its 24 members."""
+        worst = _max_pair_collision(PermutationProductFamily(1).tables(np.arange(24)))
         return {
             "max_collision": worst,
             "bound": 0.5,
@@ -485,11 +466,11 @@ def family_expectation(
     standard error of the mean is reported alongside.
     """
     _validate_measure(measure, s)
-    ctx = _SourceContext(source)
+    curve = ConditionalRenyiCurve(source)
     m = family.range_size
 
     def values(tables):
-        return _batch_values(tables, ctx, m, measure, s)
+        return _batch_values(tables, curve, m, measure, s)
 
     if sampling == "exhaustive":
         mean = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
@@ -538,12 +519,12 @@ def hashed_q_expectation_check(
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    ctx = _SourceContext(source)
+    curve = ConditionalRenyiCurve(source)
     m = family.range_size
     lhs = _exhaustive_mean(
-        family, source, lambda tables: _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads
+        family, source, lambda tables: _batch_q_renyi(tables, curve, m, s), budget=budget, threads=threads
     )
-    q_source = float(np.exp2(ctx.curve.log2_q(1.0 + s)))
+    q_source = float(np.exp2(curve.log2_q(1.0 + s)))
     v = eig(source.rho_e()).distinct_count
     rhs = v * (q_source + m**-s)
     if lhs > rhs + LEMMA_SLACK:
@@ -565,13 +546,13 @@ def leftover_hash_exponent_check(
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    ctx = _SourceContext(source)
+    curve = ConditionalRenyiCurve(source)
     m = family.range_size
     lhs = _exhaustive_mean(
-        family, source, lambda tables: m**s * _batch_q_renyi(tables, ctx, m, s), budget=budget, threads=threads
+        family, source, lambda tables: m**s * _batch_q_renyi(tables, curve, m, s), budget=budget, threads=threads
     )
     v = eig(source.rho_e()).distinct_count
-    rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - ctx.curve.h(1.0 + s))))
+    rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - curve.h(1.0 + s))))
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"leftover-hash exponent bound violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
