@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Commands: measure, exponent-curve, smooth, pa-search, pa-family, suite.
-Every document carries a reproducibility header (artifact version, seed,
-tolerances, budget, input hashes). Outputs are deterministic for a
-fixed seed regardless of --threads. Exit codes: 0 success, 1 invariant or
-check failure, 2 input validation error, 3 budget exceeded.
+Each takes the shared options --seed, --threads, --budget, --format, --tol
+and --out, declared once on a parent parser; the parser is built once per
+process (PARSER). A handler returns (inputs, results, rows, exit code), and
+main() assembles every document in one place: a reproducibility header
+(artifact version, seed, tolerances, budget, input hashes), the command
+and the results. Outputs are deterministic for a fixed seed regardless of
+--threads. Exit codes: 0 success, 1 invariant or check failure, 2 input
+validation error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -58,14 +62,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-TOLERANCE_DEFAULTS = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
-KNOWN_TOL_KEYS = tuple(TOLERANCE_DEFAULTS)
+_TOLERANCE_DEFAULTS = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
+KNOWN_TOL_KEYS = tuple(_TOLERANCE_DEFAULTS)
 _STATE_KINDS = {"density": StateDescriptor, "cq": CQState}
 # pair measures of `measure`: distances give a float, divergences a DivergenceResult
 _DISTANCES = {"fidelity": fidelity, "purified": purified_distance, "trace": trace_distance}
 _DIVERGENCES = {"renyi": sandwiched_renyi_divergence, "relative": relative_entropy, "dmax": max_relative_entropy}
 # the options each hash family of `pa-family` takes; its document records the others as null
-_FAMILY_OPTIONS = {"all_functions": ("range_size",), "affine_prime": ("prime", "range_size"), "example2_permutation": ("n",)}
+_FAMILY_OPTIONS = {
+    "all_functions": ("range_size",),
+    "affine_prime": ("prime", "range_size"),
+    "example2_permutation": ("n",),
+}
 
 
 class ValidationError(ValueError):
@@ -210,7 +218,7 @@ def _config_block(args, inputs: list[str]) -> dict:
 
 
 def _parse_tols(args) -> None:
-    tols = dict(TOLERANCE_DEFAULTS)
+    tols = dict(_TOLERANCE_DEFAULTS)
     for item in args.tol:
         if "=" not in item:
             raise ValidationError(f"--tol expects KEY=VAL, got {item!r}")
