@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Commands: measure, exponent-curve, smooth, pa-search, pa-family, suite.
-Each takes the shared options --seed, --threads, --budget, --format, --tol
-and --out, declared once on a parent parser; the parser is built once per
-process (PARSER). A handler returns (inputs, results, rows, exit code), and
-main() assembles every document in one place: a reproducibility header
-(artifact version, seed, tolerances, budget, input hashes), the command
-and the results. Outputs are deterministic for a fixed seed regardless of
---threads. Exit codes: 0 success, 1 invariant or check failure, 2 input
-validation error, 3 budget exceeded.
+The shared options sit on three parent parsers, each declared once, and a
+command takes only those it reads: every command takes --format and --out;
+pa-search, pa-family and suite take --threads and --budget; pa-family and
+suite take --seed. Passing one to a command that does not take it is a
+usage error. The parser is built once per process (PARSER). A handler
+returns (inputs, results, rows, exit code), and main() assembles every
+document in one place: a reproducibility header (artifact version, the
+format and whichever of seed and budget the command takes, input hashes),
+the command and the results. Outputs are deterministic for a fixed seed
+regardless of --threads. Exit codes: 0 success, 1 invariant or check
+failure, 2 input validation or usage error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .operators import DEFAULT_CLUSTER_TOL, DEFAULT_COMMUTE_TOL, BudgetExceededError, eig, pinching
+from .operators import BudgetExceededError, eig, pinching
 from .states import CQState, StateDescriptor
 from .measures import (
     ConditionalRenyiCurve,
@@ -62,8 +65,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-_TOLERANCE_DEFAULTS = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
-KNOWN_TOL_KEYS = tuple(_TOLERANCE_DEFAULTS)
 _STATE_KINDS = {"density": StateDescriptor, "cq": CQState}
 # pair measures of `measure`: distances give a float, divergences a DivergenceResult
 _DISTANCES = {"fidelity": fidelity, "purified": purified_distance, "trace": trace_distance}
@@ -207,45 +208,20 @@ def _config_block(args, inputs: list[str]) -> dict:
     # thread counts for a fixed seed
     return {
         "artifact": {"name": "privamp", "version": __version__},
-        "config": {
-            "seed": args.seed,
-            "budget": args.budget,
-            "format": args.format,
-            "tolerances": dict(sorted(args.tolerances.items())),
-        },
+        "config": {key: getattr(args, key) for key in ("seed", "budget", "format") if hasattr(args, key)},
         "inputs": {p: _sha256(p) for p in inputs},
     }
 
 
-def _parse_tols(args) -> None:
-    tols = dict(_TOLERANCE_DEFAULTS)
-    for item in args.tol:
-        if "=" not in item:
-            raise ValidationError(f"--tol expects KEY=VAL, got {item!r}")
-        key, _, val = item.partition("=")
-        if key not in KNOWN_TOL_KEYS:
-            raise ValidationError(f"unknown tolerance key {key!r}; known: {KNOWN_TOL_KEYS}")
-        try:
-            tols[key] = float(val)
-        except ValueError as exc:
-            raise ValidationError(f"--tol {key}: {val!r} is not a number") from exc
-    args.tolerances = tols
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="KEY=VAL",
-        help=f"override a tolerance; keys: {', '.join(KNOWN_TOL_KEYS)}",
-    )
     common.add_argument("--out", default=None, help="write the document here instead of stdout")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
 
     top = argparse.ArgumentParser(prog="privamp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -272,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None, help="one-shot budget lambda")
     p.add_argument("--t", type=float, default=DEFAULT_CONVERSE_T, help="converse threshold parameter")
 
-    p = sub.add_parser("pa-search", parents=[common], help="exhaustive minimum insecurity over all hash tables")
+    p = sub.add_parser("pa-search", parents=[common, scan], help="exhaustive minimum insecurity over all hash tables")
     p.add_argument("state", help="CQ state file")
     p.add_argument("--range-size", type=int, required=True)
     p.add_argument("--measure", required=True, choices=MEASURES)
     p.add_argument("--s", type=float, default=None)
 
-    p = sub.add_parser("pa-family", parents=[common], help="expected insecurity over a hash family")
+    p = sub.add_parser("pa-family", parents=[common, sampling, scan], help="expected insecurity over a hash family")
     p.add_argument("state", help="CQ state file")
     p.add_argument("--family", required=True, choices=tuple(_FAMILY_OPTIONS))
     p.add_argument("--range-size", type=int, default=None)
@@ -289,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", choices=("exhaustive", "monte_carlo"), default="exhaustive")
     p.add_argument("--count", type=int, default=10**4, help="monte_carlo sample count")
 
-    p = sub.add_parser("suite", parents=[common], help="built-in verification suites")
+    p = sub.add_parser("suite", parents=[common, sampling, scan], help="built-in verification suites")
     p.add_argument("which", choices=("example1", "example2", "properties"))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--range-bits", type=int, default=1)
@@ -362,15 +338,13 @@ def _cmd_smooth(args):
         (args.rate is None) != (args.lam is None),
         "pass exactly one of --rate (iid certificates) or --lam (one-shot)",
     )
-    tols = args.tolerances
-    options = {"t": args.t, "cluster_tol": tols["cluster"], "commute_tol": tols["commute"]}
 
     def bracket(cert) -> dict:
         exact = cert.exact if cert.exact is not None else ""
         return {"lam": cert.lam, "lower": cert.lower, "exact": exact, "upper": cert.upper}
 
     if args.lam is not None:
-        cert = smoothing_certificate(rho.mat, sigma.mat, args.lam, **options)
+        cert = smoothing_certificate(rho.mat, sigma.mat, args.lam, t=args.t)
         meta = cert.meta
         rows = [dict(bracket(cert), witness_achieved=meta["witness_achieved"], commuting=meta["commuting"])]
         results = {"mode": "one-shot", "t": args.t}
@@ -382,7 +356,7 @@ def _cmd_smooth(args):
 
         rows = []
         ns = range(args.n_min, args.n_max + 1)
-        for cert in iid_smoothing_certificate(rho.mat, sigma.mat, args.rate, ns, **options):
+        for cert in iid_smoothing_certificate(rho.mat, sigma.mat, args.rate, ns, t=args.t):
             n = cert.meta["n"]
             rows.append(
                 {
@@ -459,6 +433,7 @@ def _cmd_pa_family(args):
 
 def _properties_suite(args) -> dict:
     """Seeded battery of the library's own inequalities on random states."""
+    _require(args.trials >= 1, "--trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xB]))
 
     def rand_density(d):
@@ -588,7 +563,6 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        _parse_tols(args)
         inputs, results, rows, code = HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

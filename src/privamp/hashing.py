@@ -113,6 +113,8 @@ def apply_hash(source: CQState, f) -> CQState:
         m = f.range_size
     else:
         table = np.asarray(f, dtype=int)
+        if table.size and int(table.min()) < 0:
+            raise ValueError(f"table entry {int(table.min())} is negative")
         m = int(table.max()) + 1 if table.size else 1
     if table.shape != (source.nsymbols,):
         raise ValueError(f"table length {table.shape} does not match {source.nsymbols} symbols")
@@ -655,6 +657,8 @@ def example2_suite(
     insecurity all vanish to tolerance, so the expected divergence decays
     faster than any exponential (marker inf).
     """
+    if realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
     family = PermutationProductFamily(n)
     cert = family.collision_certificate()
     source = CQState.classical(np.full(4**n, 0.25**n))

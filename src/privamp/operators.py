@@ -2,8 +2,10 @@
 
 Everything downstream (divergences, smoothing, hashing simulations) reduces to
 eigendecompositions of small dense Hermitian matrices, so this module owns the
-ingest tolerances, eigenvalue clustering, and the handful of matrix functions
-built on top of numpy.linalg.
+ingest tolerances, eigenvalue clustering, the commuting test, and the handful
+of matrix functions built on top of numpy.linalg. Its clustering and
+commuting tolerances are constants, not options: every pinching constant
+comes from eig() and every commuting decision from commutes().
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-DEFAULT_CLUSTER_TOL = 1e-9
+CLUSTER_TOL = 1e-9
 SUPPORT_CUT = 1e-12
-DEFAULT_COMMUTE_TOL = 1e-9
+COMMUTE_TOL = 1e-9
 TENSOR_BUDGET = 4096
-IID_ATOM_BUDGET = 10**7
+ATOM_CAP = 10**7
 
 
 class BudgetExceededError(RuntimeError):
@@ -87,15 +89,14 @@ class HermitianOperator:
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix, eigenvalues descending.
 
-    clusters groups indices of eigenvalues that are equal within the
-    clustering tolerance used at construction; their count is the pinching
-    constant v (number of distinct eigenvalues at that tolerance).
+    clusters groups indices of eigenvalues that are equal within
+    CLUSTER_TOL; their count is the pinching constant v (number of distinct
+    eigenvalues).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
-    cluster_tol: float
 
     @property
     def distinct_count(self) -> int:
@@ -106,11 +107,11 @@ class SpectralDecomposition:
         return cols @ cols.conj().T
 
 
-def eig(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+def eig(a) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
     Eigenvalues are returned descending. Consecutive eigenvalues whose gap is
-    at most cluster_tol * max(1, |lambda|_max) are merged into one cluster.
+    at most CLUSTER_TOL * max(1, |lambda|_max) are merged into one cluster.
     The decomposition is verified to reconstruct the input within
     RECONSTRUCTION_TOL * (1 + max entry).
     """
@@ -132,7 +133,7 @@ def eig(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
             f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance "
             f"on a dim-{op.dim} matrix with max entry {op.max_norm:.3e}"
         )
-    gap_tol = cluster_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    gap_tol = CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     clusters: list[tuple[int, ...]] = []
     start = 0
     for i in range(1, len(w)):
@@ -142,7 +143,7 @@ def eig(a, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     clusters.append(tuple(range(start, len(w))))
     w.flags.writeable = False
     u.flags.writeable = False
-    return SpectralDecomposition(w, u, tuple(clusters), cluster_tol)
+    return SpectralDecomposition(w, u, tuple(clusters))
 
 
 def mat_power(a, t: float) -> HermitianOperator:
@@ -167,10 +168,10 @@ def mat_power(a, t: float) -> HermitianOperator:
     return HermitianOperator(powered)
 
 
-def pinching(x, sigma, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HermitianOperator:
+def pinching(x, sigma) -> HermitianOperator:
     """Pinching of x by the eigenprojectors of sigma: sum_i P_i x P_i."""
     xm = _as_matrix(x)
-    sd = eig(sigma, cluster_tol)
+    sd = eig(sigma)
     if xm.shape != sd.eigenvectors.shape:
         raise ValueError(f"dimension mismatch: {xm.shape} vs {sd.eigenvectors.shape}")
     labels = np.empty(len(sd.eigenvalues), dtype=int)
@@ -231,29 +232,26 @@ def commutator_defect(a, b) -> float:
     return float(np.max(np.abs(am @ bm - bm @ am)))
 
 
-def commutes(a, b, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
-    """The package's one commuting test: max|AB - BA| <= tol (1 + max|A_ij|) (1 + max|B_ij|)."""
+def commutes(a, b) -> bool:
+    """The package's one commuting test: max|AB - BA| <= COMMUTE_TOL (1 + max|A_ij|) (1 + max|B_ij|)."""
     am, bm = _as_matrix(a), _as_matrix(b)
-    bound = tol * (1.0 + float(np.max(np.abs(am)))) * (1.0 + float(np.max(np.abs(bm))))
+    bound = COMMUTE_TOL * (1.0 + float(np.max(np.abs(am)))) * (1.0 + float(np.max(np.abs(bm))))
     return commutator_defect(am, bm) <= bound
 
 
-def distinct_eigenvalue_count_iid(
-    sigma,
-    n: int,
-    rel_tol: float = DEFAULT_CLUSTER_TOL,
-) -> int:
+def distinct_eigenvalue_count_iid(sigma, n: int) -> int:
     """Number of distinct eigenvalues of the n-fold tensor power of sigma.
 
     Works on the clustered base spectrum and never forms the tensor power:
     the distinct products of n base eigenvalues are accumulated as log2 sums
     with tolerance merging, which is type-class enumeration with early dedup.
-    Products equal within relative tolerance rel_tol count once. A zero
-    eigenvalue of sigma contributes one extra distinct value (zero) for any n.
+    Products equal within the clustering tolerance of eig (relative) count
+    once. A zero eigenvalue of sigma contributes one extra distinct value
+    (zero) for any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sd = eig(sigma, rel_tol)
+    sd = eig(sigma)
     w = sd.eigenvalues
     scale = max(1.0, float(np.max(np.abs(w))))
     if float(w[-1]) < -1e-9 * scale:
@@ -266,7 +264,7 @@ def distinct_eigenvalue_count_iid(
     has_zero = bool((~positive).any())
     logs = np.log2(reps[positive])
     # relative tolerance on products maps to an absolute gap in log2
-    log_tol = 1.5 * rel_tol
+    log_tol = 1.5 * CLUSTER_TOL
     sums = np.zeros(1)
     for _ in range(n):
         sums = (sums[:, None] + logs[None, :]).ravel()
@@ -275,8 +273,8 @@ def distinct_eigenvalue_count_iid(
             boundaries = np.diff(sums) > log_tol
             keep = np.concatenate(([True], boundaries))
             sums = sums[keep]
-        if sums.size > IID_ATOM_BUDGET:
+        if sums.size > ATOM_CAP:
             raise BudgetExceededError(
-                f"distinct-product enumeration exceeded {IID_ATOM_BUDGET} atoms at n={n}"
+                f"distinct-product enumeration exceeded {ATOM_CAP} atoms at n={n}"
             )
     return int(sums.size) + (1 if has_zero else 0)

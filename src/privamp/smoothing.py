@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    ATOM_CAP,
     BudgetExceededError,
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_COMMUTE_TOL,
     SUPPORT_CUT,
     _as_matrix,
     commutator_defect,
@@ -35,7 +34,6 @@ from .states import CQState, StateDescriptor, _as_state_matrix
 KKT_TOL = 1e-9
 WITNESS_PSD_TOL = 1e-9
 MERGE_TOL = 1e-12
-ATOM_CAP = 10**7
 WATER_FILL_ITERS = 60
 SMOOTH_MIN_ENTROPY_RESOLUTION = 1e-6
 DEFAULT_CONVERSE_T = 9.0
@@ -119,7 +117,7 @@ def _purified_epsilon(p, ptilde, target: float) -> float:
     return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f)))
 
 
-def pinched_smoothing_witness(rho, sigma, lam: float, *, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+def pinched_smoothing_witness(rho, sigma, lam: float):
     """Feasible smoothing witness from pinching, for arbitrary (rho, sigma).
 
     Projects rho onto the eigenspace where its pinching obeys
@@ -130,9 +128,8 @@ def pinched_smoothing_witness(rho, sigma, lam: float, *, cluster_tol: float = DE
     """
     rm = _as_matrix(rho) if not isinstance(rho, StateDescriptor) else rho.mat
     sm = _as_matrix(sigma)
-    sd = eig(sm, cluster_tol)
-    v = sd.distinct_count
-    pinched = pinching(rm, sm, cluster_tol).mat
+    v = eig(sm).distinct_count
+    pinched = pinching(rm, sm).mat
     coef = _exp2_clipped(lam) / v
     t = coef * sm - pinched
     w, u = np.linalg.eigh(t)
@@ -160,14 +157,14 @@ def _least_achievability(s, d, v_count: int, lam: float) -> float:
     return float(np.exp2(np.min(log2_bounds, initial=0.0)))
 
 
-def achievability_bound(rho, sigma, lam: float, s: float, *, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> float:
+def achievability_bound(rho, sigma, lam: float, s: float) -> float:
     """Pinching-based upper bound on the smoothing quantity at budget lam, order 1+s."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
-    v = eig(_as_matrix(sigma), cluster_tol).distinct_count
     if s == 0.0:
         return 1.0
+    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
+    v = eig(_as_matrix(sigma)).distinct_count
     return _least_achievability(s, curve.divergence(1.0 + s).value, v, lam)
 
 
@@ -249,10 +246,10 @@ class SpectrumDistribution:
             )
 
     @classmethod
-    def from_commuting_pair(cls, rho, sigma, *, tol: float = DEFAULT_COMMUTE_TOL) -> "SpectrumDistribution":
+    def from_commuting_pair(cls, rho, sigma) -> "SpectrumDistribution":
         rm = _as_state_matrix(rho)
         sm = _as_matrix(sigma)
-        if not commutes(rm, sm, tol):
+        if not commutes(rm, sm):
             raise ValueError(
                 f"operators do not commute (defect {commutator_defect(rm, sm):.3e}); "
                 "use certificate bounds for non-commuting pairs"
@@ -381,27 +378,19 @@ def _grid_divergences(curve: RenyiDivergenceCurve) -> tuple[np.ndarray, np.ndarr
     return s, curve.log2_q(alpha) / (alpha - 1.0)
 
 
-def smoothing_certificate(
-    rho,
-    sigma,
-    lam: float,
-    *,
-    t: float = DEFAULT_CONVERSE_T,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    commute_tol: float = DEFAULT_COMMUTE_TOL,
-) -> SmoothingCertificate:
+def smoothing_certificate(rho, sigma, lam: float, *, t: float = DEFAULT_CONVERSE_T) -> SmoothingCertificate:
     """One-shot certificate for a single (rho, sigma, lam), witness included."""
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
     s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
-    upper = _least_achievability(s_grid, d_grid, eig(sm, cluster_tol).distinct_count, lam)
+    upper = _least_achievability(s_grid, d_grid, eig(sm).distinct_count, lam)
     lower = converse_bound(rm, sm, lam, t)
-    witness, achieved = pinched_smoothing_witness(rm, sm, lam, cluster_tol=cluster_tol)
+    witness, achieved = pinched_smoothing_witness(rm, sm, lam)
     exact = None
-    commuting = commutes(rm, sm, commute_tol)
+    commuting = commutes(rm, sm)
     upper = min(upper, achieved)
     if commuting:
-        spectrum = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol)
+        spectrum = SpectrumDistribution.from_commuting_pair(rm, sm)
         exact, _ = spectrum.smoothing_oracle(lam)
     return SmoothingCertificate(
         lam=lam,
@@ -409,7 +398,7 @@ def smoothing_certificate(
         upper=upper,
         exact=exact,
         witness=witness,
-        meta={"t": t, "commuting": commuting, "witness_achieved": achieved, "cluster_tol": cluster_tol},
+        meta={"t": t, "commuting": commuting, "witness_achieved": achieved},
     )
 
 
@@ -420,8 +409,6 @@ def iid_smoothing_certificate(
     ns,
     *,
     t: float = DEFAULT_CONVERSE_T,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    commute_tol: float = DEFAULT_COMMUTE_TOL,
 ) -> list[SmoothingCertificate]:
     """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
@@ -439,13 +426,13 @@ def iid_smoothing_certificate(
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
     s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
-    commuting = commutes(rm, sm, commute_tol)
-    base = SpectrumDistribution.from_commuting_pair(rm, sm, tol=commute_tol) if commuting else None
+    commuting = commutes(rm, sm)
+    base = SpectrumDistribution.from_commuting_pair(rm, sm) if commuting else None
     spectrum, power = base, 1
     certificates = []
     for n in ns:
         lam = n * r
-        v_n = distinct_eigenvalue_count_iid(sm, n, rel_tol=cluster_tol)
+        v_n = distinct_eigenvalue_count_iid(sm, n)
         # D_{1+s} of the n-fold pair is n D_{1+s}
         upper = _least_achievability(s_grid, d_grid * n, v_n, lam)
         if commuting:

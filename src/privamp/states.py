@@ -8,7 +8,6 @@ from typing import Literal
 import numpy as np
 
 from .operators import (
-    DEFAULT_COMMUTE_TOL,
     BudgetExceededError,
     HermitianOperator,
     _as_matrix,
@@ -181,16 +180,16 @@ class CQState:
             syms = [t + (s,) for t in syms for s in self.symbols]
         return CQState(probs, conds, syms)
 
-    def is_commuting(self, tol: float = DEFAULT_COMMUTE_TOL) -> bool:
+    def is_commuting(self) -> bool:
         """Whether every conditional commutes with the marginal rho_E (operators.commutes)."""
         re = self.rho_e()
         return all(
-            commutes(c, re, tol)
+            commutes(c, re)
             for px, c in zip(self.probs, self.conditionals)
             if px > 0
         )
 
-    def classical_pair(self, tol: float = DEFAULT_COMMUTE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    def classical_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Joint eigenvalue vectors (p, q) of rho_XE and 1_X (x) rho_E.
 
         Valid only when every conditional commutes with rho_E; then each block
@@ -198,7 +197,7 @@ class CQState:
         operators reduces to two nonnegative vectors with sum(p) = 1.
         """
         re = self.rho_e()
-        if not self.is_commuting(tol):
+        if not self.is_commuting():
             raise ValueError(
                 "conditionals do not commute with the marginal; "
                 "no joint classical spectrum exists (use certificate bounds instead)"

@@ -15,7 +15,6 @@ from privamp.cli import (
     main,
 )
 from privamp import CQState, ConditionalRenyiCurve, StateDescriptor
-from privamp.operators import DEFAULT_CLUSTER_TOL, DEFAULT_COMMUTE_TOL
 from conftest import acceptance_states
 
 
@@ -128,8 +127,7 @@ def test_measure_document_shape(rho_path, sigma_path, capsys):
     assert code == EXIT_OK
     assert doc["artifact"]["name"] == "privamp"
     assert doc["command"] == "measure"
-    assert set(doc["config"]) == {"seed", "budget", "format", "tolerances"}
-    assert "threads" not in doc["config"]
+    assert set(doc["config"]) == {"format"}
     assert doc["inputs"][rho_path].startswith("sha256:")
     assert abs(doc["results"]["value"] - 0.20751874963942196) <= 1e-12
 
@@ -157,32 +155,49 @@ def test_measure_validation_exit_codes(rho_path, capsys):
     assert main(["measure", rho_path, rho_path, "--divergence", "renyi"]) == EXIT_VALIDATION
 
 
-def test_tolerance_overrides(rho_path, sigma_path, capsys):
-    code, doc = run_json(
-        [
-            "measure",
-            rho_path,
-            sigma_path,
-            "--divergence",
-            "relative",
-            "--tol",
-            "cluster=1e-7",
-        ],
-        capsys,
-    )
-    assert code == EXIT_OK
-    assert doc["config"]["tolerances"]["cluster"] == 1e-7
-    assert main(["measure", rho_path, sigma_path, "--divergence", "relative", "--tol", "junk"]) == EXIT_VALIDATION
-    capsys.readouterr()
-    assert (
-        main(["measure", rho_path, sigma_path, "--divergence", "relative", "--tol", "nope=1"])
-        == EXIT_VALIDATION
-    )
-    capsys.readouterr()
-    for key in ("support_cut", "resolution"):
-        code = main(["measure", rho_path, sigma_path, "--divergence", "relative", "--tol", f"{key}=1e-10"])
-        assert code == EXIT_VALIDATION
-        assert "unknown tolerance key" in capsys.readouterr().err
+def test_each_command_takes_only_the_shared_options_it_reads(rho_path, sigma_path, cq_path, tmp_path, capsys):
+    # (argv, accepted shared options, config keys of its document); threads is never recorded
+    table = [
+        (["measure", rho_path, sigma_path, "--divergence", "relative"], {"--format", "--out"}, {"format"}),
+        (["exponent-curve", cq_path, "--r-min", "0.9", "--r-max", "1.3", "--points", "3"], {"--format", "--out"}, {"format"}),
+        (["smooth", rho_path, sigma_path, "--lam", "0.5"], {"--format", "--out"}, {"format"}),
+        (
+            ["pa-search", cq_path, "--range-size", "2", "--measure", "trace_distance"],
+            {"--format", "--out", "--threads", "--budget"},
+            {"format", "budget"},
+        ),
+        (
+            ["pa-family", cq_path, "--family", "all_functions", "--range-size", "2", "--measure", "trace_distance"],
+            {"--format", "--out", "--threads", "--budget", "--seed"},
+            {"format", "budget", "seed"},
+        ),
+        (
+            ["suite", "example2", "--n", "1", "--realizations", "2"],
+            {"--format", "--out", "--threads", "--budget", "--seed"},
+            {"format", "budget", "seed"},
+        ),
+    ]
+    values = {
+        "--format": "csv",
+        "--out": str(tmp_path / "doc.txt"),
+        "--threads": "2",
+        "--budget": "1000",
+        "--seed": "1",
+        "--tol": "cluster=1e-7",
+    }
+    for argv, accepted, config in table:
+        code, doc = run_json(argv, capsys)
+        assert code == EXIT_OK
+        assert set(doc["config"]) == config
+        for option, value in values.items():
+            if option in accepted:
+                assert main([*argv, option, value]) == EXIT_OK
+                capsys.readouterr()
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, option, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_exponent_curve_csv(cq_path, capsys):
@@ -395,6 +410,22 @@ def test_suite_example2_passes(capsys):
     assert doc["results"]["exponent_marker"] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["suite", "example2", "--realizations", "0"], "realizations must be >= 1"),
+        (["suite", "properties", "--trials", "0"], "--trials must be >= 1"),
+    ],
+    ids=["example2-realizations", "properties-trials"],
+)
+def test_suite_without_evidence_is_refused(argv, message, capsys):
+    # a suite that checked nothing must not report its checks as passed
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_csv_format_flattens_headers(rho_path, sigma_path, capsys):
     code = main(
         ["measure", rho_path, sigma_path, "--divergence", "fidelity", "--format", "csv"]
@@ -406,13 +437,9 @@ def test_csv_format_flattens_headers(rho_path, sigma_path, capsys):
 
 
 def test_shared_parser_keeps_no_state_between_calls(rho_path, sigma_path, cq_path, capsys):
-    relative = ["measure", rho_path, sigma_path, "--divergence", "relative"]
-    assert run_json([*relative, "--tol", "cluster=1e-7"], capsys)[1]["config"]["tolerances"]["cluster"] == 1e-7
-    defaults = {"cluster": DEFAULT_CLUSTER_TOL, "commute": DEFAULT_COMMUTE_TOL}
-    assert run_json(relative, capsys)[1]["config"]["tolerances"] == defaults
-    # each call sets shared options the others leave at their defaults
+    # each call sets options the others leave at their defaults
     calls = [
-        ["measure", rho_path, sigma_path, "--divergence", "renyi", "--alpha", "2", "--tol", "commute=1e-6"],
+        ["measure", rho_path, sigma_path, "--divergence", "renyi", "--alpha", "2"],
         ["smooth", rho_path, sigma_path, "--rate", "0.6", "--n-max", "3", "--t", "4", "--format", "csv"],
         ["pa-search", cq_path, "--range-size", "2", "--measure", "renyi", "--s", "0.5", "--budget", "100"],
         [

@@ -68,6 +68,15 @@ def test_apply_hash_fills_empty_buckets():
     assert abs(np.trace(hashed.conditionals[1]).real - 1.0) <= 1e-12
 
 
+def test_apply_hash_rejects_negative_entries():
+    # a plain table must not wrap -1 to the last output, as numpy indexing would
+    cq = CQState.classical([0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="negative"):
+        apply_hash(cq, [-1, 0, 1])
+    with pytest.raises(ValueError):
+        HashFunction(3, 2, (-1, 0, 1))
+
+
 def test_insecurity_zero_for_uniform_decoupled_source():
     cq = CQState.classical(np.full(4, 0.25))
     hashed = apply_hash(cq, [0, 1, 0, 1])

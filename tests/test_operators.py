@@ -53,9 +53,6 @@ def test_eig_clusters_track_degeneracies():
     assert dec.distinct_count == 3
     sizes = sorted(len(c) for c in dec.clusters)
     assert sizes == [1, 1, 2]
-    # a coarser tolerance merges the 2.0 and 1.0 clusters
-    coarse = eig(a, cluster_tol=0.6)
-    assert coarse.distinct_count < dec.distinct_count
 
 
 def test_cluster_projector_is_rank_correct():
@@ -253,23 +250,31 @@ def test_cq_noncommuting_detected():
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
 def test_commuting_decision_agrees_at_the_scaled_tolerance(inside):
     # a CQ state whose conditional a nearly commutes with the marginal rho_E;
-    # tol sits 1% inside or outside the entry-scaled bound for the pair (a, rho_E)
+    # the rotation angle puts the defect of (a, rho_E) 1% inside or outside
+    # the entry-scaled bound COMMUTE_TOL (1 + max|a_ij|) (1 + max|rho_E ij|)
     from privamp import SpectrumDistribution, iid_smoothing_certificate, smoothing_certificate
+    from privamp.operators import COMMUTE_TOL, commutes
 
-    theta = 1e-7
-    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     a = np.diag([0.7, 0.3])
-    b = rot @ np.diag([0.2, 0.8]) @ rot.T
-    cq = CQState([0.5, 0.5], [a, b])
-    rho_e = cq.rho_e()
-    bound = (1.0 + float(np.max(np.abs(a)))) * (1.0 + float(np.max(np.abs(rho_e))))
-    tol = commutator_defect(a, rho_e) / bound * (1.01 if inside else 0.99)
-    assert cq.is_commuting(tol) == inside
+
+    def state(theta):
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        cq = CQState([0.5, 0.5], [a, rot @ np.diag([0.2, 0.8]) @ rot.T])
+        rho_e = cq.rho_e()
+        bound = COMMUTE_TOL * (1.0 + float(np.max(np.abs(a)))) * (1.0 + float(np.max(np.abs(rho_e))))
+        return cq, rho_e, commutator_defect(a, rho_e) / bound
+
+    # the defect grows as sin(2 theta), linear to far below 1% at these angles
+    theta = 1e-7 / state(1e-7)[2] * (0.99 if inside else 1.01)
+    cq, rho_e, ratio = state(theta)
+    assert abs(ratio - (0.99 if inside else 1.01)) <= 1e-3
+    assert commutes(a, rho_e) == inside
+    assert cq.is_commuting() == inside
     if inside:
-        SpectrumDistribution.from_commuting_pair(a, rho_e, tol=tol)
+        SpectrumDistribution.from_commuting_pair(a, rho_e)
     else:
         with pytest.raises(ValueError):
-            SpectrumDistribution.from_commuting_pair(a, rho_e, tol=tol)
-    assert smoothing_certificate(a, rho_e, 0.3, commute_tol=tol).meta["commuting"] == inside
-    [cert] = iid_smoothing_certificate(a, rho_e, 0.3, [1], commute_tol=tol)
+            SpectrumDistribution.from_commuting_pair(a, rho_e)
+    assert smoothing_certificate(a, rho_e, 0.3).meta["commuting"] == inside
+    [cert] = iid_smoothing_certificate(a, rho_e, 0.3, [1])
     assert cert.meta["commuting"] == inside
