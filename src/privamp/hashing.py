@@ -113,8 +113,8 @@ def apply_hash(source: CQState, f) -> CQState:
         m = f.range_size
     else:
         table = np.asarray(f, dtype=int)
-        if table.size and int(table.min()) < 0:
-            raise ValueError(f"table entry {int(table.min())} is negative")
+        if (table < 0).any():
+            raise ValueError("table entries must be nonnegative")
         m = int(table.max()) + 1 if table.size else 1
     if table.shape != (source.nsymbols,):
         raise ValueError(f"table length {table.shape} does not match {source.nsymbols} symbols")

@@ -245,9 +245,8 @@ def distinct_eigenvalue_count_iid(sigma, n: int) -> int:
     Works on the clustered base spectrum and never forms the tensor power:
     the distinct products of n base eigenvalues are accumulated as log2 sums
     with tolerance merging, which is type-class enumeration with early dedup.
-    Products equal within the clustering tolerance of eig (relative) count
-    once. A zero eigenvalue of sigma contributes one extra distinct value
-    (zero) for any n.
+    Products equal within relative tolerance CLUSTER_TOL count once. A zero
+    eigenvalue of sigma contributes one extra distinct value (zero) for any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
