@@ -11,7 +11,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     commutator_defect,
-    distinct_eigenvalue_count_iid,
+    distinct_eigenvalue_counts_iid,
     eig,
     mat_power,
     pinching,

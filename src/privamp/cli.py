@@ -127,7 +127,7 @@ def load_state_file(path: str):
                 _parse_complex_entries(c, dim, f"{path} conditional {i}")
                 for i, c in enumerate(doc["conditionals"])
             ]
-            return CQState(probs, conds, symbols=doc.get("symbols"))
+            return CQState(probs, conds)
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -130,15 +130,15 @@ def apply_hash(source: CQState, f) -> CQState:
             conds.append(blocks[z] / probs[z])
         else:
             conds.append(np.eye(d) / d)
-    return CQState(probs, conds, symbols=tuple(range(m)))
+    return CQState(probs, conds)
 
 
 def _validate_measure(measure: str, s: float | None) -> None:
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if measure == "renyi":
-        if s is None or s <= 0:
-            raise ValueError("renyi measure needs s > 0")
+        if s is None or not 0 < s < math.inf:
+            raise ValueError(f"renyi measure needs a finite s > 0, got {s}")
     elif s is not None:
         raise ValueError(f"measure {measure!r} takes no order parameter")
 
@@ -578,6 +578,8 @@ def example1_suite(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if range_bits < 1:
+        raise ValueError(f"range_bits must be >= 1, got {range_bits}")
     base = CQState.classical([1.0 / 3.0, 2.0 / 3.0])
     source = base.tensor_power(n) if n > 1 else base
     m = 2**range_bits

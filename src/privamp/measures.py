@@ -79,16 +79,13 @@ def _power_rows(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log2sumexp2(terms: np.ndarray):
-    """log2 of the sum of 2**terms along the last axis, stable against overflow.
+def _log2sumexp2(terms: np.ndarray) -> np.ndarray:
+    """log2 of the sum of 2**terms along the last axis of a float array, stable against overflow.
 
-    -inf terms add nothing, and a row of them gives -inf. A 1-D input gives a
-    float.
+    -inf terms add nothing, and a row of them gives -inf.
     """
-    t = np.asarray(terms, dtype=float)
-    top = t.max(axis=-1, initial=_FLOOR)
-    out = top + _log2(np.exp2(t - top[..., None]).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+    top = terms.max(axis=-1, initial=_FLOOR)
+    return top + _log2(np.exp2(terms - top[..., None]).sum(axis=-1))
 
 
 def _entropy_bits(w: np.ndarray) -> float:
@@ -128,7 +125,7 @@ def trace_distance(rho, sigma) -> float:
 
 
 def _per_order_batch(kernel):
-    """Let kernel(self, orders) of a 1-D array of positive orders take a scalar order or an array.
+    """Let kernel(self, orders) of a 1-D array of finite positive orders take a scalar order or an array.
 
     The result has the shape of the argument. A batch too large for one
     stack of _STACK_ENTRIES matrix entries goes through kernel in parts.
@@ -138,8 +135,8 @@ def _per_order_batch(kernel):
     def batched(self, alpha):
         a = np.asarray(alpha, dtype=float)
         orders = a.reshape(-1)
-        if any(x <= 0 for x in orders.tolist()):
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if any(not 0 < x < math.inf for x in orders.tolist()):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         step = self._orders_per_stack
         out = np.concatenate([kernel(self, orders[i : i + step]) for i in range(0, max(1, orders.size), step)])
         return float(out[0]) if a.ndim == 0 else out
@@ -243,8 +240,10 @@ class RenyiDivergenceCurve(_SandwichedCurve):
 
     def divergence(self, alpha: float) -> DivergenceResult:
         """Sandwiched Renyi divergence of order alpha, +inf on support failure."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
+        if math.isinf(alpha):
+            raise ValueError("alpha = inf is the max-relative entropy; use dmax() (--divergence dmax)")
         if abs(alpha - 1.0) <= ALPHA_ONE_GUARD:
             raise ValueError(
                 f"alpha = {alpha} is within {ALPHA_ONE_GUARD} of 1; "

@@ -5,7 +5,9 @@ eigendecompositions of small dense Hermitian matrices, so this module owns the
 ingest tolerances, eigenvalue clustering, the commuting test, and the handful
 of matrix functions built on top of numpy.linalg. Its clustering and
 commuting tolerances are constants, not options: every pinching constant
-comes from eig() and every commuting decision from commutes().
+comes from eig() (distinct_eigenvalue_counts_iid() for tensor powers), every
+commuting decision from commutes() and every joint spectrum from
+joint_eigenvalues().
 """
 
 from __future__ import annotations
@@ -190,11 +192,11 @@ def positive_part_trace(a) -> float:
 
 
 def tensor_power(a, n: int) -> HermitianOperator:
-    """n-fold Kronecker power, refused above TENSOR_BUDGET total dimensions."""
+    """n-fold Kronecker power; a power n > 1 above TENSOR_BUDGET total dimensions is refused."""
     m = _as_matrix(a)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m.shape[0] ** n > TENSOR_BUDGET:
+    if n > 1 and m.shape[0] ** n > TENSOR_BUDGET:
         raise BudgetExceededError(
             f"dense tensor power dim {m.shape[0]}^{n} exceeds budget {TENSOR_BUDGET}; "
             "use the spectrum fast path for iid inputs"
@@ -239,14 +241,27 @@ def commutes(a, b) -> bool:
     return commutator_defect(am, bm) <= bound
 
 
-def distinct_eigenvalue_count_iid(sigma, n: int) -> int:
-    """Number of distinct eigenvalues of the n-fold tensor power of sigma.
+def joint_eigenvalues(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of commuting a and b in simultaneous_eigenbasis(a, b), clipped at 0.
 
-    Works on the clustered base spectrum and never forms the tensor power:
-    the distinct products of n base eigenvalues are accumulated as log2 sums
-    with tolerance merging, which is type-class enumeration with early dedup.
+    For commuting PSD a and b these are their eigenvalues, paired on the
+    common eigenvectors. Commutation is the caller's responsibility.
+    """
+    am, bm = _as_matrix(a), _as_matrix(b)
+    u = simultaneous_eigenbasis(am, bm)
+    uh = u.conj().T
+    return tuple(np.clip(np.real(np.einsum("ij,jk,ki->i", uh, m, u)), 0.0, None) for m in (am, bm))
+
+
+def distinct_eigenvalue_counts_iid(sigma, n: int) -> list[int]:
+    """Numbers of distinct eigenvalues of the k-fold tensor powers of sigma, k = 1..n.
+
+    One eig and one chain: the distinct products of k base eigenvalues are
+    the log2 sums of k - 1 extended by one factor, with tolerance merging
+    (type-class enumeration with early dedup), so no tensor power is formed.
     Products equal within relative tolerance CLUSTER_TOL count once. A zero
-    eigenvalue of sigma contributes one extra distinct value (zero) for any n.
+    eigenvalue of sigma adds one distinct value (zero) for any k. The chain
+    stops with BudgetExceededError at the first k whose sums exceed ATOM_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -258,14 +273,15 @@ def distinct_eigenvalue_count_iid(sigma, n: int) -> int:
     reps = np.array([float(np.mean(w[list(c)])) for c in sd.clusters])
     lam_max = float(reps.max())
     if lam_max <= 0.0:
-        return 1
+        return [1] * n
     positive = reps > SUPPORT_CUT * lam_max
     has_zero = bool((~positive).any())
     logs = np.log2(reps[positive])
     # relative tolerance on products maps to an absolute gap in log2
     log_tol = 1.5 * CLUSTER_TOL
     sums = np.zeros(1)
-    for _ in range(n):
+    counts = []
+    for k in range(1, n + 1):
         sums = (sums[:, None] + logs[None, :]).ravel()
         sums.sort()
         if sums.size > 1:
@@ -274,6 +290,7 @@ def distinct_eigenvalue_count_iid(sigma, n: int) -> int:
             sums = sums[keep]
         if sums.size > ATOM_CAP:
             raise BudgetExceededError(
-                f"distinct-product enumeration exceeded {ATOM_CAP} atoms at n={n}"
+                f"distinct-product enumeration exceeded {ATOM_CAP} atoms at n={k}"
             )
-    return int(sums.size) + (1 if has_zero else 0)
+        counts.append(int(sums.size) + (1 if has_zero else 0))
+    return counts

@@ -4,14 +4,16 @@ The smoothing quantity at budget lambda is the least purified distance from
 rho to a subnormalized rho' with rho' <= 2^lambda sigma. Commuting pairs admit
 an exact water-filling solution on the joint spectrum; general pairs get a
 certified [converse, achievability] bracket plus an explicit pinched witness.
-iid inputs never materialize tensor powers: the joint spectrum is convolved
-as a weighted atom list.
+iid_smoothing_certificate is the one certificate path and computes each
+n-independent object once; the one-shot certificate is its n = 1 case
+tightened by the witness. Commuting iid inputs never materialize tensor
+powers: the joint spectrum is convolved as a weighted atom list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,13 +24,13 @@ from .operators import (
     _as_matrix,
     commutator_defect,
     commutes,
-    distinct_eigenvalue_count_iid,
+    distinct_eigenvalue_counts_iid,
     eig,
+    joint_eigenvalues,
     pinching,
-    simultaneous_eigenbasis,
     tensor_power,
 )
-from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve, _log2sumexp2
+from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve
 from .states import CQState, StateDescriptor, _as_state_matrix
 
 KKT_TOL = 1e-9
@@ -174,7 +176,7 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
     With p = tr rho {rho > t 2^lam sigma}, any feasible smoothing is at least
     sqrt(p (1 - 2/sqrt(t) - p/t)) whenever that parenthesis is positive.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
@@ -254,9 +256,7 @@ class SpectrumDistribution:
                 f"operators do not commute (defect {commutator_defect(rm, sm):.3e}); "
                 "use certificate bounds for non-commuting pairs"
             )
-        u = simultaneous_eigenbasis(sm, rm)
-        pv = np.clip(np.real(np.einsum("ij,jk,ki->i", u.conj().T, rm, u)), 0.0, None)
-        qv = np.clip(np.real(np.einsum("ij,jk,ki->i", u.conj().T, sm, u)), 0.0, None)
+        qv, pv = joint_eigenvalues(sm, rm)
         return cls.from_vectors(pv, qv)
 
     def convolve(self, other: "SpectrumDistribution") -> "SpectrumDistribution":
@@ -269,17 +269,6 @@ class SpectrumDistribution:
         if out.natoms > ATOM_CAP:
             raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {ATOM_CAP}")
         return out
-
-    def log2_q_alpha(self, alpha: float) -> float:
-        """log2 Q_alpha of the pair: sum over atoms of w 2^((alpha-1)(log p - log q))."""
-        with np.errstate(invalid="ignore"):
-            ratio = self.log2_p - self.log2_q
-        pos = self.weight > 0
-        terms = np.log2(self.weight[pos]) + (alpha - 1.0) * ratio[pos]
-        return _log2sumexp2(terms)
-
-    def divergence(self, alpha: float) -> float:
-        return self.log2_q_alpha(alpha) / (alpha - 1.0)
 
     def dmax(self) -> float:
         pos = self.weight > 0
@@ -344,8 +333,8 @@ class SmoothingCertificate:
     """Certified bracket for one smoothing evaluation at budget lam.
 
     lower <= epsilon <= upper always; exact is present on the commuting path
-    and witness on the one-shot dense path. meta records n, rate, the
-    converse parameter t, and which path produced the numbers.
+    and witness on the one-shot path. meta records n, rate, the converse
+    parameter t, v_n, and which path produced the numbers.
     """
 
     lam: float
@@ -379,26 +368,17 @@ def _grid_divergences(curve: RenyiDivergenceCurve) -> tuple[np.ndarray, np.ndarr
 
 
 def smoothing_certificate(rho, sigma, lam: float, *, t: float = DEFAULT_CONVERSE_T) -> SmoothingCertificate:
-    """One-shot certificate for a single (rho, sigma, lam), witness included."""
-    rm = _as_state_matrix(rho)
-    sm = _as_matrix(sigma)
-    s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
-    upper = _least_achievability(s_grid, d_grid, eig(sm).distinct_count, lam)
-    lower = converse_bound(rm, sm, lam, t)
-    witness, achieved = pinched_smoothing_witness(rm, sm, lam)
-    exact = None
-    commuting = commutes(rm, sm)
-    upper = min(upper, achieved)
-    if commuting:
-        spectrum = SpectrumDistribution.from_commuting_pair(rm, sm)
-        exact, _ = spectrum.smoothing_oracle(lam)
-    return SmoothingCertificate(
-        lam=lam,
-        lower=lower,
-        upper=upper,
-        exact=exact,
+    """One-shot certificate: the n = 1 iid certificate at rate lam, upper bound min'd with the witness.
+
+    The witness's achieved epsilon is recorded as meta["witness_achieved"].
+    """
+    [cert] = iid_smoothing_certificate(rho, sigma, lam, [1], t=t)
+    witness, achieved = pinched_smoothing_witness(rho, sigma, lam)
+    return replace(
+        cert,
+        upper=min(cert.upper, achieved),
         witness=witness,
-        meta={"t": t, "commuting": commuting, "witness_achieved": achieved},
+        meta=dict(cert.meta, witness_achieved=achieved),
     )
 
 
@@ -412,7 +392,8 @@ def iid_smoothing_certificate(
 ) -> list[SmoothingCertificate]:
     """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
-    The s-grid divergences, the commuting decision and the base spectrum do
+    The s-grid divergences, the commuting decision, the base spectrum and
+    the distinct-eigenvalue counts v_1..v_max(ns) of sigma's tensor powers do
     not depend on n and are computed once. Commuting pairs get the exact
     spectrum-path epsilon plus the bracket; the n-fold spectrum continues the
     convolution chain of the previous n (restarting from the base when n
@@ -420,21 +401,25 @@ def iid_smoothing_certificate(
     bracket only, with the converse computed on a dense tensor power under a
     budget.
     """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if math.isnan(r):
+        raise ValueError("the budget rate r (lam of a one-shot certificate) must be a number, got nan")
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
     s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
+    v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     commuting = commutes(rm, sm)
     base = SpectrumDistribution.from_commuting_pair(rm, sm) if commuting else None
     spectrum, power = base, 1
     certificates = []
     for n in ns:
         lam = n * r
-        v_n = distinct_eigenvalue_count_iid(sm, n)
         # D_{1+s} of the n-fold pair is n D_{1+s}
-        upper = _least_achievability(s_grid, d_grid * n, v_n, lam)
+        upper = _least_achievability(s_grid, d_grid * n, v[n - 1], lam)
         if commuting:
             if n < power:
                 spectrum, power = base, 1
@@ -452,7 +437,7 @@ def iid_smoothing_certificate(
                 upper=upper,
                 exact=exact,
                 witness=None,
-                meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v_n},
+                meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v[n - 1]},
             )
         )
     return certificates

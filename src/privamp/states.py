@@ -12,7 +12,7 @@ from .operators import (
     HermitianOperator,
     _as_matrix,
     commutes,
-    simultaneous_eigenbasis,
+    joint_eigenvalues,
 )
 
 PSD_TOL = 1e-10
@@ -77,16 +77,16 @@ def _as_state_matrix(state) -> np.ndarray:
 
 
 class CQState:
-    """Classical-quantum ensemble: symbols x with weights p_x and states rho_x.
+    """Classical-quantum ensemble: symbols x = 0..m-1 with weights p_x and states rho_x.
 
     Represents rho_XE = sum_x p_x |x><x| (x) rho_x without materializing the
     block-diagonal matrix. Zero-weight symbols are allowed (hash images can be
     empty); their conditionals must still be valid density matrices.
     """
 
-    __slots__ = ("symbols", "probs", "conditionals")
+    __slots__ = ("probs", "conditionals")
 
-    def __init__(self, probs, conditionals, symbols=None):
+    def __init__(self, probs, conditionals):
         p = np.array(probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a nonempty vector")
@@ -101,16 +101,9 @@ class CQState:
         dims = {c.shape[0] for c in conds}
         if len(dims) != 1:
             raise ValueError(f"conditional dimensions differ: {sorted(dims)}")
-        if symbols is None:
-            symbols = tuple(range(p.size))
-        else:
-            symbols = tuple(symbols)
-            if len(symbols) != p.size:
-                raise ValueError("symbols length mismatch")
         p.flags.writeable = False
         self.probs = p
         self.conditionals = tuple(conds)
-        self.symbols = symbols
 
     @property
     def nsymbols(self) -> int:
@@ -121,10 +114,10 @@ class CQState:
         return self.conditionals[0].shape[0]
 
     @classmethod
-    def classical(cls, probs, symbols=None) -> "CQState":
+    def classical(cls, probs) -> "CQState":
         """Purely classical source: trivial one-dimensional side system."""
         p = np.asarray(probs, dtype=float)
-        return cls(p, [np.eye(1)] * p.size, symbols)
+        return cls(p, [np.eye(1)] * p.size)
 
     @classmethod
     def uniform(cls, nsymbols: int, conditionals=None) -> "CQState":
@@ -160,7 +153,7 @@ class CQState:
         return HermitianOperator(out)
 
     def tensor_power(self, n: int) -> "CQState":
-        """iid n-copy ensemble over symbol tuples."""
+        """iid n-copy ensemble; symbol tuples are numbered in row-major order."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.dim_e**n > MAX_E_DIM:
@@ -173,12 +166,10 @@ class CQState:
             )
         probs = self.probs
         conds = list(self.conditionals)
-        syms = [(s,) for s in self.symbols]
         for _ in range(n - 1):
             probs = np.outer(probs, self.probs).ravel()
             conds = [np.kron(a, b) for a in conds for b in self.conditionals]
-            syms = [t + (s,) for t in syms for s in self.symbols]
-        return CQState(probs, conds, syms)
+        return CQState(probs, conds)
 
     def is_commuting(self) -> bool:
         """Whether every conditional commutes with the marginal rho_E (operators.commutes)."""
@@ -206,11 +197,9 @@ class CQState:
         for px, c in zip(self.probs, self.conditionals):
             if px <= 0:
                 continue
-            u = simultaneous_eigenbasis(re, c)
-            qv = np.real(np.einsum("ij,jk,ki->i", u.conj().T, re, u))
-            pv = px * np.real(np.einsum("ij,jk,ki->i", u.conj().T, c, u))
-            ps.append(np.clip(pv, 0.0, None))
-            qs.append(np.clip(qv, 0.0, None))
+            qv, cv = joint_eigenvalues(re, c)
+            ps.append(px * cv)
+            qs.append(qv)
         return np.concatenate(ps), np.concatenate(qs)
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from privamp import (
     RenyiDivergenceCurve,
     apply_measurement,
     critical_rate,
-    distinct_eigenvalue_count_iid,
+    distinct_eigenvalue_counts_iid,
     fidelity,
     iid_smoothing_certificate,
     max_relative_entropy,
@@ -220,7 +220,7 @@ def test_criterion_7_finite_n_renyi_insecurity_sandwich():
             for n in (1, 2, 3):
                 source_n = source.tensor_power(n) if n > 1 else source
                 min_d = min_insecurity_exhaustive(source_n, 2, "renyi", s=s).value
-                v_n = distinct_eigenvalue_count_iid(source.rho_e(), n)
+                v_n = distinct_eigenvalue_counts_iid(source.rho_e(), n)[-1]
                 converse = max(0.0, 1.0 - n * h_s)
                 achievable = (
                     math.log2(1.0 + 2.0**s * q1**n) / s + math.log2(v_n) / s

@@ -426,6 +426,33 @@ def test_suite_without_evidence_is_refused(argv, message, capsys):
     assert message in captured.err
 
 
+def test_invalid_and_non_finite_parameters_are_refused(rho_path, sigma_path, cq_path, capsys):
+    # (argv, the part of the message that names the parameter); each exits 2 with no document
+    table = [
+        (["smooth", rho_path, sigma_path, "--rate", "0.5", "--t", "-1"], "t must be positive"),
+        (["smooth", rho_path, sigma_path, "--rate", "0.5", "--t", "0"], "t must be positive"),
+        (["smooth", rho_path, sigma_path, "--rate", "0.5", "--t", "nan"], "t must be positive"),
+        (["smooth", rho_path, sigma_path, "--lam", "0.5", "--t", "nan"], "t must be positive"),
+        (["smooth", rho_path, sigma_path, "--rate", "nan"], "rate r"),
+        (["smooth", rho_path, sigma_path, "--lam", "nan"], "lam"),
+        (["measure", rho_path, sigma_path, "--divergence", "renyi", "--alpha", "nan"], "alpha must be positive"),
+        (["measure", cq_path, "--divergence", "cond-renyi", "--alpha", "nan"], "alpha must be positive"),
+        (["measure", rho_path, sigma_path, "--divergence", "renyi", "--alpha", "inf"], "--divergence dmax"),
+        (["pa-search", cq_path, "--range-size", "2", "--measure", "renyi", "--s", "nan"], "finite s > 0"),
+        (["pa-search", cq_path, "--range-size", "2", "--measure", "renyi", "--s", "inf"], "finite s > 0"),
+        (
+            ["pa-family", cq_path, "--family", "all_functions", "--range-size", "2", "--measure", "renyi", "--s", "nan"],
+            "finite s > 0",
+        ),
+        (["suite", "example1", "--range-bits", "0"], "range_bits must be >= 1"),
+    ]
+    for argv, message in table:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_VALIDATION, ""), argv
+        assert message in captured.err, (argv, captured.err)
+
+
 def test_csv_format_flattens_headers(rho_path, sigma_path, capsys):
     code = main(
         ["measure", rho_path, sigma_path, "--divergence", "fidelity", "--format", "csv"]

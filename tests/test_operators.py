@@ -10,7 +10,7 @@ from privamp import (
     CQState,
     HermitianOperator,
     commutator_defect,
-    distinct_eigenvalue_count_iid,
+    distinct_eigenvalue_counts_iid,
     eig,
     mat_power,
     pinching,
@@ -163,25 +163,23 @@ def test_distinct_eigenvalue_count_iid_matches_dense():
     for _ in range(10):
         d = int(rng.integers(2, 4))
         sigma = rand_density(rng, d)
-        for n in (1, 2, 3):
-            fast = distinct_eigenvalue_count_iid(sigma, n)
-            dense = eig(tensor_power(sigma, n).mat).distinct_count
-            assert fast == dense
+        fast = distinct_eigenvalue_counts_iid(sigma, 3)
+        dense = [eig(tensor_power(sigma, n).mat).distinct_count for n in (1, 2, 3)]
+        assert fast == dense
 
 
 def test_distinct_eigenvalue_count_iid_with_kernel():
     sigma = np.diag([0.5, 0.25, 0.0])
     # spectra {1/2^a 1/4^b} stay powers of two: n+1 values off the kernel
-    for n in (1, 2, 3, 4):
-        got = distinct_eigenvalue_count_iid(sigma, n)
-        dense = eig(tensor_power(sigma, n).mat).distinct_count
-        assert got == dense
+    got = distinct_eigenvalue_counts_iid(sigma, 4)
+    dense = [eig(tensor_power(sigma, n).mat).distinct_count for n in (1, 2, 3, 4)]
+    assert got == dense
 
 
 def test_distinct_count_grows_polynomially_for_commuting_spectrum():
     sigma = np.diag([0.25, 0.75])
-    counts = [distinct_eigenvalue_count_iid(sigma, n) for n in (1, 4, 16, 64)]
-    assert counts == [2, 5, 17, 65]
+    counts = distinct_eigenvalue_counts_iid(sigma, 64)
+    assert [counts[n - 1] for n in (1, 4, 16, 64)] == [2, 5, 17, 65]
 
 
 # CQ state plumbing

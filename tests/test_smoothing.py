@@ -22,7 +22,7 @@ from privamp import (
     smoothing_certificate,
     tensor_power,
 )
-from privamp import smoothing
+from privamp import operators, smoothing
 from conftest import rand_commuting_pair, rand_density
 
 P = np.array([0.5, 0.5])
@@ -181,9 +181,16 @@ def test_spectrum_matches_dense_divergences():
         q = rng.dirichlet(np.ones(d)) * float(rng.uniform(0.5, 1.5))
         spec = SpectrumDistribution.from_vectors(p, q)
         curve = RenyiDivergenceCurve(np.diag(p), np.diag(q))
-        for alpha in (0.5, 1.5, 2.0, 4.0):
-            assert abs(spec.divergence(alpha) - curve.divergence(alpha).value) <= 1e-10
         assert abs(spec.dmax() - curve.dmax().value) <= 1e-10
+        for thr in (-0.5, 0.0, 0.5, 1.0):
+            assert abs(spec.mass_above(thr) - _dense_mass_above(np.diag(p), np.diag(q), thr)) <= 1e-12
+
+
+def _dense_mass_above(rho, sigma, thr: float) -> float:
+    """tr rho {rho > 2^thr sigma}, from the positive eigenspace of the dense difference."""
+    w, u = np.linalg.eigh(rho - np.exp2(thr) * sigma)
+    cols = u[:, w > 1e-12]
+    return float(np.trace(cols.conj().T @ rho @ cols).real)
 
 
 def test_spectrum_merges_identical_atoms():
@@ -195,11 +202,12 @@ def test_spectrum_merges_identical_atoms():
 def test_spectrum_convolution_is_additive():
     spec = SpectrumDistribution.from_vectors(P, Q)
     double = spec.convolve(spec)
-    for alpha in (0.5, 2.0, 3.0):
-        assert abs(double.divergence(alpha) - 2.0 * spec.divergence(alpha)) <= 1e-10
     assert abs(double.dmax() - 2.0 * spec.dmax()) <= 1e-10
     triple = iid_spectrum(spec, 3)
-    assert abs(triple.divergence(2.0) - 3.0 * spec.divergence(2.0)) <= 1e-10
+    assert abs(triple.dmax() - 3.0 * spec.dmax()) <= 1e-10
+    for n, spec_n in ((2, double), (3, triple)):
+        for lam in (-0.5 * n, 0.0, 0.5 * n):
+            assert abs(spec_n.smoothing_oracle(lam)[0] - _mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
 
 
 def test_spectrum_mass_above_matches_dense_positive_part():
@@ -238,7 +246,9 @@ def test_from_commuting_pair_requires_commuting():
     rho_c, sigma_c = rand_commuting_pair(rng, 3)
     spec = SpectrumDistribution.from_commuting_pair(rho_c, sigma_c)
     curve = RenyiDivergenceCurve(rho_c, sigma_c)
-    assert abs(spec.divergence(2.0) - curve.divergence(2.0).value) <= 1e-9
+    assert abs(spec.dmax() - curve.dmax().value) <= 1e-9
+    for thr in (0.0, 0.5):
+        assert abs(spec.mass_above(thr) - _dense_mass_above(rho_c, sigma_c, thr)) <= 1e-9
 
 
 def test_iid_certificate_ordering_and_oneshot_consistency():
@@ -248,9 +258,12 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
     for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 7)):
         assert cert.meta["commuting"]
         assert cert.lower - 1e-9 <= cert.exact <= cert.upper + 1e-9
-    one = smoothing_certificate(rho, sigma, r)
-    [iid_one] = iid_smoothing_certificate(rho, sigma, r, [1])
-    assert abs(one.exact - iid_one.exact) <= 1e-12
+    rng = np.random.default_rng(159)
+    for rho, sigma in ((rho, sigma), (rand_density(rng, 3), rand_density(rng, 3))):
+        one = smoothing_certificate(rho, sigma, r)
+        [iid_one] = iid_smoothing_certificate(rho, sigma, r, [1])
+        assert (one.lower, one.exact, one.meta["v_n"]) == (iid_one.lower, iid_one.exact, iid_one.meta["v_n"])
+        assert one.upper == min(iid_one.upper, one.meta["witness_achieved"])
 
 
 def test_iid_certificate_noncommuting_uses_dense_converse():
@@ -310,7 +323,14 @@ def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
         return [(c.lam, c.lower, c.upper, c.exact, c.meta) for c in certs]
 
     alone = [iid_smoothing_certificate(rho, sigma, r, [n])[0] for n in range(1, 41)]
-    assert rows(iid_smoothing_certificate(rho, sigma, r, range(1, 41))) == rows(alone)
+    calls = []
+    real_eig = operators.eig
+    monkeypatch.setattr(operators, "eig", lambda a: calls.append(a) or real_eig(a))
+    chained = iid_smoothing_certificate(rho, sigma, r, range(1, 41))
+    monkeypatch.setattr(operators, "eig", real_eig)
+    # one eig of sigma for the common eigenbasis and one for all 40 distinct-product counts
+    assert len(calls) == 2
+    assert rows(chained) == rows(alone)
     # a list that skips or goes back continues from the last spectrum or restarts
     ns = [9, 4, 4, 12, 2]
     assert rows(iid_smoothing_certificate(rho, sigma, r, ns)) == rows([alone[n - 1] for n in ns])
@@ -320,3 +340,4 @@ def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
     iid_smoothing_certificate(rho, sigma, r, range(1, 7))
     with pytest.raises(BudgetExceededError):
         iid_smoothing_certificate(rho, sigma, r, range(1, 8))
+
