@@ -43,7 +43,6 @@ from .exponents import (
     exponent_curve,
     pa_lower_exponent,
     pa_upper_exponent,
-    positive_part_decay_rate,
     rate_derivative,
     renyi_security_exponent,
     smoothing_exponent,
@@ -51,13 +50,9 @@ from .exponents import (
 from .smoothing import (
     SmoothingCertificate,
     SpectrumDistribution,
-    achievability_bound,
-    classical_smoothing_oracle,
     converse_bound,
     iid_smoothing_certificate,
-    iid_spectrum,
     pinched_smoothing_witness,
-    smooth_min_entropy,
     smoothing_certificate,
 )
 from .hashing import (

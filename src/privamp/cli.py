@@ -352,7 +352,7 @@ def _cmd_smooth(args):
         _require(1 <= args.n_min <= args.n_max, "--n-min must be in [1, --n-max]")
 
         def _nexp(x: float, n: int) -> float:
-            return math.inf if x <= 0 else -math.log2(x) / n
+            return math.inf if x <= 0 else 0.0 - math.log2(x) / n
 
         rows = []
         ns = range(args.n_min, args.n_max + 1)

@@ -40,7 +40,6 @@ REGIME_HIGH_RATE = "high-rate"
 REGIME_LOW_RATE = "low-rate"
 REGIME_DIVERGENT = "divergent"
 REGIME_INTERIOR = "interior"
-REGIME_UNBOUNDED = "unbounded-below"
 
 
 @dataclass(frozen=True)
@@ -164,31 +163,21 @@ def _as_cond_curve(state) -> ConditionalRenyiCurve:
     raise TypeError(f"expected a CQState or ConditionalRenyiCurve, got {type(state)!r}")
 
 
-def _pair_sup(rho, sigma, r: float) -> tuple[float, float, str]:
-    """(s*, sup_{s >= 0} s r - log2 Q_{1+s}(rho || sigma), regime) for a pair or its curve.
+def smoothing_exponent(rho, sigma, r: float) -> ExponentValue:
+    """Exponential decay rate of the iid smoothing quantity at budget rate r.
 
-    The regime is zero, with (0, 0), when r <= D(rho || sigma), and
-    divergent, with (inf, inf), when r >= D_max(rho || sigma).
+    Value (1/2) sup_{s >= 0} s (r - D_{1+s}(rho || sigma)) for a pair or its
+    curve: zero when r <= D(rho || sigma), +inf when r >= D_max(rho || sigma).
     """
     curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
     d1 = curve.umegaki().value
     if r <= d1 + RATE_TOL:
-        return 0.0, 0.0, REGIME_ZERO
+        return ExponentValue(0.0, 0.0, REGIME_ZERO)
     dmax = curve.dmax().value
     if r >= dmax - RATE_TOL:
-        return math.inf, math.inf, REGIME_DIVERGENT
+        return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT)
     (s_star,) = _maximizers(curve, [r], d1, dmax)
-    return s_star, s_star * r - curve.log2_q(1.0 + s_star), REGIME_INTERIOR
-
-
-def smoothing_exponent(rho, sigma, r: float) -> ExponentValue:
-    """Exponential decay rate of the iid smoothing quantity at budget rate r.
-
-    Value (1/2) sup_{s >= 0} s (r - D_{1+s}(rho || sigma)): zero when
-    r <= D(rho || sigma), +inf when r >= D_max(rho || sigma).
-    """
-    s_star, g, regime = _pair_sup(rho, sigma, r)
-    return ExponentValue(0.5 * max(g, 0.0), s_star, regime)
+    return ExponentValue(0.5 * max(s_star * r - curve.log2_q(1.0 + s_star), 0.0), s_star, REGIME_INTERIOR)
 
 
 def rate_derivative(state, s: float) -> float:
@@ -272,16 +261,6 @@ def pa_upper_exponent(state, rate: float) -> ExponentValue:
 def pa_lower_exponent(state, rate: float) -> ExponentValue:
     """Converse insecurity exponent max_{0 <= s <= 1} s (H_{1+s}(X|E) - rate)."""
     return _curve_points(_as_cond_curve(state), [rate], "lower", 1.0)[0].lower
-
-
-def positive_part_decay_rate(rho, sigma, a: float) -> ExponentValue:
-    """inf_{s >= 0} s (D_{1+s}(rho || sigma) - a), the iid positive-part decay rate.
-
-    Zero when a <= D(rho || sigma). For a >= D_max the infimum is unbounded
-    below; that is reported as value -inf with an inf optimizer marker.
-    """
-    s_star, g, regime = _pair_sup(rho, sigma, a)
-    return ExponentValue(min(0.0, -g), s_star, REGIME_UNBOUNDED if regime == REGIME_DIVERGENT else regime)
 
 
 def equivocation_rate(state, rate: float, s: float) -> float:

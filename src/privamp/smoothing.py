@@ -7,7 +7,10 @@ certified [converse, achievability] bracket plus an explicit pinched witness.
 iid_smoothing_certificate is the one certificate path and computes each
 n-independent object once; the one-shot certificate is its n = 1 case
 tightened by the witness. Commuting iid inputs never materialize tensor
-powers: the joint spectrum is convolved as a weighted atom list.
+powers: the joint spectrum is a list of atoms, each a log-likelihood ratio
+log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
+The water-filling oracle, the converse mass and D_max read only that list,
+so each is a prefix or suffix sum over it and the oracle is in closed form.
 """
 
 from __future__ import annotations
@@ -31,82 +34,17 @@ from .operators import (
     tensor_power,
 )
 from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve
-from .states import CQState, StateDescriptor, _as_state_matrix
+from .states import StateDescriptor, _as_state_matrix
 
 KKT_TOL = 1e-9
 WITNESS_PSD_TOL = 1e-9
 MERGE_TOL = 1e-12
-WATER_FILL_ITERS = 60
-SMOOTH_MIN_ENTROPY_RESOLUTION = 1e-6
 DEFAULT_CONVERSE_T = 9.0
 _EXP2_CLIP = 1000.0
 
 
 def _exp2_clipped(x: float) -> float:
     return float(np.exp2(min(x, _EXP2_CLIP)))
-
-
-def _water_fill(p, q, lam: float):
-    """(p, p', target) with p'_x = min(c p_x, 2^lam q_x) of total mass target.
-
-    target = min(1, total cap mass) and c is found by bisection. KKT
-    residuals of the solution are checked to KKT_TOL.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"p and q must be equal-length vectors, got {p.shape} and {q.shape}")
-    if float(p.min(initial=0.0)) < -1e-12 or float(q.min(initial=0.0)) < -1e-12:
-        raise ValueError("p and q must be nonnegative")
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"p must be normalized, sums to {p.sum()!r}")
-    factor = _exp2_clipped(lam)
-    cap = np.where(q > 0, factor * q, 0.0)
-    supp = p > 0
-    total_cap = float(cap[supp].sum())
-    if total_cap <= 1.0:
-        ptilde = np.where(supp, cap, 0.0)
-        target = total_cap
-    else:
-        def mass(c: float) -> float:
-            return float(np.minimum(c * p[supp], cap[supp]).sum())
-
-        c_hi = 1.0
-        guard = 0
-        while mass(c_hi) < 1.0:
-            c_hi *= 2.0
-            guard += 1
-            if guard > 300:
-                raise ArithmeticError("water-filling bisection failed to bracket")
-        c_lo = 0.0
-        for _ in range(WATER_FILL_ITERS):
-            mid = 0.5 * (c_lo + c_hi)
-            if mass(mid) < 1.0:
-                c_lo = mid
-            else:
-                c_hi = mid
-        ptilde = np.where(supp, np.minimum(c_hi * p, cap), 0.0)
-        target = 1.0
-    resid = abs(float(ptilde.sum()) - target)
-    if resid > KKT_TOL:
-        raise ArithmeticError(f"water-filling mass residual {resid:.3e} exceeds {KKT_TOL}")
-    if float((ptilde - cap).max(initial=0.0)) > KKT_TOL:
-        raise ArithmeticError("water-filling cap constraint violated")
-    return p, ptilde, target
-
-
-def classical_smoothing_oracle(p, q, lam: float):
-    """Exact smoothing of a classical pair: min purified distance to p' <= 2^lam q.
-
-    Water-filling: p'_x = min(c p_x, 2^lam q_x) with c chosen by bisection so
-    that the total mass is min(1, total cap mass). Returns (epsilon, p') with
-    epsilon = sqrt(1 - F^2), F = sum sqrt(p p'). KKT residuals of the
-    solution are checked to KKT_TOL internally.
-    """
-    p, ptilde, target = _water_fill(p, q, lam)
-    return _purified_epsilon(p, ptilde, target), ptilde
 
 
 def _purified_epsilon(p, ptilde, target: float) -> float:
@@ -159,17 +97,6 @@ def _least_achievability(s, d, v_count: int, lam: float) -> float:
     return float(np.exp2(np.min(log2_bounds, initial=0.0)))
 
 
-def achievability_bound(rho, sigma, lam: float, s: float) -> float:
-    """Pinching-based upper bound on the smoothing quantity at budget lam, order 1+s."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    curve = rho if isinstance(rho, RenyiDivergenceCurve) else RenyiDivergenceCurve(rho, sigma)
-    v = eig(_as_matrix(sigma)).distinct_count
-    return _least_achievability(s, curve.divergence(1.0 + s).value, v, lam)
-
-
 def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> float:
     """Lower bound on the smoothing quantity from the mass above t 2^lam sigma.
 
@@ -210,28 +137,28 @@ def _converse_from_mass(p: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class SpectrumDistribution:
-    """Joint spectrum of a commuting pair as weighted atoms.
+    """Joint spectrum of a commuting pair as weighted atoms, sorted by ratio.
 
-    Each atom is an eigenvalue class: log2_p and log2_q are the log
-    eigenvalues of rho and sigma on that class and weight is the total
-    rho-mass (eigenvalue times multiplicity), so weights sum to tr rho.
-    Atoms with zero rho-eigenvalue are dropped; log2_q may be -inf.
+    Each atom is a class of joint eigenvalues (p, q) of rho and sigma with
+    one log-likelihood ratio llr = log2 p - log2 q (+inf where q = 0); weight
+    is its total rho-mass, so weights sum to tr rho. Atoms with zero rho-mass
+    are dropped, and llr is ascending.
     """
 
-    log2_p: np.ndarray
-    log2_q: np.ndarray
+    llr: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.log2_p, self.log2_q, self.weight):
-            if arr.shape != self.log2_p.shape or arr.ndim != 1:
-                raise ValueError("atom arrays must be equal-length vectors")
+        if self.llr.shape != self.weight.shape or self.llr.ndim != 1:
+            raise ValueError("atom arrays must be equal-length vectors")
         if float(self.weight.min(initial=0.0)) < -1e-12:
             raise ValueError("atom weights must be nonnegative")
+        if np.any(self.llr[1:] < self.llr[:-1]):
+            raise ValueError("atom log-likelihood ratios must be ascending")
 
     @property
     def natoms(self) -> int:
-        return self.log2_p.size
+        return self.llr.size
 
     @property
     def total_mass(self) -> float:
@@ -243,9 +170,7 @@ class SpectrumDistribution:
         q = np.asarray(q, dtype=float)
         keep = p > 0
         with np.errstate(divide="ignore"):
-            return _merge_atoms(
-                np.log2(p[keep]), np.log2(np.where(q[keep] > 0, q[keep], 0.0)), p[keep]
-            )
+            return _merge_atoms(np.log2(p[keep]) - np.log2(np.maximum(q[keep], 0.0)), p[keep])
 
     @classmethod
     def from_commuting_pair(cls, rho, sigma) -> "SpectrumDistribution":
@@ -260,72 +185,72 @@ class SpectrumDistribution:
         return cls.from_vectors(pv, qv)
 
     def convolve(self, other: "SpectrumDistribution") -> "SpectrumDistribution":
-        """Tensor-product spectrum: atomwise sums of logs, products of weights."""
-        lp = (self.log2_p[:, None] + other.log2_p[None, :]).ravel()
-        with np.errstate(invalid="ignore"):
-            lq = (self.log2_q[:, None] + other.log2_q[None, :]).ravel()
+        """Tensor-product spectrum: atomwise sums of ratios, products of weights."""
+        llr = (self.llr[:, None] + other.llr[None, :]).ravel()
         wt = (self.weight[:, None] * other.weight[None, :]).ravel()
-        out = _merge_atoms(lp, lq, wt)
+        out = _merge_atoms(llr, wt)
         if out.natoms > ATOM_CAP:
             raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {ATOM_CAP}")
         return out
 
     def dmax(self) -> float:
-        pos = self.weight > 0
-        if not pos.any():
-            return -math.inf
-        return float((self.log2_p[pos] - self.log2_q[pos]).max())
+        return float(self.llr[-1]) if self.natoms else -math.inf
 
     def mass_above(self, log2_threshold: float) -> float:
-        """rho-mass of atoms with log2 p > log2_threshold + log2 q."""
-        with np.errstate(invalid="ignore"):
-            cond = self.log2_p > log2_threshold + self.log2_q
-        return float(self.weight[cond].sum())
+        """rho-mass of atoms with llr > log2_threshold."""
+        return float(self.weight[np.searchsorted(self.llr, log2_threshold, side="right") :].sum())
 
-    def smoothing_oracle(self, lam: float):
-        """Exact water-filling on the atom classes; returns (epsilon, atom p').
+    def smoothing_oracle(self, lam: float) -> float:
+        """Exact water-filling epsilon on the atoms, in closed form.
 
-        The weights are renormalized, since n-fold convolution drifts their sum
-        by about 1e-14.
+        p'_x = min(c p_x, 2^lam q_x) caps exactly the atoms whose ratio
+        2^lam q_x / p_x lies below c, a suffix of the llr order. With atoms
+        k.. capped, c = (1 - their cap mass) / (p mass of atoms ..k-1), and k
+        is the first atom whose ratio c reaches: the first at whose ratio the
+        water-filled mass is at most 1. If the total cap mass is at most 1,
+        every atom is capped. The weights are renormalized, since n-fold
+        convolution drifts their sum by about 1e-14.
         """
-        if abs(self.total_mass - 1.0) > 1e-9:
-            raise ValueError(f"spectrum mass {self.total_mass!r} is not 1; oracle needs a normalized rho")
-        with np.errstate(invalid="ignore", over="ignore"):
-            q_eff = self.weight * np.exp2(np.clip(self.log2_q - self.log2_p, -_EXP2_CLIP, _EXP2_CLIP))
-        q_eff = np.where(np.isneginf(self.log2_q), 0.0, q_eff)
-        p, ptilde, target = _water_fill(self.weight / self.total_mass, q_eff, lam)
-        return _purified_epsilon(p, ptilde, target), ptilde
+        total = self.total_mass
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"spectrum mass {total!r} is not 1; oracle needs a normalized rho")
+        p = self.weight / total
+        # q = weight 2^-llr keeps its mass, so the cap 2^lam q is total 2^(lam - llr) p
+        with np.errstate(invalid="ignore"):
+            ratio = total * np.exp2(np.minimum(lam - self.llr, _EXP2_CLIP))
+        ratio[np.isposinf(self.llr)] = 0.0  # q = 0: no cap, also at lam = inf
+        cap = ratio * p
+        # tail[k] is the cap mass of atoms k.., head[k - 1] the p mass of atoms ..k-1
+        tail = np.append(np.cumsum(cap[::-1])[::-1], 0.0)
+        target = float(tail[0])
+        if target <= 1.0:
+            ptilde = cap
+        else:
+            head = np.cumsum(p)
+            k = 1 + int(np.argmax(np.append(ratio[1:], 0.0) * head + tail[1:] <= 1.0))
+            c = (1.0 - tail[k]) / head[k - 1]
+            ptilde, target = np.minimum(c * p, cap), 1.0
+        resid = abs(float(ptilde.sum()) - target)
+        if resid > KKT_TOL:
+            raise ArithmeticError(f"water-filling mass residual {resid:.3e} exceeds {KKT_TOL}")
+        if float((ptilde - cap).max(initial=0.0)) > KKT_TOL:
+            raise ArithmeticError("water-filling cap constraint violated")
+        return _purified_epsilon(p, ptilde, target)
 
 
-def _merge_atoms(lp: np.ndarray, lq: np.ndarray, wt: np.ndarray, tol: float = MERGE_TOL) -> SpectrumDistribution:
+def _merge_atoms(llr: np.ndarray, wt: np.ndarray) -> SpectrumDistribution:
+    """Atoms sorted by llr, with ratios within MERGE_TOL of their neighbour summed into one."""
     keep = wt > 0
-    lp, lq, wt = lp[keep], lq[keep], wt[keep]
-    if lp.size == 0:
-        return SpectrumDistribution(lp, lq, wt)
-    order = np.lexsort((lq, lp))
-    lp, lq, wt = lp[order], lq[order], wt[order]
+    llr, wt = llr[keep], wt[keep]
+    order = np.argsort(llr, kind="stable")
+    llr, wt = llr[order], wt[order]
     with np.errstate(invalid="ignore"):
-        dp = np.abs(np.diff(lp))
-        dq = np.abs(np.diff(lq))
-    # nan differences come from matching -inf log2_q entries: same class
-    new_group = (dp > tol) | (dq > tol)
-    starts = np.concatenate(([True], new_group))
-    idx = np.flatnonzero(starts)
-    merged_w = np.add.reduceat(wt, idx)
-    out_lp, out_lq, out_w = lp[idx].copy(), lq[idx].copy(), merged_w
-    for arr in (out_lp, out_lq, out_w):
+        # nan differences come from two +inf ratios: same class
+        starts = np.flatnonzero(np.diff(llr, prepend=-math.inf) > MERGE_TOL)
+    out_llr, out_w = llr[starts], np.add.reduceat(wt, starts)
+    for arr in (out_llr, out_w):
         arr.flags.writeable = False
-    return SpectrumDistribution(out_lp, out_lq, out_w)
-
-
-def iid_spectrum(base: SpectrumDistribution, n: int) -> SpectrumDistribution:
-    """n-fold convolution of a base joint spectrum with atom merging."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = base
-    for _ in range(n - 1):
-        out = out.convolve(base)
-    return out
+    return SpectrumDistribution(out_llr, out_w)
 
 
 @dataclass(frozen=True)
@@ -395,11 +320,14 @@ def iid_smoothing_certificate(
     The s-grid divergences, the commuting decision, the base spectrum and
     the distinct-eigenvalue counts v_1..v_max(ns) of sigma's tensor powers do
     not depend on n and are computed once. Commuting pairs get the exact
-    spectrum-path epsilon plus the bracket; the n-fold spectrum continues the
-    convolution chain of the previous n (restarting from the base when n
-    decreases), the same chain iid_spectrum runs. Non-commuting pairs get the
-    bracket only, with the converse computed on a dense tensor power under a
-    budget.
+    spectrum-path epsilon plus the bracket; the n-fold spectrum is the
+    previous n's convolved with the base once more (restarting from the base
+    when n decreases), so a list 1..N convolves N - 1 times. The base is the
+    spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
+    that decide the budget n r then sum to near 0, where each convolution
+    rounds them finest, instead of to near n r. Non-commuting
+    pairs get the bracket only, with the converse computed on a dense tensor
+    power under a budget.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -413,7 +341,11 @@ def iid_smoothing_certificate(
     s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     commuting = commutes(rm, sm)
-    base = SpectrumDistribution.from_commuting_pair(rm, sm) if commuting else None
+    base = None
+    if commuting:
+        shift = min(max(r, -_EXP2_CLIP), _EXP2_CLIP)  # so that n shift stays finite
+        joint = SpectrumDistribution.from_commuting_pair(rm, sm)
+        base = SpectrumDistribution(joint.llr - shift, joint.weight)
     spectrum, power = base, 1
     certificates = []
     for n in ns:
@@ -425,8 +357,9 @@ def iid_smoothing_certificate(
                 spectrum, power = base, 1
             while power < n:
                 spectrum, power = spectrum.convolve(base), power + 1
-            exact, _ = spectrum.smoothing_oracle(lam)
-            lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam), t)
+            lam_shifted = lam - n * shift  # 0 unless |r| > _EXP2_CLIP
+            exact = spectrum.smoothing_oracle(lam_shifted)
+            lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam_shifted), t)
         else:
             exact = None
             lower = converse_bound(tensor_power(rm, n), tensor_power(sm, n), lam, t)
@@ -441,41 +374,3 @@ def iid_smoothing_certificate(
             )
         )
     return certificates
-
-
-def smooth_min_entropy(cq: CQState, eps: float) -> float:
-    """Smooth min-entropy H_min^eps(X|E) of a commuting CQ state.
-
-    Defined through the exact smoothing oracle: the negative of the least
-    budget lambda at which the smoothing quantity against 1_X (x) rho_E drops
-    to eps, located by bisection to SMOOTH_MIN_ENTROPY_RESOLUTION in lambda.
-    Requires every conditional to commute with the marginal (classical_pair
-    raises otherwise); non-commuting inputs should use certificate bounds
-    instead.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    p, q = cq.classical_pair()
-    spectrum = SpectrumDistribution.from_vectors(p, q)
-
-    def eps_at(lam: float) -> float:
-        return spectrum.smoothing_oracle(lam)[0]
-
-    hi = spectrum.dmax()
-    if eps_at(hi) > eps:
-        raise ArithmeticError("smoothing at the max-relative-entropy budget is not zero")
-    step = 1.0
-    lo = hi - step
-    while eps_at(lo) <= eps:
-        hi = lo
-        step *= 2.0
-        lo = hi - step
-        if step > 2.0**64:
-            raise ArithmeticError("failed to bracket the smoothing budget")
-    while hi - lo > SMOOTH_MIN_ENTROPY_RESOLUTION:
-        mid = 0.5 * (lo + hi)
-        if eps_at(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return -hi

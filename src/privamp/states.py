@@ -11,8 +11,6 @@ from .operators import (
     BudgetExceededError,
     HermitianOperator,
     _as_matrix,
-    commutes,
-    joint_eigenvalues,
 )
 
 PSD_TOL = 1e-10
@@ -170,37 +168,6 @@ class CQState:
             probs = np.outer(probs, self.probs).ravel()
             conds = [np.kron(a, b) for a in conds for b in self.conditionals]
         return CQState(probs, conds)
-
-    def is_commuting(self) -> bool:
-        """Whether every conditional commutes with the marginal rho_E (operators.commutes)."""
-        re = self.rho_e()
-        return all(
-            commutes(c, re)
-            for px, c in zip(self.probs, self.conditionals)
-            if px > 0
-        )
-
-    def classical_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Joint eigenvalue vectors (p, q) of rho_XE and 1_X (x) rho_E.
-
-        Valid only when every conditional commutes with rho_E; then each block
-        is simultaneously diagonalizable with the marginal and the pair of
-        operators reduces to two nonnegative vectors with sum(p) = 1.
-        """
-        re = self.rho_e()
-        if not self.is_commuting():
-            raise ValueError(
-                "conditionals do not commute with the marginal; "
-                "no joint classical spectrum exists (use certificate bounds instead)"
-            )
-        ps, qs = [], []
-        for px, c in zip(self.probs, self.conditionals):
-            if px <= 0:
-                continue
-            qv, cv = joint_eigenvalues(re, c)
-            ps.append(px * cv)
-            qs.append(qv)
-        return np.concatenate(ps), np.concatenate(qs)
 
     def __repr__(self) -> str:
         return f"CQState(nsymbols={self.nsymbols}, dim_e={self.dim_e})"

@@ -274,6 +274,15 @@ def test_smooth_iid_rows(rho_path, sigma_path, capsys):
         assert float(r["exact"]) <= float(r["upper"]) + 1e-9
 
 
+def test_smooth_iid_writes_no_negative_zero(rho_path, sigma_path, capsys):
+    # at t = inf the achievability bound is clipped to 1, whose exponent is 0
+    code = main(["smooth", rho_path, sigma_path, "--rate", "0.5", "--t", "inf", "--n-max", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["exponent_lo"] == 0.0
+    assert "-0.0" not in out
+
+
 def test_smooth_requires_exactly_one_mode(rho_path, sigma_path, capsys):
     assert main(["smooth", rho_path, sigma_path]) == EXIT_VALIDATION
     capsys.readouterr()

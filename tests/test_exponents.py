@@ -17,7 +17,6 @@ from privamp import (
     exponent_curve,
     pa_lower_exponent,
     pa_upper_exponent,
-    positive_part_decay_rate,
     rate_derivative,
     renyi_security_exponent,
     smoothing_exponent,
@@ -306,21 +305,6 @@ def test_renyi_security_exponent_clamps_to_zero():
     ren = renyi_security_exponent(curve, curve.h1() + 0.3, 0.5)
     assert ren.value == 0.0
     assert ren.maximizer_s == 0.5
-
-
-def test_positive_part_decay_rate_cases():
-    p = np.diag([0.5, 0.5])
-    q = np.diag([0.25, 0.75])
-    curve = RenyiDivergenceCurve(p, q)
-    d1, dmax = curve.umegaki().value, curve.dmax().value
-    assert positive_part_decay_rate(p, q, d1 - 0.01).value == 0.0
-    deep = positive_part_decay_rate(p, q, dmax + 0.1)
-    assert deep.value == -math.inf and deep.regime == "unbounded-below"
-    a = 0.5 * (d1 + dmax)
-    mid = positive_part_decay_rate(p, q, a)
-    want = -_two_stage_grid_max(lambda s: s * a - curve.log2_q(1.0 + s), 0.0, 64.0)
-    assert mid.value <= 0.0
-    assert abs(mid.value - min(want, 0.0)) <= 1e-9
 
 
 def test_exponent_curve_modes_and_metadata():

@@ -3,9 +3,10 @@
 No linter ships with the project, so this ast pass stands in for one. It
 reads src/privamp/*.py and fails on any name bound by an import that the
 module never references (__init__.py is skipped: its imports are the public
-re-exports), and on any private name (a module-level function, class or
+re-exports), on any private name (a module-level function, class or
 assigned constant, or a method of a module-level class, starting with _)
-that no module of the package references.
+that no module of the package references, and on any module-level
+UPPER_CASE constant, public or private, that the package never reads.
 """
 
 from __future__ import annotations
@@ -75,14 +76,19 @@ def _private_definitions(tree: ast.Module):
                     yield item.name, item.lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
-            continue
+            names = _assigned_names(node)
         for name in names:
             if _is_private(name):
                 yield name, node.lineno
+
+
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """Names bound by a module-level assignment; none for any other statement."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
 def _is_private(name: str) -> bool:
@@ -122,3 +128,19 @@ def test_no_unreferenced_private_names(path):
     used = _package_references()
     dead = sorted((line, name) for name, line in _private_definitions(tree) if name not in used)
     assert not dead, f"{path.name}: private names never referenced " + ", ".join(f"{n} (line {l})" for l, n in dead)
+
+
+def _constant_definitions(tree: ast.Module):
+    """(name, line) of each module-level assigned name in UPPER_CASE."""
+    for node in tree.body:
+        for name in _assigned_names(node):
+            if name.isupper():
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unreferenced_constants(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _package_references()
+    dead = sorted((line, name) for name, line in _constant_definitions(tree) if name not in used)
+    assert not dead, f"{path.name}: constants never referenced " + ", ".join(f"{n} (line {l})" for l, n in dead)

@@ -224,27 +224,6 @@ def test_cq_tensor_power_counts_and_caps():
         big.tensor_power(10)
 
 
-def test_cq_classical_pair_reproduces_joint_spectrum():
-    rng = np.random.default_rng(53)
-    probs = rng.dirichlet(np.ones(3))
-    base = rand_density(rng, 2)
-    w, v = np.linalg.eigh(base)
-    conds = [(v * rng.dirichlet(np.ones(2))) @ v.conj().T for _ in range(3)]
-    cq = CQState(probs, conds)
-    assert cq.is_commuting()
-    p, q = cq.classical_pair()
-    assert abs(p.sum() - 1.0) <= 1e-10
-    joint = np.sort(np.linalg.eigvalsh(cq.to_density().mat))
-    assert np.max(np.abs(np.sort(p) - joint)) <= 1e-9
-
-
-def test_cq_noncommuting_detected():
-    cq = CQState([0.5, 0.5], [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])
-    assert not cq.is_commuting()
-    with pytest.raises(ValueError):
-        cq.classical_pair()
-
-
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
 def test_commuting_decision_agrees_at_the_scaled_tolerance(inside):
     # a CQ state whose conditional a nearly commutes with the marginal rho_E;
@@ -264,10 +243,9 @@ def test_commuting_decision_agrees_at_the_scaled_tolerance(inside):
 
     # the defect grows as sin(2 theta), linear to far below 1% at these angles
     theta = 1e-7 / state(1e-7)[2] * (0.99 if inside else 1.01)
-    cq, rho_e, ratio = state(theta)
+    _, rho_e, ratio = state(theta)
     assert abs(ratio - (0.99 if inside else 1.01)) <= 1e-3
     assert commutes(a, rho_e) == inside
-    assert cq.is_commuting() == inside
     if inside:
         SpectrumDistribution.from_commuting_pair(a, rho_e)
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -7,18 +8,13 @@ import pytest
 
 from privamp import (
     BudgetExceededError,
-    CQState,
     RenyiDivergenceCurve,
     SpectrumDistribution,
-    achievability_bound,
-    classical_smoothing_oracle,
     converse_bound,
     iid_smoothing_certificate,
-    iid_spectrum,
     max_relative_entropy,
     pinched_smoothing_witness,
     positive_part_trace,
-    smooth_min_entropy,
     smoothing_certificate,
     tensor_power,
 )
@@ -29,18 +25,25 @@ P = np.array([0.5, 0.5])
 Q = np.array([0.25, 0.75])
 
 
+def _oracle(p, q, lam: float) -> float:
+    return SpectrumDistribution.from_vectors(p, q).smoothing_oracle(lam)
+
+
+def _iid(base: SpectrumDistribution, n: int) -> SpectrumDistribution:
+    """n-fold spectrum by the convolution chain the certificate runs."""
+    return functools.reduce(SpectrumDistribution.convolve, [base] * n)
+
+
 def test_oracle_water_filling_at_zero_budget():
-    eps, ptilde = classical_smoothing_oracle(P, Q, 0.0)
-    assert np.max(np.abs(ptilde - Q)) <= 1e-12
+    eps = _oracle(P, Q, 0.0)
     assert abs(eps - math.sin(math.pi / 12.0)) <= 1e-12
 
 
 def test_oracle_saturates_at_max_relative_entropy():
     dmax = max_relative_entropy(np.diag(P), np.diag(Q)).value
-    eps, ptilde = classical_smoothing_oracle(P, Q, dmax)
+    eps = _oracle(P, Q, dmax)
     assert eps <= 1e-9
-    assert np.max(np.abs(ptilde - P)) <= 1e-9
-    eps_above, _ = classical_smoothing_oracle(P, Q, dmax + 1.0)
+    eps_above = _oracle(P, Q, dmax + 1.0)
     assert eps_above == 0.0
 
 
@@ -51,21 +54,28 @@ def test_oracle_epsilon_decreases_in_budget():
         p = rng.dirichlet(np.ones(d))
         q = rng.dirichlet(np.ones(d)) * float(rng.uniform(0.5, 1.5))
         lams = np.linspace(-1.0, 3.0, 9)
-        eps = [classical_smoothing_oracle(p, q, lam)[0] for lam in lams]
+        eps = [_oracle(p, q, lam) for lam in lams]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
-        for lam in lams:
-            e, ptilde = classical_smoothing_oracle(p, q, lam)
-            caps = np.exp2(lam) * q
-            assert np.all(ptilde <= caps + 1e-9)
+        for lam, e in zip(lams, eps):
             assert abs(e - _mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-9
 
 
 def test_oracle_handles_reference_zeros():
     p = np.array([0.6, 0.4])
     q = np.array([1.0, 0.0])
-    eps, ptilde = classical_smoothing_oracle(p, q, 1.0)
-    assert ptilde[1] == 0.0
+    eps = _oracle(p, q, 1.0)
     assert abs(eps - math.sqrt(1.0 - 0.6)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [((0.2, 0.4, 0.4), (0.1, 0.2, 0.7)), ((0.3, 0.3, 0.4), (0.0, 0.5, 0.5))],
+    ids=["equal-ratio-tie", "reference-zero"],
+)
+def test_oracle_matches_reference_on_ties_and_zeros(p, q):
+    # lam = -3 caps every atom; the atom with q = 0 has an infinite ratio
+    for lam in (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        assert abs(_oracle(p, q, lam) - _mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-12, lam
 
 
 def _compositions(n: int, parts: int):
@@ -165,8 +175,9 @@ def test_achievability_and_converse_standalone():
     rho = np.diag([0.5, 0.5])
     sigma = np.diag([0.25, 0.75])
     lam = 0.5
-    exact, _ = classical_smoothing_oracle(P, Q, lam)
-    up = achievability_bound(rho, sigma, lam, s=1.0)
+    exact = _oracle(P, Q, lam)
+    # the order-2 pinching bound, v = 2 distinct eigenvalues of sigma
+    up = smoothing._least_achievability(1.0, RenyiDivergenceCurve(rho, sigma).divergence(2.0).value, 2, lam)
     lo = converse_bound(rho, sigma, lam)
     assert 0.0 <= lo <= exact + 1e-12
     assert exact <= up + 1e-12
@@ -197,24 +208,33 @@ def test_spectrum_merges_identical_atoms():
     spec = SpectrumDistribution.from_vectors(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     assert spec.natoms == 1
     assert abs(spec.total_mass - 1.0) <= 1e-15
+    # two atoms share the ratio p / q = 2 though their (p, q) differ
+    spec = SpectrumDistribution.from_vectors(np.array([0.2, 0.4, 0.4]), np.array([0.1, 0.2, 0.7]))
+    assert spec.natoms == 2
+    assert abs(spec.mass_above(0.5) - 0.6) <= 1e-15
+
+
+def test_spectrum_rejects_unsorted_ratios():
+    with pytest.raises(ValueError, match="ascending"):
+        SpectrumDistribution(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
 
 def test_spectrum_convolution_is_additive():
     spec = SpectrumDistribution.from_vectors(P, Q)
     double = spec.convolve(spec)
     assert abs(double.dmax() - 2.0 * spec.dmax()) <= 1e-10
-    triple = iid_spectrum(spec, 3)
+    triple = _iid(spec, 3)
     assert abs(triple.dmax() - 3.0 * spec.dmax()) <= 1e-10
     for n, spec_n in ((2, double), (3, triple)):
         for lam in (-0.5 * n, 0.0, 0.5 * n):
-            assert abs(spec_n.smoothing_oracle(lam)[0] - _mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
+            assert abs(spec_n.smoothing_oracle(lam) - _mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
 
 
 def test_spectrum_mass_above_matches_dense_positive_part():
     n = 3
     rho_n = tensor_power(np.diag(P), n).mat
     sigma_n = tensor_power(np.diag(Q), n).mat
-    spec_n = iid_spectrum(SpectrumDistribution.from_vectors(P, Q), n)
+    spec_n = _iid(SpectrumDistribution.from_vectors(P, Q), n)
     for thr in (0.0, 0.5, 1.2):
         # mass of rho on eigenspaces where rho > 2^thr sigma
         dense = positive_part_trace(rho_n - np.exp2(thr) * sigma_n)
@@ -230,10 +250,10 @@ def test_spectrum_oracle_agrees_with_classical_oracle():
     rng = np.random.default_rng(139)
     p = rng.dirichlet(np.ones(4))
     q = rng.dirichlet(np.ones(4))
-    spec = SpectrumDistribution.from_vectors(p, q)
+    spec = SpectrumDistribution.from_commuting_pair(np.diag(p), np.diag(q))
     for lam in (-0.5, 0.2, 1.0):
-        eps_spec, _ = spec.smoothing_oracle(lam)
-        eps_cls, _ = classical_smoothing_oracle(p, q, lam)
+        eps_spec = spec.smoothing_oracle(lam)
+        eps_cls = _oracle(p, q, lam)
         assert abs(eps_spec - eps_cls) <= 1e-12
 
 
@@ -289,28 +309,6 @@ def test_certificate_rejects_crossed_brackets():
         SmoothingCertificate(lam=1.0, lower=0.1, upper=0.4, exact=0.6)
 
 
-def test_smooth_min_entropy_brackets_hmin():
-    cq = CQState.classical([1 / 3, 2 / 3])
-    hmin = math.log2(1.5)
-    tight = smooth_min_entropy(cq, 1e-6)
-    loose = smooth_min_entropy(cq, 1e-2)
-    assert tight >= hmin - 1e-5
-    assert loose >= tight - 1e-9
-    assert abs(tight - hmin) <= 1e-3
-
-
-def test_smooth_min_entropy_input_validation():
-    cq = CQState.classical([1 / 3, 2 / 3])
-    for eps in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
-            smooth_min_entropy(cq, eps)
-    noncommuting = CQState(
-        [0.5, 0.5], [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
-    )
-    with pytest.raises(ValueError):
-        smooth_min_entropy(noncommuting, 0.01)
-
-
 def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
     rng = np.random.default_rng(157)
     rho, sigma = rand_commuting_pair(rng, 3)
@@ -335,7 +333,7 @@ def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
     ns = [9, 4, 4, 12, 2]
     assert rows(iid_smoothing_certificate(rho, sigma, r, ns)) == rows([alone[n - 1] for n in ns])
     # the atom cap still stops the chain at the first n whose spectrum exceeds it
-    cap = iid_spectrum(SpectrumDistribution.from_commuting_pair(rho, sigma), 6).natoms
+    cap = _iid(SpectrumDistribution.from_commuting_pair(rho, sigma), 6).natoms
     monkeypatch.setattr(smoothing, "ATOM_CAP", cap)
     iid_smoothing_certificate(rho, sigma, r, range(1, 7))
     with pytest.raises(BudgetExceededError):
