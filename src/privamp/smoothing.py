@@ -11,6 +11,8 @@ powers: the joint spectrum is a list of atoms, each a log-likelihood ratio
 log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
 The water-filling oracle, the converse mass and D_max read only that list,
 so each is a prefix or suffix sum over it and the oracle is in closed form.
+Non-commuting qubit pairs form no tensor power either: their converse is
+read from the Schur-Weyl blocks of the n-fold pair.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .operators import (
     BudgetExceededError,
     SUPPORT_CUT,
     _as_matrix,
+    _blas_threads_for,
     commutator_defect,
     commutes,
     distinct_eigenvalue_counts_iid,
@@ -93,7 +96,9 @@ def _least_achievability(s, d, v_count: int, lam: float) -> float:
     Taken in log space: exp2 is monotone, so the least bound is exp2 of the
     least log2 bound, and an infinite D gives no bound below 1.
     """
-    log2_bounds = 0.5 * (1.0 + s * math.log2(v_count) + s * (d - lam))
+    # D = inf gives no bound below 1, also at lam = inf; a gap past _EXP2_CLIP gives 0 or 1 either way
+    gap = np.subtract(d, lam, out=np.full(np.shape(d), math.inf), where=np.isfinite(d))
+    log2_bounds = 0.5 * (1.0 + s * math.log2(v_count) + s * np.clip(gap, -_EXP2_CLIP, _EXP2_CLIP))
     return float(np.exp2(np.min(log2_bounds, initial=0.0)))
 
 
@@ -108,6 +113,13 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
     c = t * float(np.exp2(lam)) if lam < _EXP2_CLIP else math.inf
+    with _blas_threads_for(rm.shape[0]):
+        p = _dense_converse_mass(rm, sm, c)
+    return _converse_from_mass(p, t)
+
+
+def _dense_converse_mass(rm: np.ndarray, sm: np.ndarray, c: float) -> float:
+    """tr rho {rho > c sigma}, with c = inf meaning rho's mass on the kernel of sigma."""
     if math.isinf(c):
         sd = eig(sm)
         wmax = float(sd.eigenvalues[0])
@@ -117,22 +129,103 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
         k = sd.eigenvectors[:, kernel]
         a = k.conj().T @ rm @ k
         w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        p = float(w[w > 0].sum())
-    else:
-        diff = rm - c * sm
-        w, u = np.linalg.eigh(diff)
-        pos = w > 1e-12 * (1.0 + float(np.max(np.abs(w))))
-        if not pos.any():
-            return 0.0
-        cols = u[:, pos]
-        p = float(np.einsum("ij,jk,ki->", cols.conj().T, rm, cols).real)
-    return _converse_from_mass(p, t)
+        return float(w[w > 0].sum())
+    diff = rm - c * sm
+    w, u = np.linalg.eigh(diff)
+    pos = w > 1e-12 * (1.0 + float(np.max(np.abs(w))))
+    if not pos.any():
+        return 0.0
+    cols = u[:, pos]
+    return float(np.vdot(cols, rm @ cols).real)
 
 
 def _converse_from_mass(p: float, t: float) -> float:
     p = min(max(p, 0.0), 1.0)
     inner = 1.0 - 2.0 / math.sqrt(t) - p / t
     return math.sqrt(p * max(0.0, inner))
+
+
+def _log2(x: float) -> float:
+    return math.log2(x) if x > 0 else -math.inf
+
+
+class _QubitBlocks:
+    """converse_bound of a qubit pair's tensor powers, from Schur-Weyl blocks.
+
+    For a 2 x 2 matrix X, X^(x n) = (+)_k det X^k Sym^m(X) (x) 1 over
+    k <= n/2, m = n - 2k, with multiplicity C(n, k) - C(n, k - 1) (Harrow,
+    quant-ph/0512255), so rho^(x n) - c sigma^(x n) splits into blocks of
+    size m + 1 and tr rho^(x n) P_+ is a weighted sum of block masses. In
+    sigma's eigenbasis Sym^m(sigma) is diag(s1^(m-i) s2^i) and Sym^m(rho) is
+    a^m d diag((b/a)^i) d^T, up to diagonal phases that change no block's
+    spectrum or rho-mass, where d = Sym^m of the real rotation by the angle
+    phi between the two eigenbases. d = exp(phi K) for the spin-m/2
+    generator K = J_- - J_+, taken from the eigenvectors of iK, whose
+    eigenvalues are the integers m, m - 2, .., -m: it stays orthogonal to
+    rounding where expanding polynomial products does not. Each m's blocks
+    are built once per instance; block scales and weights are kept in log2,
+    so C(n, k) and det^k stay finite at large n.
+    """
+
+    def __init__(self, rm: np.ndarray, sm: np.ndarray):
+        wr, ur = np.linalg.eigh(rm)
+        ws, us = np.linalg.eigh(sm)
+        # eigenvalues descending and clipped at 0; columns to match
+        (b, a), (s2, s1) = np.clip(wr, 0.0, None), np.clip(ws, 0.0, None)
+        overlap = np.abs(us[:, ::-1].conj().T @ ur[:, ::-1])
+        self.phi = math.atan2(float(overlap[1, 0]), float(overlap[0, 0]))
+        self.ratios = float(b / a), float(s2 / s1)
+        # log2 of the top eigenvalue and of det
+        self.log2_rho, self.log2_sigma = (_log2(a), _log2(a * b)), (_log2(s1), _log2(s1 * s2))
+        self._sym: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def sym(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sym^m(rho) / a^m and the diagonal of Sym^m(sigma) / s1^m, in sigma's eigenbasis."""
+        if m not in self._sym:
+            i = np.arange(m + 1)
+            up = np.sqrt(i[1:] * (m - i[1:] + 1.0))  # J_+ takes basis vector i to i - 1
+            gen = np.diag(-1j * up, 1) + np.diag(1j * up, -1)  # iK
+            mu, y = np.linalg.eigh(gen)
+            d = ((y * np.exp(-1j * self.phi * np.rint(mu))) @ y.conj().T).real
+            rho_ratio, sigma_ratio = self.ratios
+            self._sym[m] = (d * rho_ratio**i) @ d.T, sigma_ratio**i
+        return self._sym[m]
+
+    @staticmethod
+    def _scale(log2s: tuple[float, float], k: int, m: int) -> float:
+        """log2 of the top eigenvalue of det X^k Sym^m(X), from log2s = (log2 top eigenvalue, log2 det X)."""
+        log2_top, log2_det = log2s
+        return m * log2_top + (k * log2_det if k else 0.0)
+
+    def converse(self, n: int, lam: float, t: float) -> float:
+        """converse_bound(rho^(x n), sigma^(x n), lam, t), with the same positive-eigenvalue cut."""
+        p = 0.0
+        blocks = []
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            rho_m, sigma_m = self.sym(m)
+            la = self._scale(self.log2_rho, k, m)
+            log2_weight = math.log2(math.comb(n, k) - (math.comb(n, k - 1) if k else 0)) + la
+            if lam >= _EXP2_CLIP:
+                # c = inf: the rho-mass on the kernel of sigma^(x n), the products with a factor
+                # s2 <= SUPPORT_CUT s1; a product of factors above the cut is no kernel however small
+                if self.ratios[1] <= SUPPORT_CUT:
+                    p += float(np.exp2(log2_weight)) * float(rho_m.diagonal()[0 if k else 1 :].sum())
+                continue
+            lb = math.log2(t) + lam + self._scale(self.log2_sigma, k, m)
+            g = max(la, lb)
+            if g == -math.inf:
+                continue  # a zero block
+            w, v = np.linalg.eigh(np.exp2(la - g) * rho_m - np.diag(np.exp2(lb - g) * sigma_m))
+            blocks.append((w, v, g, rho_m, log2_weight))
+        if blocks:
+            # converse_bound cuts at 1e-12 (1 + max |w|) over the whole operator; here |w| <= 1 in each block
+            log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
+            log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
+            for w, v, g, rho_m, log2_weight in blocks:
+                cols = v[:, w > np.exp2(min(log2_cut - g, 1.0))]
+                p += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_m @ cols).real)
+        return _converse_from_mass(p, t)
 
 
 @dataclass(frozen=True)
@@ -326,8 +419,9 @@ def iid_smoothing_certificate(
     spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
     that decide the budget n r then sum to near 0, where each convolution
     rounds them finest, instead of to near n r. Non-commuting
-    pairs get the bracket only, with the converse computed on a dense tensor
-    power under a budget.
+    pairs get the bracket only. Their converse is read from Schur-Weyl blocks
+    for qubits (_QubitBlocks, with each m's blocks built once for all n) and
+    computed on a dense tensor power under a budget for larger dimensions.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -342,6 +436,7 @@ def iid_smoothing_certificate(
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     commuting = commutes(rm, sm)
     base = None
+    blocks = _QubitBlocks(rm, sm) if not commuting and rm.shape == (2, 2) else None
     if commuting:
         shift = min(max(r, -_EXP2_CLIP), _EXP2_CLIP)  # so that n shift stays finite
         joint = SpectrumDistribution.from_commuting_pair(rm, sm)
@@ -360,6 +455,8 @@ def iid_smoothing_certificate(
             lam_shifted = lam - n * shift  # 0 unless |r| > _EXP2_CLIP
             exact = spectrum.smoothing_oracle(lam_shifted)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam_shifted), t)
+        elif blocks is not None:
+            exact, lower = None, blocks.converse(n, lam, t)
         else:
             exact = None
             lower = converse_bound(tensor_power(rm, n), tensor_power(sm, n), lam, t)

@@ -283,6 +283,20 @@ def test_smooth_iid_writes_no_negative_zero(rho_path, sigma_path, capsys):
     assert "-0.0" not in out
 
 
+@pytest.mark.parametrize("rate", ["inf", "1e308"])
+def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, capsys):
+    # rho has mass outside supp sigma, so every D_{1+s} is infinite, also against an infinite budget
+    rho, sigma = (
+        write_json(tmp_path / name, {"kind": "density", "dim": 3, "entries": np.diag(diag).tolist()})
+        for name, diag in (("rho.json", [0.5, 0.5, 0.0]), ("sigma.json", [0.25, 0.0, 0.75]))
+    )
+    code, doc = run_json(["smooth", rho, sigma, "--rate", rate, "--n-max", "1"], capsys)
+    assert code == EXIT_OK
+    [row] = doc["rows"]
+    assert row["upper"] == 1.0
+    assert 0.0 <= row["lower"] <= row["exact"] <= 1.0
+
+
 def test_smooth_requires_exactly_one_mode(rho_path, sigma_path, capsys):
     assert main(["smooth", rho_path, sigma_path]) == EXIT_VALIDATION
     capsys.readouterr()

@@ -68,14 +68,21 @@ def test_oracle_handles_reference_zeros():
 
 
 @pytest.mark.parametrize(
-    "p, q",
-    [((0.2, 0.4, 0.4), (0.1, 0.2, 0.7)), ((0.3, 0.3, 0.4), (0.0, 0.5, 0.5))],
-    ids=["equal-ratio-tie", "reference-zero"],
+    "p, q, n, lams",
+    [
+        ((0.2, 0.4, 0.4), (0.1, 0.2, 0.7), 1, (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0)),
+        ((0.3, 0.3, 0.4), (0.0, 0.5, 0.5), 1, (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0)),
+        # lam = 3 D_max and past it, where the exact epsilon is 0
+        ((0.09253831343587289, 0.9074616865641271), (0.4364459622552342, 0.5635540377447656), 3,
+         (2.0618483394818474, 3.0618483394818474)),
+    ],
+    ids=["equal-ratio-tie", "reference-zero", "past-dmax"],
 )
-def test_oracle_matches_reference_on_ties_and_zeros(p, q):
+def test_oracle_matches_reference_on_ties_and_zeros(p, q, n, lams):
     # lam = -3 caps every atom; the atom with q = 0 has an infinite ratio
-    for lam in (-3.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-        assert abs(_oracle(p, q, lam) - _mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-12, lam
+    spectrum = _iid(SpectrumDistribution.from_vectors(p, q), n)
+    for lam in lams:
+        assert abs(spectrum.smoothing_oracle(lam) - _mp_iid_oracle_eps(p, q, n, lam)) <= 1e-12, lam
 
 
 def _compositions(n: int, parts: int):
@@ -116,7 +123,8 @@ def _mp_iid_oracle_eps(p, q, n: int, lam: float):
             capped += cap
             free -= pa
         fid = mpmath.fsum(mpmath.sqrt(pa * (cap if ratio <= c else c * pa)) for ratio, pa, cap in atoms)
-        return float(mpmath.sqrt(1 - fid**2))
+        # at lam >= n D_max, F = 1 exactly and 1 - F^2 may round a few ulps below 0
+        return float(mpmath.sqrt(max(0, 1 - fid**2)))
 
 
 def test_iid_exact_epsilon_stays_accurate_when_tiny():
@@ -288,16 +296,143 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
 
 def test_iid_certificate_noncommuting_uses_dense_converse():
     rng = np.random.default_rng(151)
-    rho = rand_density(rng, 2)
-    sigma = rand_density(rng, 2)
+    rho = rand_density(rng, 3)
+    sigma = rand_density(rng, 3)
     curve = RenyiDivergenceCurve(rho, sigma)
     r = 0.5 * (curve.umegaki().value + curve.dmax().value)
     [cert] = iid_smoothing_certificate(rho, sigma, r, [3])
     assert cert.exact is None
     assert not cert.meta["commuting"]
     assert 0.0 <= cert.lower <= cert.upper <= 1.0
+    assert cert.lower == converse_bound(tensor_power(rho, 3), tensor_power(sigma, 3), 3 * r)
+    # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096
     with pytest.raises(BudgetExceededError):
-        iid_smoothing_certificate(rho, sigma, r, [13])
+        iid_smoothing_certificate(rho, sigma, r, [8])
+
+
+def _noncommuting_qubit_pairs():
+    """Two random non-commuting qubit pairs at rates 25% and 75% of the way from D to D_max, then a pure sigma.
+
+    A pure sigma has D = D_max = inf against a full-rank rho; its rates
+    include 1000, whose budgets n r all lie past _EXP2_CLIP, where the
+    converse reads rho's mass on the kernel of sigma^(x n).
+    """
+    rng = np.random.default_rng(163)
+    for _ in range(2):
+        rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        yield rho, sigma, [d1 + u * (dmax - d1) for u in (0.25, 0.75)]
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    yield rand_density(rng, 2), np.outer(v, v.conj()), [0.5, 1000.0]
+
+
+def test_qubit_block_converse_matches_dense():
+    # the dense eigenvectors of the 2^n-dim difference are accurate only to
+    # about 1e-16 max|w| / gap, and max|w| ~ t 2^(n r) grows with n: from
+    # n = 5 on the dense mass strays from a 40-digit one by up to ~1e-7
+    # (see test_qubit_block_converse_matches_high_precision_blocks)
+    for rho, sigma, rates in _noncommuting_qubit_pairs():
+        for r in rates:
+            for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 11)):
+                n = cert.meta["n"]
+                dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * r)
+                assert abs(cert.lower - dense) <= (1e-12 if n <= 4 else 1e-6), (n, r, cert.lower, dense)
+
+
+def _mp_qubit_block_converse(rho, sigma, n: int, lam: float, t: float = 9.0) -> float:
+    """converse_bound's lower bound for rho^(x n) against sigma^(x n), from 40-digit Schur-Weyl blocks.
+
+    Sym^m of the rotation between the eigenbases is expanded as polynomial
+    products, exact at 40 digits for small m; the positive part is cut at
+    1e-12 (1 + max |w|) over all blocks, as converse_bound cuts it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        er, ur = mpmath.eigh(mpmath.matrix(rho.tolist()))
+        es, us = mpmath.eigh(mpmath.matrix(sigma.tolist()))
+        # mpmath sorts ascending: column 1 is the larger eigenvalue
+        (b, a), (s2, s1) = er, es
+        w00 = abs((us[:, 1].H * ur[:, 1])[0])
+        w10 = abs((us[:, 0].H * ur[:, 1])[0])
+        cos, sin = w00 / mpmath.hypot(w00, w10), w10 / mpmath.hypot(w00, w10)
+        c = t * mpmath.power(2, mpmath.mpf(lam))
+        blocks = []
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            rot = mpmath.matrix(m + 1, m + 1)
+            for i in range(m + 1):
+                # Sym^m of [[cos, -sin], [sin, cos]] on the normalized basis x0^(m-i) x1^i
+                for p in range(m - i + 1):
+                    for q in range(i + 1):
+                        rot[p + q, i] += (
+                            mpmath.binomial(m - i, p) * cos ** (m - i - p) * sin**p
+                            * mpmath.binomial(i, q) * (-sin) ** (i - q) * cos**q
+                        )
+                for j in range(m + 1):
+                    rot[j, i] *= mpmath.sqrt(mpmath.binomial(m, i) / mpmath.binomial(m, j))
+            rho_k = (a * b) ** k * rot * mpmath.diag([a ** (m - i) * b**i for i in range(m + 1)]) * rot.T
+            sigma_k = c * (s1 * s2) ** k * mpmath.diag([s1 ** (m - i) * s2**i for i in range(m + 1)])
+            w, v = mpmath.eigh(rho_k - sigma_k)
+            mult = mpmath.binomial(n, k) - (mpmath.binomial(n, k - 1) if k else 0)
+            blocks.append((w, v, rho_k, mult))
+        cut = mpmath.mpf("1e-12") * (1 + max(abs(x) for w, _, _, _ in blocks for x in w))
+        p = mpmath.fsum(
+            mult * (v[:, j].T * rho_k * v[:, j])[0]
+            for w, v, rho_k, mult in blocks
+            for j in range(len(w))
+            if w[j] > cut
+        )
+        return smoothing._converse_from_mass(float(p), t)
+
+
+def test_qubit_block_converse_matches_high_precision_blocks():
+    for rho, sigma, rates in _noncommuting_qubit_pairs():
+        for r in rates[:1]:
+            for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 11)):
+                want = _mp_qubit_block_converse(rho, sigma, cert.meta["n"], cert.lam)
+                assert abs(cert.lower - want) <= 1e-8, (cert.meta["n"], r, cert.lower, want)
+
+
+def test_qubit_kernel_mass_past_the_clip_matches_closed_form():
+    # past _EXP2_CLIP the converse reads rho's mass on the kernel of sigma^(x n):
+    # for a pure sigma = |v><v| that is 1 - <v|rho|v>^n; a full-rank sigma has
+    # none, however small its eigenvalue products get (0.03^8 < SUPPORT_CUT
+    # 0.97^8), which keeps the converse below the achievability bound of 0
+    rng = np.random.default_rng(167)
+    rho = rand_density(rng, 2)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    overlap = float(np.real(u[:, 0].conj() @ rho @ u[:, 0]))
+    ns = [1, 2, 7, 8, 12, 40]
+    pure = iid_smoothing_certificate(rho, np.outer(u[:, 0], u[:, 0].conj()), 1000.0, ns)
+    for cert in pure:
+        want = smoothing._converse_from_mass(1.0 - overlap ** cert.meta["n"], 9.0)
+        assert abs(cert.lower - want) <= 1e-12, cert.meta["n"]
+    for cert in iid_smoothing_certificate(rho, (u * [0.97, 0.03]) @ u.conj().T, 1000.0, ns):
+        assert cert.lower == 0.0 == cert.upper, cert.meta["n"]
+
+
+def test_qubit_certificate_builds_no_tensor_power(monkeypatch):
+    powers = []
+    real_power = smoothing.tensor_power
+    monkeypatch.setattr(smoothing, "tensor_power", lambda a, n: powers.append(n) or real_power(a, n))
+    rng = np.random.default_rng(173)
+    rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
+    iid_smoothing_certificate(rho, sigma, 0.3, range(1, 30))
+    smoothing_certificate(rho, sigma, 0.3)
+    assert [n for n in powers if n > 1] == []
+
+
+def test_qubit_bracket_is_ordered_to_n_128():
+    rng = np.random.default_rng(179)
+    rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
+    curve = RenyiDivergenceCurve(rho, sigma)
+    d1, dmax = curve.umegaki().value, curve.dmax().value
+    certs = iid_smoothing_certificate(rho, sigma, d1 + 0.25 * (dmax - d1), range(1, 129))
+    assert [c.meta["n"] for c in certs] == list(range(1, 129))
+    assert all(0.0 <= c.lower <= c.upper <= 1.0 for c in certs)
+    assert any(c.lower > 0.0 for c in certs) and certs[-1].upper < 1.0
 
 
 def test_certificate_rejects_crossed_brackets():
