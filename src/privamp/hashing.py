@@ -4,10 +4,11 @@ A hash function is a lookup table from source symbols to output symbols.
 Insecurity of a hashed CQ state is its distance to uniform-times-marginal
 under a selectable measure. One batched kernel evaluates all four measures
 for a stack of tables: it sums the source's ConditionalRenyiCurve blocks,
-already rotated into the support frame of rho_E, per output and reads one
-stacked eigvalsh (order 1 + s for Renyi, 1/2 for the purified-distance
-fidelity, 1 for relative entropy and trace distance). insecurity() is its
-identity-table case.
+already rotated into the support frame of rho_E, per output and reads the
+eigenvalues of the stacked blocks (order 1 + s for Renyi, 1/2 for the
+purified-distance fidelity, 1 for relative entropy and trace distance):
+in closed form for blocks of size 2 or less, by eigvalsh otherwise.
+insecurity() is its identity-table case.
 
 A hash family numbers its members 0 .. table_count - 1: tables(members)
 maps an int64 array of member indices to their tables, and
@@ -15,15 +16,17 @@ sample_tables(rng, count) draws count tables in one generator call. Every
 scan runs through one loop over chunks of _CHUNK = 2048 tables: exhaustive
 scans take the members in index order, and Monte Carlo draws chunk i from
 its own generator SeedSequence([seed, i]), so the chunk size is part of the
-seed contract and no result depends on the thread count. The exhaustive
-minimum scans every table as a base-M integer (AllFunctionsFamily) and
-reduces deterministically: min value, ties to the smaller integer.
+seed contract and no result depends on the thread count. A Monte Carlo
+chunk evaluates each distinct table it drew once, keyed by the table's
+base-M integer, unless that integer overflows int64.
 
 Relabeling the outputs of a table does not change its insecurity under any
-of the four measures, so tables come in twins. An exhaustive search reports
-the canonical twin of its winner: the outputs relabeled in order of first
-appearance (a restricted-growth table), which is the smallest index among
-the twins. Rounding alone would otherwise pick one twin or another.
+of the four measures, so tables come in twins. The exhaustive minimum reads
+one table per relabeling orbit: the restricted-growth tables, whose outputs
+first appear in the order 0, 1, 2, ..., taken in ascending base-M index.
+Each is the smallest index among its twins, so the reduction (min value,
+ties to the smaller index) reports that canonical twin whatever the thread
+count, and `evaluated` still counts all M^X tables the minimum ranges over.
 """
 
 from __future__ import annotations
@@ -191,9 +194,30 @@ def _output_blocks(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alp
     return np.einsum("nxm,xij->nmij", weighted, curve.sandwiched_blocks(alpha))
 
 
+def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian blocks, in closed form for size <= 2.
+
+    A 2 x 2 block [[a, b], [b*, d]] has eigenvalues mid +- rad, with
+    mid = (a + d) / 2 and rad = hypot((a - d) / 2, |b|). The one of larger
+    magnitude takes the sign of mid, and the other is det / that one: for a
+    PSD block the small eigenvalue keeps its relative accuracy, which
+    w log w and sqrt(w) read. Larger blocks go through eigvalsh.
+    """
+    size = blocks.shape[-1]
+    if size == 1:
+        return blocks[..., 0].real
+    if size != 2:
+        return np.linalg.eigvalsh(blocks)
+    a, d, abs_b = blocks[..., 0, 0].real, blocks[..., 1, 1].real, np.abs(blocks[..., 0, 1])
+    mid = (a + d) / 2.0
+    big = mid + np.copysign(np.hypot((a - d) / 2.0, abs_b), mid)
+    small = np.divide(a * d - abs_b**2, big, out=np.zeros_like(big), where=big != 0.0)
+    return np.stack([np.minimum(small, big), np.maximum(small, big)], axis=-1)
+
+
 def _output_eigenvalues(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alpha: float) -> np.ndarray:
     """Clipped eigenvalues of every _output_blocks block."""
-    return np.clip(np.linalg.eigvalsh(_output_blocks(tables, curve, m, alpha)), 0.0, None)
+    return np.clip(_block_eigenvalues(_output_blocks(tables, curve, m, alpha)), 0.0, None)
 
 
 def _batch_q_renyi(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, s: float) -> np.ndarray:
@@ -217,7 +241,7 @@ def _batch_values(
         f = np.sqrt(_output_eigenvalues(tables, curve, m, 0.5)).sum(axis=(1, 2)) / math.sqrt(m)
         return np.sqrt(np.clip(1.0 - np.minimum(f, 1.0) ** 2, 0.0, None))
     if measure == "trace_distance":
-        w = np.linalg.eigvalsh(_output_blocks(tables, curve, m, 1.0) - np.diag(curve._mu) / m)
+        w = _block_eigenvalues(_output_blocks(tables, curve, m, 1.0) - np.diag(curve._mu) / m)
         return 0.5 * np.abs(w).sum(axis=(1, 2))
     w = _output_eigenvalues(tables, curve, m, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -225,27 +249,45 @@ def _batch_values(
     return math.log2(m) - (h_blocks - curve.sigma_entropy)
 
 
-def _chunk_values(family, values, threads: int, *, budget: int = 0, count: int = 0, seed: int | None = None):
+def _check_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise BudgetExceededError(
+            f"{count} tables exceed the exhaustive budget {budget}; use monte_carlo sampling instead"
+        )
+
+
+def _distinct_values(values, tables: np.ndarray, m: int) -> np.ndarray:
+    """values(tables), evaluating each distinct row once.
+
+    Rows are keyed by their base-m integer; where that overflows int64 every
+    row is evaluated. Each row's value does not depend on the other rows, so
+    the result is the same, bit for bit.
+    """
+    places = tables.shape[1]
+    if m**places > np.iinfo(np.int64).max:
+        return values(tables)
+    keys = tables @ m ** np.arange(places - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return values(tables[first])[inverse]
+
+
+def _chunk_values(family, values, threads: int, *, count: int = 0, seed: int | None = None):
     """Yield (first row, values(tables)) for each _CHUNK rows of tables, in row order.
 
-    Without a seed the rows are every member of the family, ascending, and a
-    family larger than budget raises BudgetExceededError. With a seed they are
-    count draws, chunk i drawn from SeedSequence([seed, i]). Either way the
-    rows do not depend on the thread count.
+    Without a seed the rows are every member of the family, ascending. With a
+    seed they are count draws, chunk i drawn from SeedSequence([seed, i]),
+    each distinct table evaluated once. Either way the rows do not depend on
+    the thread count.
     """
     if seed is None:
         count = family.table_count
-        if count > budget:
-            raise BudgetExceededError(
-                f"{count} tables exceed the exhaustive budget {budget}; use monte_carlo sampling instead"
-            )
 
     def evaluate(lo):
         size = min(_CHUNK, count - lo)
         if seed is None:
             return lo, values(family.tables(np.arange(lo, lo + size, dtype=np.int64)))
         rng = np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
-        return lo, values(family.sample_tables(rng, size))
+        return lo, _distinct_values(values, family.sample_tables(rng, size), family.range_size)
 
     starts = range(0, count, _CHUNK)
     if threads <= 1:
@@ -266,28 +308,27 @@ def min_insecurity_exhaustive(
 ) -> InsecurityReport:
     """Exhaustive minimum insecurity over all tables domain -> [range_size].
 
-    Tables are enumerated as base-range_size integers ascending; ties resolve
-    to the smallest integer, making the result independent of threading; the
-    winner is reported as its canonical twin (module docstring). Totals above
-    the budget raise BudgetExceededError.
+    Reads one table per relabeling orbit, the restricted-growth tables in
+    ascending base-range_size index; ties resolve to the smallest index,
+    making the result independent of threading, and the winner is its own
+    canonical twin (module docstring). More than budget tables in all raise
+    BudgetExceededError.
     """
     _validate_measure(measure, s)
-    family = AllFunctionsFamily(source.nsymbols, range_size)
+    total = range_size**source.nsymbols
+    _check_budget(total, budget)
+    family = _RestrictedGrowthTables(source.nsymbols, range_size)
     curve = ConditionalRenyiCurve(source)
-    best_val, best_idx = math.inf, -1
+    best_val, best_row = math.inf, -1
     for lo, vals in _chunk_values(
-        family, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads, budget=budget
+        family, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads
     ):
         k = int(np.argmin(vals))
         if vals[k] < best_val:
-            best_val, best_idx = float(vals[k]), lo + k
-    # relabel outputs by order of first appearance: the smallest index among the winner's twins
-    labels: dict[int, int] = {}
-    winner = HashFunction.from_index(best_idx, source.nsymbols, range_size).table
-    f = HashFunction(source.nsymbols, range_size, tuple(labels.setdefault(z, len(labels)) for z in winner))
-    return InsecurityReport(
-        measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=family.table_count
-    )
+            best_val, best_row = float(vals[k]), lo + k
+    winner = family.tables(np.array([best_row], dtype=np.int64))[0]
+    f = HashFunction(source.nsymbols, range_size, tuple(int(z) for z in winner))
+    return InsecurityReport(measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=total)
 
 
 def _max_pair_collision(tables: np.ndarray) -> float:
@@ -336,6 +377,39 @@ class AllFunctionsFamily:
             certified = worst <= bound + 1e-12
             return {"max_collision": worst, "bound": bound, "certified": certified, "method": "exhaustive"}
         return {"max_collision": bound, "bound": bound, "certified": True, "method": "entrywise-independence"}
+
+
+class _RestrictedGrowthTables:
+    """The restricted-growth tables domain -> [range_size], in ascending index.
+
+    Their outputs first appear in the order 0, 1, 2, ...: one table per
+    relabeling orbit, the one with the smallest index. Member k is the k-th
+    smallest, read digit by digit from the number of ways to complete each
+    prefix.
+    """
+
+    def __init__(self, domain_size: int, range_size: int):
+        self.domain_size = domain_size
+        # completions[i][u]: restricted-growth suffixes from position i on, with labels 0 .. u-1 in use
+        completions = [[1] * (range_size + 1) + [0]]
+        for _ in range(domain_size):
+            nxt = completions[0]
+            completions.insert(0, [u * nxt[u] + nxt[u + 1] for u in range(range_size + 1)] + [0])
+        self._completions = np.array(completions, dtype=np.int64)
+        self.table_count = completions[0][0]
+
+    def tables(self, members: np.ndarray) -> np.ndarray:
+        rank = members.copy()
+        used = np.zeros_like(members)
+        out = np.empty((members.size, self.domain_size), dtype=np.int64)
+        for i in range(self.domain_size):
+            # each label in use heads `block` tables; the next new label heads the rest
+            block = self._completions[i + 1].take(used)
+            label = np.minimum(rank // block, used)
+            rank -= label * block
+            used += label == used
+            out[:, i] = label
+        return out
 
 
 class AffinePrimeFamily:
@@ -443,8 +517,9 @@ def _check_domain(family, source: CQState) -> None:
 def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int) -> float:
     """Mean of values(tables) over every member, summed chunk by chunk in order."""
     _check_domain(family, source)
+    _check_budget(family.table_count, budget)
     total = 0.0
-    for _, vals in _chunk_values(family, values, threads, budget=budget):
+    for _, vals in _chunk_values(family, values, threads):
         total += float(vals.sum())
     return total / family.table_count
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privamp import (
     AffinePrimeFamily,
@@ -29,6 +30,7 @@ from privamp import (
     trace_distance,
 )
 from privamp import hashing
+from privamp.measures import ConditionalRenyiCurve
 from conftest import rand_cq, rand_density
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
@@ -159,7 +161,7 @@ def test_exhaustive_minimum_biased_source():
 
 
 def test_exhaustive_minimum_thread_invariance(monkeypatch):
-    # 16 tables in chunks of 3, the last one short
+    # 8 restricted-growth tables of the 16 in chunks of 3, the last one short
     monkeypatch.setattr(hashing, "_CHUNK", 3)
     rng = np.random.default_rng(173)
     cq = rand_cq(rng, 4, 2)
@@ -193,6 +195,171 @@ def test_exhaustive_budget_gate():
     cq = CQState.classical(np.full(8, 0.125))
     with pytest.raises(BudgetExceededError):
         min_insecurity_exhaustive(cq, 3, "trace_distance", budget=100)
+    # the gate counts all 2^8 = 256 tables, not the 128 restricted-growth ones scanned
+    with pytest.raises(BudgetExceededError):
+        min_insecurity_exhaustive(cq, 2, "trace_distance", budget=200)
+    assert min_insecurity_exhaustive(cq, 2, "trace_distance", budget=256).evaluated == 256
+
+
+def _restricted_growth(table) -> bool:
+    first_seen = list(dict.fromkeys(table))
+    return first_seen == list(range(len(first_seen)))
+
+
+def _brute_force_minimum(cq: CQState, m: int, measure: str, s):
+    """(canonical index, value) of the minimum over every one of the m^X tables."""
+    fam = AllFunctionsFamily(cq.nsymbols, m)
+    vals = hashing._batch_values(fam.tables(np.arange(fam.table_count)), ConditionalRenyiCurve(cq), m, measure, s)
+    k = int(np.argmin(vals))
+    labels: dict[int, int] = {}
+    table = tuple(labels.setdefault(z, len(labels)) for z in HashFunction.from_index(k, cq.nsymbols, m).table)
+    return HashFunction(cq.nsymbols, m, table).index, float(vals[k])
+
+
+MEASURE_ORDERS = [("trace_distance", None), ("purified_distance", None), ("relative_entropy", None), ("renyi", 0.5)]
+
+
+@pytest.mark.parametrize("nx,m", [(6, 2), (5, 3), (5, 4), (3, 4)])
+def test_exhaustive_minimum_matches_brute_force(monkeypatch, nx, m):
+    # 32, 41, 51 and 5 restricted-growth tables: every scan's last chunk of 7 is short
+    monkeypatch.setattr(hashing, "_CHUNK", 7)
+    rng = np.random.default_rng(199)
+    for de in (2, 3):
+        for measure, s in MEASURE_ORDERS:
+            cq = rand_cq(rng, nx, de)
+            want_index, want_value = _brute_force_minimum(cq, m, measure, s)
+            for threads in (1, 2, 5):
+                rep = min_insecurity_exhaustive(cq, m, measure, s, threads=threads)
+                assert rep.hash_index == want_index, (de, measure, threads)
+                assert abs(rep.value - want_value) <= 1e-12, (de, measure, threads)
+                assert rep.evaluated == m**nx
+
+
+def test_scans_evaluate_each_distinct_table_once(monkeypatch):
+    rows = []
+    batch_values = hashing._batch_values
+
+    def counting(tables, *args):
+        rows.append(tables.shape[0])
+        return batch_values(tables, *args)
+
+    monkeypatch.setattr(hashing, "_batch_values", counting)
+    rng = np.random.default_rng(223)
+    searched = [(rand_cq(rng, nx, 2), m) for nx, m in ((9, 2), (7, 3), (5, 4))]
+    sampled, qutrit = rand_cq(rng, 9, 2), rand_cq(rng, 4, 3)
+    eigvalsh_calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: eigvalsh_calls.append(a.shape) or eigvalsh(a, *args))
+    for cq, m in searched:
+        rows.clear()
+        min_insecurity_exhaustive(cq, m, "relative_entropy")
+        assert sum(rows) == sum(map(_restricted_growth, itertools.product(range(m), repeat=cq.nsymbols))), m
+    # 110 members, drawn 5000 times in chunks of 2048
+    fam = AffinePrimeFamily(11, 9, 3)
+    rows.clear()
+    family_expectation(fam, sampled, "trace_distance", sampling="monte_carlo", count=5000, seed=3)
+    assert len(rows) == 3 and max(rows) <= fam.table_count
+    # d_E = 2 blocks are read in closed form, d_E = 3 blocks by eigvalsh
+    assert eigvalsh_calls == []
+    rows.clear()
+    min_insecurity_exhaustive(qutrit, 2, "purified_distance")
+    assert eigvalsh_calls and sum(rows) == 8
+
+
+def _hermitian_2x2(a: float, d: float, b: complex) -> np.ndarray:
+    return np.array([[a, b], [np.conj(b), d]], dtype=complex)
+
+
+def _rank_one(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def _indefinite_trace_distance_block() -> np.ndarray:
+    # the trace-distance branch's output-1 block minus the ideal diag(mu) / m
+    cq, table = _reference_case("full-rank")
+    curve = ConditionalRenyiCurve(cq)
+    blocks = hashing._output_blocks(np.array([table]), curve, 3, 1.0) - np.diag(curve._mu) / 3
+    return blocks[0, 1]
+
+
+CLOSED_FORM_BLOCKS = {
+    "zero": np.zeros((2, 2), dtype=complex),
+    "rank-1": _rank_one([0.6, 0.3 - 0.4j]),
+    "diagonal": _hermitian_2x2(0.3, 0.1, 0.0),
+    "equal-diagonal": _hermitian_2x2(0.25, 0.25, 0.1 - 0.05j),
+    "tiny-eigenvalue": _rank_one([0.8, 0.6j]) + 1e-14 * _rank_one([0.6j, 0.8]),
+    "indefinite": _indefinite_trace_distance_block(),
+    "size-1": np.array([[0.375]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_BLOCKS)
+def test_block_eigenvalues_closed_form_matches_eigvalsh(case):
+    block = CLOSED_FORM_BLOCKS[case]
+    assert np.allclose(block, block.conj().T, rtol=0, atol=1e-15)
+    stack = np.stack([block, 2.0 * block, -block])
+    got = hashing._block_eigenvalues(stack)
+    want = np.linalg.eigvalsh(stack)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale), (got, want)
+    assert np.all(np.diff(got, axis=-1) >= 0)
+
+
+def test_block_eigenvalues_keeps_a_small_eigenvalue_relative():
+    # entries that fix the small eigenvalue to high relative accuracy
+    block = _hermitian_2x2(1.0, 2e-14, 1e-8j)
+    small = 2e-14 - 1e-16 / (1.0 - 2e-14)  # det / lambda_+ to second order
+    assert abs(hashing._block_eigenvalues(block[None])[0, 0] - small) <= 1e-10 * small
+
+
+@pytest.mark.parametrize(
+    "family",
+    [AffinePrimeFamily(11, 9, 3), AllFunctionsFamily(6, 2), PermutationProductFamily(3)],
+    ids=["affine_prime", "all_functions", "permutation-key-overflows"],
+)
+def test_monte_carlo_mean_equals_mean_over_every_drawn_row(monkeypatch, family):
+    # 300 draws in chunks of 64; the 8^64 keys of the permutation family overflow int64
+    monkeypatch.setattr(hashing, "_CHUNK", 64)
+    rng = np.random.default_rng(227)
+    cq = rand_cq(rng, family.domain_size, 2)
+    curve = ConditionalRenyiCurve(cq)
+    for measure, s in MEASURE_ORDERS:
+        got = family_expectation(family, cq, measure, s, sampling="monte_carlo", count=300, seed=11)
+        rows = np.concatenate([
+            hashing._batch_values(
+                family.sample_tables(np.random.default_rng(np.random.SeedSequence([11, i])), min(64, 300 - lo)),
+                curve, family.range_size, measure, s,
+            )
+            for i, lo in enumerate(range(0, 300, 64))
+        ])
+        assert got.value == float(rows.mean()), measure
+        assert got.std_error == float(rows.std(ddof=1) / math.sqrt(300)), measure
+
+
+# reporting a failing example imports libcst, whose import warns; without
+# this filter that warning would abort the session instead of failing the test
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 6),
+    de=st.integers(1, 3),
+    m=st.integers(2, 4),
+    measure=st.sampled_from([m for m, _ in MEASURE_ORDERS]),
+    s=st.sampled_from([0.25, 1.0, 3.0]),
+    data=st.data(),
+)
+def test_insecurity_invariant_under_output_relabeling(seed, nx, de, m, measure, s, data):
+    # the invariance the restricted-growth exhaustive scan rests on
+    cq = rand_cq(np.random.default_rng(seed), nx, de)
+    table = data.draw(st.lists(st.integers(0, m - 1), min_size=nx, max_size=nx))
+    relabel = data.draw(st.permutations(range(m)))
+    s = s if measure == "renyi" else None
+    value = insecurity(apply_hash(cq, HashFunction(nx, m, tuple(table))), measure, s).value
+    twin = insecurity(apply_hash(cq, HashFunction(nx, m, tuple(relabel[z] for z in table))), measure, s).value
+    assert abs(twin - value) <= 1e-12
 
 
 def test_all_functions_family_certificate():
