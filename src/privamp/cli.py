@@ -1,17 +1,18 @@
 """Command-line interface.
 
-Commands: measure, exponent-curve, smooth, pa-search, pa-family, suite.
-The shared options sit on three parent parsers, each declared once, and a
-command takes only those it reads: every command takes --format and --out;
-pa-search, pa-family and suite take --threads and --budget; pa-family and
-suite take --seed. Passing one to a command that does not take it is a
-usage error. The parser is built once per process (PARSER). A handler
-returns (inputs, results, rows, exit code), and main() assembles every
-document in one place: a reproducibility header (artifact version, the
-format and whichever of seed and budget the command takes, input hashes),
-the command and the results. Outputs are deterministic for a fixed seed
-regardless of --threads. Exit codes: 0 success, 1 invariant or check
-failure, 2 input validation or usage error, 3 budget exceeded.
+Commands: measure, exponent-curve, smooth, pa-search, pa-family, and suite
+example1, example2 or properties, one nested parser each. The shared
+options sit on three parent parsers, each declared once, and a command
+takes only those it reads: each takes --format and --out; pa-search,
+pa-family and suite example1 take --threads and --budget; pa-family, suite
+example2 and suite properties take --seed; any other is a usage error. The
+parser is built once per process (PARSER). A handler returns (inputs,
+results, rows, exit code), and main() assembles every document in one
+place: a reproducibility header (artifact version, the format and
+whichever of seed and budget the command takes, input hashes), the command
+and the results. Outputs are deterministic for a fixed seed regardless of
+--threads. Exit codes: 0 success, 1 invariant or check failure, 2 input
+validation or usage error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -265,11 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampling", choices=("exhaustive", "monte_carlo"), default="exhaustive")
     p.add_argument("--count", type=int, default=10**4, help="monte_carlo sample count")
 
-    p = sub.add_parser("suite", parents=[common, sampling, scan], help="built-in verification suites")
-    p.add_argument("which", choices=("example1", "example2", "properties"))
+    examples = sub.add_parser("suite", help="built-in verification suites").add_subparsers(dest="which", required=True)
+    p = examples.add_parser("example1", parents=[common, scan], help="exhaustive minima for the biased binary source")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--range-bits", type=int, default=1)
+    p = examples.add_parser("example2", parents=[common, sampling], help="uniform source under permutation hashing")
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--realizations", type=int, default=100)
+    p = examples.add_parser("properties", parents=[common, sampling], help="seeded battery of divergence inequalities")
     p.add_argument("--trials", type=int, default=20)
 
     return top
@@ -406,6 +410,7 @@ def _cmd_pa_family(args):
         fam = AffinePrimeFamily(args.prime, cq.nsymbols, args.range_size)
     else:
         fam = PermutationProductFamily(args.n)
+    certificate = fam.collision_certificate()
     exp = family_expectation(
         fam,
         cq,
@@ -425,7 +430,7 @@ def _cmd_pa_family(args):
         "std_error": exp.std_error,
         "count": exp.count,
         "sampling": exp.sampling,
-        "collision_certificate": fam.collision_certificate(),
+        "collision_certificate": certificate,
         **{key: getattr(args, key) if key in taken else None for key in ("range_size", "prime", "n")},
     }
     return [args.state], results, None, EXIT_OK

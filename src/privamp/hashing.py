@@ -16,9 +16,9 @@ sample_tables(rng, count) draws count tables in one generator call. Every
 scan runs through one loop over chunks of _CHUNK = 2048 tables: exhaustive
 scans take the members in index order, and Monte Carlo draws chunk i from
 its own generator SeedSequence([seed, i]), so the chunk size is part of the
-seed contract and no result depends on the thread count. A Monte Carlo
-chunk evaluates each distinct table it drew once, keyed by the table's
-base-M integer, unless that integer overflows int64.
+seed contract and no result depends on the thread count. Family means, the
+lemma checks' among them, and example 2 evaluate each distinct table of a
+chunk once, keyed by its base-M integer unless that overflows int64.
 
 Relabeling the outputs of a table does not change its insecurity under any
 of the four measures, so tables come in twins. The exhaustive minimum reads
@@ -256,28 +256,31 @@ def _check_budget(count: int, budget: int) -> None:
         )
 
 
-def _distinct_values(values, tables: np.ndarray, m: int) -> np.ndarray:
-    """values(tables), evaluating each distinct row once.
+def _distinct_values(values, m: int):
+    """values, wrapped to evaluate each distinct table row once.
 
     Rows are keyed by their base-m integer; where that overflows int64 every
     row is evaluated. Each row's value does not depend on the other rows, so
     the result is the same, bit for bit.
     """
-    places = tables.shape[1]
-    if m**places > np.iinfo(np.int64).max:
-        return values(tables)
-    keys = tables @ m ** np.arange(places - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return values(tables[first])[inverse]
+
+    def distinct(tables: np.ndarray) -> np.ndarray:
+        places = tables.shape[1]
+        if m**places > np.iinfo(np.int64).max:
+            return values(tables)
+        keys = tables @ m ** np.arange(places - 1, -1, -1, dtype=np.int64)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return values(tables[first])[inverse]
+
+    return distinct
 
 
 def _chunk_values(family, values, threads: int, *, count: int = 0, seed: int | None = None):
     """Yield (first row, values(tables)) for each _CHUNK rows of tables, in row order.
 
     Without a seed the rows are every member of the family, ascending. With a
-    seed they are count draws, chunk i drawn from SeedSequence([seed, i]),
-    each distinct table evaluated once. Either way the rows do not depend on
-    the thread count.
+    seed they are count draws, chunk i drawn from SeedSequence([seed, i]).
+    Either way the rows do not depend on the thread count.
     """
     if seed is None:
         count = family.table_count
@@ -287,7 +290,7 @@ def _chunk_values(family, values, threads: int, *, count: int = 0, seed: int | N
         if seed is None:
             return lo, values(family.tables(np.arange(lo, lo + size, dtype=np.int64)))
         rng = np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
-        return lo, _distinct_values(values, family.sample_tables(rng, size), family.range_size)
+        return lo, values(family.sample_tables(rng, size))
 
     starts = range(0, count, _CHUNK)
     if threads <= 1:
@@ -545,10 +548,7 @@ def family_expectation(
     _validate_measure(measure, s)
     curve = ConditionalRenyiCurve(source)
     m = family.range_size
-
-    def values(tables):
-        return _batch_values(tables, curve, m, measure, s)
-
+    values = _distinct_values(lambda tables: _batch_values(tables, curve, m, measure, s), m)
     if sampling == "exhaustive":
         mean = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
         return FamilyExpectation(mean, None, family.table_count, "exhaustive")
@@ -581,6 +581,17 @@ def positive_part_superadditivity_check(ops, lam: float):
     return lhs, rhs
 
 
+def _hashed_q_mean(source: CQState, family, s: float, scale: float, *, budget: int, threads: int):
+    """(E_F scale Q_{1+s}(rho^F_ZE || 1_Z (x) rho_E), the source curve, v(rho_E)), scaling each table's Q."""
+    if s <= 0:
+        raise ValueError(f"s must be positive, got {s}")
+    curve = ConditionalRenyiCurve(source)
+    m = family.range_size
+    values = _distinct_values(lambda tables: scale * _batch_q_renyi(tables, curve, m, s), m)
+    lhs = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
+    return lhs, curve, eig(source.rho_e()).distinct_count
+
+
 def hashed_q_expectation_check(
     source: CQState,
     family,
@@ -594,16 +605,8 @@ def hashed_q_expectation_check(
     The bound is v(rho_E) (Q_{1+s}(rho_XE || 1_X (x) rho_E) + range^-s).
     Returns (lhs, rhs) and raises if lhs exceeds rhs beyond slack.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    curve = ConditionalRenyiCurve(source)
-    m = family.range_size
-    lhs = _exhaustive_mean(
-        family, source, lambda tables: _batch_q_renyi(tables, curve, m, s), budget=budget, threads=threads
-    )
-    q_source = float(np.exp2(curve.log2_q(1.0 + s)))
-    v = eig(source.rho_e()).distinct_count
-    rhs = v * (q_source + m**-s)
+    lhs, curve, v = _hashed_q_mean(source, family, s, 1.0, budget=budget, threads=threads)
+    rhs = v * (float(np.exp2(curve.log2_q(1.0 + s))) + family.range_size**-s)
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"hashed Q expectation bound violated: {lhs!r} > {rhs!r}")
     return lhs, rhs
@@ -621,14 +624,8 @@ def leftover_hash_exponent_check(
 
     Returns (lhs, rhs) and raises if lhs exceeds rhs beyond slack.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    curve = ConditionalRenyiCurve(source)
     m = family.range_size
-    lhs = _exhaustive_mean(
-        family, source, lambda tables: m**s * _batch_q_renyi(tables, curve, m, s), budget=budget, threads=threads
-    )
-    v = eig(source.rho_e()).distinct_count
+    lhs, curve, v = _hashed_q_mean(source, family, s, m**s, budget=budget, threads=threads)
     rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - curve.h(1.0 + s))))
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"leftover-hash exponent bound violated: {lhs!r} > {rhs!r}")
@@ -738,19 +735,14 @@ def example2_suite(
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     family = PermutationProductFamily(n)
     cert = family.collision_certificate()
-    source = CQState.classical(np.full(4**n, 0.25**n))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    curve = ConditionalRenyiCurve(CQState.classical(np.full(4**n, 0.25**n)))
+    tables = family.sample_tables(np.random.default_rng(np.random.SeedSequence(seed)), realizations)
+    m = family.range_size
     tol = 1e-12
-    worst = {"purified_distance": 0.0, "relative_entropy": 0.0, "renyi": 0.0}
-    for table in family.sample_tables(rng, realizations):
-        hashed = apply_hash(source, table)
-        worst["purified_distance"] = max(
-            worst["purified_distance"], insecurity(hashed, "purified_distance").value
-        )
-        worst["relative_entropy"] = max(
-            worst["relative_entropy"], insecurity(hashed, "relative_entropy").value
-        )
-        worst["renyi"] = max(worst["renyi"], insecurity(hashed, "renyi", s=1.0).value)
+    worst = {
+        meas: max(0.0, float(_distinct_values(lambda rows: _batch_values(rows, curve, m, meas, s), m)(tables).max()))
+        for meas, s in (("purified_distance", None), ("relative_entropy", None), ("renyi", 1.0))
+    }
     checks = [
         {
             "name": "base family collision probability is exactly 1/3",

@@ -198,7 +198,7 @@ class _QubitBlocks:
         return m * log2_top + (k * log2_det if k else 0.0)
 
     def converse(self, n: int, lam: float, t: float) -> float:
-        """converse_bound(rho^(x n), sigma^(x n), lam, t), with the same positive-eigenvalue cut."""
+        """converse_bound(rho^(x n), sigma^(x n), lam, t) below _EXP2_CLIP, with the same positive-eigenvalue cut."""
         p = 0.0
         blocks = []
         for k in range(n // 2 + 1):
@@ -206,12 +206,6 @@ class _QubitBlocks:
             rho_m, sigma_m = self.sym(m)
             la = self._scale(self.log2_rho, k, m)
             log2_weight = math.log2(math.comb(n, k) - (math.comb(n, k - 1) if k else 0)) + la
-            if lam >= _EXP2_CLIP:
-                # c = inf: the rho-mass on the kernel of sigma^(x n), the products with a factor
-                # s2 <= SUPPORT_CUT s1; a product of factors above the cut is no kernel however small
-                if self.ratios[1] <= SUPPORT_CUT:
-                    p += float(np.exp2(log2_weight)) * float(rho_m.diagonal()[0 if k else 1 :].sum())
-                continue
             lb = math.log2(t) + lam + self._scale(self.log2_sigma, k, m)
             g = max(la, lb)
             if g == -math.inf:
@@ -419,9 +413,10 @@ def iid_smoothing_certificate(
     spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
     that decide the budget n r then sum to near 0, where each convolution
     rounds them finest, instead of to near n r. Non-commuting
-    pairs get the bracket only. Their converse is read from Schur-Weyl blocks
-    for qubits (_QubitBlocks, with each m's blocks built once for all n) and
-    computed on a dense tensor power under a budget for larger dimensions.
+    pairs get the bracket only. Past _EXP2_CLIP their converse reads rho's
+    mass on the kernel of sigma, decided on sigma itself; below it, Schur-Weyl
+    blocks for qubits (_QubitBlocks, with each m's blocks built once for all
+    n) and a dense tensor power under a budget for larger dimensions.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -437,6 +432,9 @@ def iid_smoothing_certificate(
     commuting = commutes(rm, sm)
     base = None
     blocks = _QubitBlocks(rm, sm) if not commuting and rm.shape == (2, 2) else None
+    # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP read
+    past_clip = not commuting and max(ns, default=1) * r >= _EXP2_CLIP
+    kernel_mass = _dense_converse_mass(rm, sm, math.inf) if past_clip else None
     if commuting:
         shift = min(max(r, -_EXP2_CLIP), _EXP2_CLIP)  # so that n shift stays finite
         joint = SpectrumDistribution.from_commuting_pair(rm, sm)
@@ -455,6 +453,10 @@ def iid_smoothing_certificate(
             lam_shifted = lam - n * shift  # 0 unless |r| > _EXP2_CLIP
             exact = spectrum.smoothing_oracle(lam_shifted)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam_shifted), t)
+        elif lam >= _EXP2_CLIP:
+            # c = inf: rho^(x n)'s mass off supp(sigma)^(x n) is 1 - (1 - kernel_mass)^n; a
+            # product of support eigenvalues is no kernel however small
+            exact, lower = None, _converse_from_mass(0.0 - math.expm1(n * math.log1p(-min(kernel_mass, 1.0))), t)
         elif blocks is not None:
             exact, lower = None, blocks.converse(n, lam, t)
         else:

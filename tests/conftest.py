@@ -17,6 +17,18 @@ def rand_cq(rng: np.random.Generator, nx: int, dim_e: int) -> CQState:
     return CQState(probs, conds)
 
 
+def two_stage_grid_max(f, lo: float, hi: float, points: int) -> float:
+    """Max of f over points grid points on [lo, hi], refined on as many between the best point's neighbours.
+
+    f takes an array of points and returns their values in one call.
+    """
+    xs = np.linspace(lo, hi, points)
+    vals = f(xs)
+    i = int(np.argmax(vals))
+    refined = f(np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, points - 1)], points))
+    return max(float(refined.max()), float(vals[i]))
+
+
 def acceptance_states(count: int = 20) -> list[CQState]:
     """The acceptance-criterion CQ states: seed [2026, 2], 2-3 symbols, d_E = 2-3."""
     rng = np.random.default_rng(np.random.SeedSequence([2026, 2]))

@@ -40,20 +40,10 @@ from privamp.hashing import (
     positive_part_superadditivity_check,
 )
 from privamp.cli import main
-from conftest import acceptance_states, rand_cq, rand_density
+from conftest import acceptance_states, rand_cq, rand_density, two_stage_grid_max
 
 P_HALF = np.diag([0.5, 0.5])
 Q_QUARTER = np.diag([0.25, 0.75])
-
-
-def _two_stage_grid_max(f, lo: float, hi: float, points: int = 2001) -> float:
-    xs = np.linspace(lo, hi, points)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, points - 1)]
-    refined = max(f(x) for x in np.linspace(a, b, points))
-    return max(float(refined), float(vals[i]))
 
 
 def test_criterion_1_iid_smoothing_sandwich_and_exponent_bracket():
@@ -109,9 +99,7 @@ def test_criterion_2_security_exponent_regime_map():
             )
             if rate in grid_rates and 0.0 < ev.value < math.inf:
                 hi = max(2.0, 2.5 * ev.maximizer_s)
-                ref = _two_stage_grid_max(
-                    lambda s: curve.s_times_h(s) - s * rate, 0.0, hi
-                )
+                ref = two_stage_grid_max(lambda s: curve.s_times_h(s) - s * rate, 0.0, hi, 2001)
                 assert abs(ref - ev.value) <= 1e-6, f"grid disagreement at {rate}"
                 grid_checks += 1
     assert min(regimes_hit.values()) >= 1

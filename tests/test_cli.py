@@ -14,7 +14,7 @@ from privamp.cli import (
     load_state_file,
     main,
 )
-from privamp import CQState, ConditionalRenyiCurve, StateDescriptor
+from privamp import CQState, ConditionalRenyiCurve, StateDescriptor, hashing
 from conftest import acceptance_states
 
 
@@ -172,10 +172,12 @@ def test_each_command_takes_only_the_shared_options_it_reads(rho_path, sigma_pat
             {"format", "budget", "seed"},
         ),
         (
-            ["suite", "example2", "--n", "1", "--realizations", "2"],
-            {"--format", "--out", "--threads", "--budget", "--seed"},
-            {"format", "budget", "seed"},
+            ["suite", "example1", "--n", "1", "--range-bits", "1"],
+            {"--format", "--out", "--threads", "--budget"},
+            {"format", "budget"},
         ),
+        (["suite", "example2", "--n", "1", "--realizations", "2"], {"--format", "--out", "--seed"}, {"format", "seed"}),
+        (["suite", "properties", "--trials", "1"], {"--format", "--out", "--seed"}, {"format", "seed"}),
     ]
     values = {
         "--format": "csv",
@@ -196,6 +198,23 @@ def test_each_command_takes_only_the_shared_options_it_reads(rho_path, sigma_pat
                 continue
             with pytest.raises(SystemExit) as exc:
                 main([*argv, option, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_each_suite_example_refuses_the_options_of_the_others(capsys):
+    own = {
+        "example1": {"--n": "1", "--range-bits": "1"},
+        "example2": {"--n": "1", "--realizations": "2"},
+        "properties": {"--trials": "1"},
+    }
+    every = {option: value for options in own.values() for option, value in options.items()}
+    for example, options in own.items():
+        for option, value in every.items():
+            if option in options:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(["suite", example, option, value])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
@@ -422,6 +441,31 @@ def test_pa_family_domain_mismatch_exits_before_building_tables(tmp_path, capsys
     assert code == EXIT_VALIDATION
     assert "family domain 1048576 != source symbols 2" in capsys.readouterr().err
     assert peak < 16 * 2**20
+
+
+def test_pa_family_refuses_an_uncertifiable_family_before_scanning(cq_path, monkeypatch, capsys):
+    calls = []
+    batch_values = hashing._batch_values
+    monkeypatch.setattr(hashing, "_batch_values", lambda *args: calls.append(args) or batch_values(*args))
+    argv = ["pa-family", cq_path, "--family", "affine_prime", "--prime", "263", "--range-size", "2"]
+    code = main([*argv, "--measure", "trace_distance", "--sampling", "monte_carlo", "--count", "100"])
+    assert code == EXIT_BUDGET
+    assert "certification is limited to primes <= 257" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_suite_properties_passes(capsys):
+    code, doc = run_json(["suite", "properties", "--trials", "4", "--seed", "1"], capsys)
+    assert code == EXIT_OK
+    assert doc["results"]["passed"] is True
+    assert [check["name"] for check in doc["results"]["checks"]] == [
+        "renyi order monotonicity",
+        "data processing under measurement",
+        "order-1 continuity",
+        "distance orderings",
+        "pinching inequality",
+        "exponent search vs refined grid",
+    ]
 
 
 def test_suite_example2_passes(capsys):

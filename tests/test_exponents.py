@@ -21,7 +21,7 @@ from privamp import (
     renyi_security_exponent,
     smoothing_exponent,
 )
-from conftest import acceptance_states, rand_cq, rand_density
+from conftest import acceptance_states, rand_cq, rand_density, two_stage_grid_max
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
 
@@ -38,23 +38,13 @@ def test_smoothing_exponent_thresholds():
     assert math.isinf(smoothing_exponent(p, q, dmax + 0.2).value)
 
 
-def _two_stage_grid_max(f, lo: float, hi: float, points: int = 20001) -> float:
-    coarse = np.linspace(lo, hi, points)
-    vals = np.array([f(x) for x in coarse])
-    k = int(np.argmax(vals))
-    a = coarse[max(0, k - 1)]
-    b = coarse[min(points - 1, k + 1)]
-    fine = np.linspace(a, b, points)
-    return max(f(x) for x in fine)
-
-
 def test_smoothing_exponent_matches_dense_grid():
     p = np.diag([0.5, 0.5])
     q = np.diag([0.25, 0.75])
     curve = RenyiDivergenceCurve(p, q)
     r = 0.5 * (curve.umegaki().value + curve.dmax().value)
     got = smoothing_exponent(p, q, r)
-    want = 0.5 * _two_stage_grid_max(lambda s: s * r - curve.log2_q(1.0 + s), 0.0, 64.0)
+    want = 0.5 * two_stage_grid_max(lambda s: s * r - curve.log2_q(1.0 + s), 0.0, 64.0, 20001)
     assert abs(got.value - want) <= 1e-9
     assert 0.0 < got.maximizer_s < 64.0
 

@@ -568,6 +568,21 @@ def test_example1_suite_small_n():
     assert rep2["minima"]["trace_distance"].value >= 1.0 / 18.0 - 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_example2_suite_equals_the_per_realization_loop(n):
+    family = PermutationProductFamily(n)
+    source = CQState.classical(np.full(4**n, 0.25**n))
+    for seed in (0, 1):
+        worst = {"purified_distance": 0.0, "relative_entropy": 0.0, "renyi": 0.0}
+        for table in family.sample_tables(np.random.default_rng(np.random.SeedSequence(seed)), 30):
+            hashed = apply_hash(source, table)
+            for measure, s in (("purified_distance", None), ("relative_entropy", None), ("renyi", 1.0)):
+                worst[measure] = max(worst[measure], insecurity(hashed, measure, s).value)
+        rep = example2_suite(n, realizations=30, seed=seed)
+        assert rep["worst_insecurity"] == worst
+        assert [c["measured"] for c in rep["checks"][1:]] == list(worst.values())
+
+
 def test_example2_suite_small_n():
     rep = example2_suite(1, realizations=10, seed=7)
     assert rep["passed"]

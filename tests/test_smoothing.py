@@ -413,6 +413,23 @@ def test_qubit_kernel_mass_past_the_clip_matches_closed_form():
         assert cert.lower == 0.0 == cert.upper, cert.meta["n"]
 
 
+def test_dense_kernel_mass_past_the_clip_is_decided_on_sigma():
+    # a full-rank sigma has no kernel at any n, however small its eigenvalue
+    # products get ((1e-5)^3 < SUPPORT_CUT 0.6^3), so the converse stays 0
+    rng = np.random.default_rng(0)
+    rho = rand_density(rng, 3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    for cert in iid_smoothing_certificate(rho, (q * [0.6, 0.39999, 1e-5]) @ q.conj().T, 1000.0, [1, 2, 3]):
+        assert cert.lower == 0.0 <= cert.upper, cert.meta["n"]
+    # a sigma with a kernel: rho^(x n)'s mass on it matches the dense converse
+    sigma = (q * [0.7, 0.3, 0.0]) @ q.conj().T
+    for cert in iid_smoothing_certificate(rho, sigma, 1000.0, [1, 2, 3, 4]):
+        n = cert.meta["n"]
+        dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * 1000.0)
+        assert 0.0 < cert.lower <= cert.upper, n
+        assert abs(cert.lower - dense) <= 1e-12, (n, cert.lower, dense)
+
+
 def test_qubit_certificate_builds_no_tensor_power(monkeypatch):
     powers = []
     real_power = smoothing.tensor_power
