@@ -6,9 +6,12 @@ under a selectable measure. One batched kernel evaluates all four measures
 for a stack of tables: it sums the source's ConditionalRenyiCurve blocks,
 already rotated into the support frame of rho_E, per output and reads the
 eigenvalues of the stacked blocks (order 1 + s for Renyi, 1/2 for the
-purified-distance fidelity, 1 for relative entropy and trace distance):
-in closed form for blocks of size 2 or less, by eigvalsh otherwise.
-insecurity() is its identity-table case.
+purified-distance fidelity, 1 for relative entropy and trace distance).
+The blocks come from one real GEMM of weighted one-hot rows against the
+sandwiched source blocks. Their eigenvalues are read in closed form for
+blocks of size 3 or less, where 3 x 3 blocks with a near-degenerate pair
+go to eigvalsh, and by eigvalsh for larger blocks. insecurity() is its
+identity-table case.
 
 A hash family numbers its members 0 .. table_count - 1: tables(members)
 maps an int64 array of member indices to their tables, and
@@ -189,23 +192,76 @@ def _output_blocks(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alp
 
     One block per table row and output z, in the support frame of rho_E. The
     curve drops zero-probability symbols, and so do the table columns here.
+    The weighted one-hot rows, one per (table row, z) with one column per
+    symbol, multiply the sandwiched blocks viewed as real rows of 2 d^2
+    floats, in one real GEMM.
     """
-    weighted = (tables[:, curve.cq.probs > 0, None] == np.arange(m)[None, None, :]) * curve.weights[None, :, None]
-    return np.einsum("nxm,xij->nmij", weighted, curve.sandwiched_blocks(alpha))
+    rows = (tables[:, None, curve.cq.probs > 0] == np.arange(m)[:, None]) * curve.weights
+    blocks = np.ascontiguousarray(curve.sandwiched_blocks(alpha))
+    out = rows.reshape(-1, len(blocks)) @ blocks.reshape(len(blocks), -1).view(np.float64)
+    return out.view(complex).reshape(len(tables), m, *blocks.shape[1:])
+
+
+# a 3 x 3 block whose r lies this close to +-1 has two nearly equal
+# eigenvalues, and arccos magnifies r's rounding by 1 / sqrt(1 - |r|) in
+# their gap; past 1 - 1e-3 that would exceed 1e-14 max|lambda|, so eigvalsh
+# reads those blocks
+_NEAR_DEGENERATE_R = 1.0 - 1e-3
+
+
+def _eigenvalues_3x3(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of 3 x 3 Hermitian blocks, by the trigonometric method.
+
+    With q = tr / 3, p^2 = |B - q|_F^2 / 6 and r = det((B - q) / p) / 2, the
+    eigenvalues are q + 2 p cos(phi + 2 pi k / 3), phi = arccos(r) / 3; the
+    middle one is 3 q minus the other two. Multiples of the identity (zero
+    blocks among them) are read off the diagonal. The rest of the rows with
+    a near-degenerate pair (|r| > _NEAR_DEGENERATE_R), or whose p^3 leaves
+    the normal float range, go through eigvalsh.
+    """
+    flat = blocks.reshape(-1, 3, 3)
+    a0, a1, a2 = (flat[:, i, i].real for i in range(3))
+    b01, b02, b12 = flat[:, 0, 1], flat[:, 0, 2], flat[:, 1, 2]
+    q = (a0 + a1 + a2) / 3.0
+    c0, c1, c2 = a0 - q, a1 - q, a2 - q
+    n01, n02, n12 = (b.real**2 + b.imag**2 for b in (b01, b02, b12))
+    p2 = (c0 * c0 + c1 * c1 + c2 * c2 + 2.0 * (n01 + n02 + n12)) / 6.0
+    p = np.sqrt(p2)
+    det = c0 * c1 * c2 + 2.0 * (b01 * b12 * b02.conj()).real - c0 * n12 - c1 * n02 - c2 * n01
+    denom = 2.0 * p * p2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = det / denom
+        resolved = (np.abs(r) <= _NEAR_DEGENERATE_R) & (denom >= np.finfo(float).tiny) & (denom < np.inf)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    big = q + 2.0 * p * np.cos(phi)
+    small = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    w = np.stack([small, np.clip(3.0 * q - big - small, small, big), big], axis=-1)
+    rest = np.flatnonzero(~resolved)
+    if rest.size:
+        sub = flat[rest]
+        scalar = (sub == sub[:, :1, :1] * np.eye(3)).all(axis=(1, 2))
+        w[rest[scalar]] = sub[scalar, :1, 0].real
+        if not scalar.all():
+            w[rest[~scalar]] = np.linalg.eigvalsh(sub[~scalar])
+    return w.reshape(blocks.shape[:-1])
 
 
 def _block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Hermitian blocks, in closed form for size <= 2.
+    """Ascending eigenvalues of a stack of Hermitian blocks, in closed form for size <= 3.
 
     A 2 x 2 block [[a, b], [b*, d]] has eigenvalues mid +- rad, with
     mid = (a + d) / 2 and rad = hypot((a - d) / 2, |b|). The one of larger
     magnitude takes the sign of mid, and the other is det / that one: for a
     PSD block the small eigenvalue keeps its relative accuracy, which
-    w log w and sqrt(w) read. Larger blocks go through eigvalsh.
+    w log w and sqrt(w) read. A 3 x 3 block goes through _eigenvalues_3x3,
+    which hands blocks with two nearly equal eigenvalues to eigvalsh.
+    Larger blocks go through eigvalsh.
     """
     size = blocks.shape[-1]
     if size == 1:
         return blocks[..., 0].real
+    if size == 3:
+        return _eigenvalues_3x3(blocks)
     if size != 2:
         return np.linalg.eigvalsh(blocks)
     a, d, abs_b = blocks[..., 0, 0].real, blocks[..., 1, 1].real, np.abs(blocks[..., 0, 1])
@@ -334,13 +390,16 @@ def min_insecurity_exhaustive(
     return InsecurityReport(measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=total)
 
 
-def _max_pair_collision(tables: np.ndarray) -> float:
-    """Largest fraction of table rows on which two distinct symbols share an output."""
-    worst = 0.0
-    for x1 in range(tables.shape[1]):
-        for x2 in range(x1 + 1, tables.shape[1]):
-            worst = max(worst, float((tables[:, x1] == tables[:, x2]).mean()))
-    return worst
+def _max_pair_collision(symbols: np.ndarray) -> float:
+    """Largest fraction of tables on which two distinct symbols share an output.
+
+    symbols holds one row per symbol and one column per table (tables.T);
+    its rows are compared as contiguous rows of the narrowest integer type.
+    """
+    symbols = np.ascontiguousarray(symbols, dtype=np.min_scalar_type(int(symbols.max(initial=0))))
+    pairs = itertools.combinations(range(symbols.shape[0]), 2)
+    counts = (np.count_nonzero(symbols[x1] == symbols[x2]) for x1, x2 in pairs)
+    return float(max(counts, default=0) / symbols.shape[1])
 
 
 class AllFunctionsFamily:
@@ -376,7 +435,11 @@ class AllFunctionsFamily:
         """
         bound = 1.0 / self.range_size
         if self.table_count <= 1 << 16:
-            worst = _max_pair_collision(self.tables(np.arange(self.table_count)))
+            m, x = self.range_size, self.domain_size
+            outputs = np.arange(m, dtype=np.min_scalar_type(m - 1))
+            # symbol i's output over all members, ascending: each digit repeats m^(x-1-i) times
+            symbols = np.stack([np.tile(np.repeat(outputs, m ** (x - 1 - i)), m**i) for i in range(x)])
+            worst = _max_pair_collision(symbols)
             certified = worst <= bound + 1e-12
             return {"max_collision": worst, "bound": bound, "certified": certified, "method": "exhaustive"}
         return {"max_collision": bound, "bound": bound, "certified": True, "method": "entrywise-independence"}
@@ -452,7 +515,7 @@ class AffinePrimeFamily:
         """Exhaustive pair-collision count over all (a, b) members, for primes up to 257."""
         if self.prime > 257:
             raise BudgetExceededError("exhaustive certification is limited to primes <= 257")
-        worst = _max_pair_collision(self.tables(np.arange(self.table_count)))
+        worst = _max_pair_collision(self.tables(np.arange(self.table_count)).T)
         bound = 1.0 / self.range_size
         return {
             "max_collision": worst,
@@ -503,7 +566,7 @@ class PermutationProductFamily:
 
     def collision_certificate(self) -> dict:
         """Exact worst collision probability of the single-copy family, over its 24 members."""
-        worst = _max_pair_collision(PermutationProductFamily(1).tables(np.arange(24)))
+        worst = _max_pair_collision(PermutationProductFamily(1).tables(np.arange(24)).T)
         return {
             "max_collision": worst,
             "bound": 0.5,

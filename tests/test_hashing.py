@@ -246,7 +246,7 @@ def test_scans_evaluate_each_distinct_table_once(monkeypatch):
     monkeypatch.setattr(hashing, "_batch_values", counting)
     rng = np.random.default_rng(223)
     searched = [(rand_cq(rng, nx, 2), m) for nx, m in ((9, 2), (7, 3), (5, 4))]
-    sampled, qutrit = rand_cq(rng, 9, 2), rand_cq(rng, 4, 3)
+    sampled, qutrit, ququart = rand_cq(rng, 9, 2), rand_cq(rng, 4, 3), rand_cq(rng, 4, 4)
     eigvalsh_calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: eigvalsh_calls.append(a.shape) or eigvalsh(a, *args))
@@ -259,10 +259,13 @@ def test_scans_evaluate_each_distinct_table_once(monkeypatch):
     rows.clear()
     family_expectation(fam, sampled, "trace_distance", sampling="monte_carlo", count=5000, seed=3)
     assert len(rows) == 3 and max(rows) <= fam.table_count
-    # d_E = 2 blocks are read in closed form, d_E = 3 blocks by eigvalsh
+    # d_E = 2 and full-rank d_E = 3 blocks are read in closed form, d_E = 4 blocks by eigvalsh
     assert eigvalsh_calls == []
     rows.clear()
     min_insecurity_exhaustive(qutrit, 2, "purified_distance")
+    assert eigvalsh_calls == [] and sum(rows) == 8
+    rows.clear()
+    min_insecurity_exhaustive(ququart, 2, "purified_distance")
     assert eigvalsh_calls and sum(rows) == 8
 
 
@@ -283,6 +286,26 @@ def _indefinite_trace_distance_block() -> np.ndarray:
     return blocks[0, 1]
 
 
+def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _with_spectrum(spectrum, seed: int) -> np.ndarray:
+    """A Hermitian block with the given eigenvalues in a random basis."""
+    u = _random_unitary(np.random.default_rng(seed), len(spectrum))
+    block = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return (block + block.conj().T) / 2.0
+
+
+def _indefinite_qutrit_block() -> np.ndarray:
+    # the same for d_E = 3: output 0 of three, which receives symbols 0 and 2
+    cq, table = _reference_case("empty-output")
+    curve = ConditionalRenyiCurve(cq)
+    blocks = hashing._output_blocks(np.array([table]), curve, 3, 1.0) - np.diag(curve._mu) / 3
+    return blocks[0, 0]
+
+
 CLOSED_FORM_BLOCKS = {
     "zero": np.zeros((2, 2), dtype=complex),
     "rank-1": _rank_one([0.6, 0.3 - 0.4j]),
@@ -291,7 +314,20 @@ CLOSED_FORM_BLOCKS = {
     "tiny-eigenvalue": _rank_one([0.8, 0.6j]) + 1e-14 * _rank_one([0.6j, 0.8]),
     "indefinite": _indefinite_trace_distance_block(),
     "size-1": np.array([[0.375]], dtype=complex),
+    "3x3-zero": np.zeros((3, 3), dtype=complex),
+    "3x3-identity-multiple": 0.4 * np.eye(3, dtype=complex),
+    "3x3-diagonal": np.diag([0.5, 0.1, 0.2]).astype(complex),
+    "3x3-rank-1": _rank_one([0.6, 0.3 - 0.4j, 0.2 + 0.5j]),
+    "3x3-rank-2": _rank_one([0.6, 0.3 - 0.4j, 0.2 + 0.5j]) + _rank_one([0.1j, 0.5, -0.3]),
+    "3x3-degenerate-lower-pair": _with_spectrum([0.1, 0.1, 0.7], 5),
+    "3x3-degenerate-upper-pair": _with_spectrum([0.1, 0.45, 0.45], 6),
+    "3x3-indefinite": _indefinite_qutrit_block(),
+    "3x3-complex-phases": np.array(
+        [[0.4, 0.1 + 0.2j, -0.05j], [0.1 - 0.2j, 0.35, 0.08 - 0.03j], [0.05j, 0.08 + 0.03j, 0.25]]
+    ),
 }
+# eigenvalue error allowed, in units of the block's largest |eigenvalue|
+CLOSED_FORM_TOLERANCE = {1: 0.0, 2: 4 * np.finfo(float).eps, 3: 1e-14}
 
 
 @pytest.mark.parametrize("case", CLOSED_FORM_BLOCKS)
@@ -303,8 +339,59 @@ def test_block_eigenvalues_closed_form_matches_eigvalsh(case):
     want = np.linalg.eigvalsh(stack)
     assert got.shape == want.shape
     scale = np.abs(want).max(axis=-1, keepdims=True)
-    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale), (got, want)
+    assert np.all(np.abs(got - want) <= CLOSED_FORM_TOLERANCE[block.shape[-1]] * scale), (got, want)
     assert np.all(np.diff(got, axis=-1) >= 0)
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spectrum=st.lists(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    shape=st.sampled_from(["free", "repeated", "clustered"]),
+    scale=st.sampled_from([1e-9, 1.0, 1e6]),
+)
+def test_block_eigenvalues_3x3_matches_eigvalsh_on_any_spectrum(seed, spectrum, shape, scale):
+    # repeated and clustered pairs are where the trigonometric form loses the gap
+    if shape == "repeated":
+        spectrum[1] = spectrum[0]
+    elif shape == "clustered":
+        spectrum[1] = spectrum[0] * (1.0 + 1e-7) + 1e-9
+    block = _with_spectrum(scale * np.array(spectrum), seed % 2**16)
+    got = hashing._block_eigenvalues(block[None])[0]
+    want = np.linalg.eigvalsh(block)
+    assert np.all(np.abs(got - want) <= CLOSED_FORM_TOLERANCE[3] * np.abs(want).max()), (got, want)
+    assert np.all(np.diff(got) >= 0)
+
+
+def test_block_eigenvalues_3x3_near_degenerate_pairs_stay_within_bound():
+    # a pair 0.5-5% apart puts r within 1e-4..1e-2 of 1, where arccos magnifies
+    # r's rounding; with the guard at 1 - 1e-4 a 0.5% gap erred by 1.2e-14
+    rng = np.random.default_rng(241)
+    for gap in (0.005, 0.01, 0.02, 0.05):
+        u = np.stack([_random_unitary(rng, 3) for _ in range(400)])
+        blocks = (u * np.array([0.1, 1.0 - gap, 1.0])) @ u.conj().transpose(0, 2, 1)
+        blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+        err = np.abs(hashing._block_eigenvalues(blocks) - np.linalg.eigvalsh(blocks)).max()
+        assert err <= CLOSED_FORM_TOLERANCE[3], (gap, err)
+
+
+def test_block_eigenvalues_3x3_small_eigenvalue_root_matches_mpmath():
+    # purified distance reads sqrt(lambda); on near-singular PSD blocks the closed
+    # form's sqrt(lambda_min) must be no further than 4x eigvalsh's from a 40-digit reference
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(229)
+    for ratio in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0):
+        spectra = [[1.0, 0.0, 0.0] if ratio == 0.0 else [1.0, rng.uniform(0.2, 0.8), ratio] for _ in range(12)]
+        blocks = np.stack([_with_spectrum(spec, int(rng.integers(2**16))) for spec in spectra])
+        with mpmath.workdps(40):
+            want = np.array([
+                min(mpmath.eighe(mpmath.matrix(block.tolist()), eigvals_only=True)) for block in blocks
+            ], dtype=float)
+        root = lambda w: np.sqrt(np.clip(w, 0.0, None))
+        closed = np.abs(root(hashing._block_eigenvalues(blocks)[:, 0]) - root(want)).max()
+        lapack = np.abs(root(np.linalg.eigvalsh(blocks)[:, 0]) - root(want)).max()
+        assert closed <= 4.0 * lapack, (ratio, closed, lapack)
 
 
 def test_block_eigenvalues_keeps_a_small_eigenvalue_relative():
@@ -313,6 +400,49 @@ def test_block_eigenvalues_keeps_a_small_eigenvalue_relative():
     small = 2e-14 - 1e-16 / (1.0 - 2e-14)  # det / lambda_+ to second order
     assert abs(hashing._block_eigenvalues(block[None])[0, 0] - small) <= 1e-10 * small
 
+
+def _einsum_output_blocks(tables, curve, m, alpha):
+    """The output blocks as one complex einsum over (table, symbol, output) weights."""
+    weighted = (tables[:, curve.cq.probs > 0, None] == np.arange(m)[None, None, :]) * curve.weights[None, :, None]
+    return np.einsum("nxm,xij->nmij", weighted, curve.sandwiched_blocks(alpha))
+
+
+@pytest.mark.parametrize("de", [1, 2, 3])
+def test_output_blocks_match_einsum(de):
+    rng = np.random.default_rng(233)
+    for m in (1, 2, 3, 4):
+        for zero_symbol in (False, True):
+            cq = rand_cq(rng, 7, de)
+            if zero_symbol:
+                cq = CQState(np.concatenate([[0.0], cq.probs[1:] / cq.probs[1:].sum()]), cq.conditionals)
+            curve = ConditionalRenyiCurve(cq)
+            tables = rng.integers(0, m, size=(300, 7))
+            for alpha in (0.5, 1.0, 2.0):
+                got = hashing._output_blocks(tables, curve, m, alpha)
+                want = _einsum_output_blocks(tables, curve, m, alpha)
+                assert got.shape == want.shape == (300, m, de, de)
+                # the same products summed in two orders: 2 ulp of the stack's largest entry
+                bound = 2 * np.spacing(np.abs(want).max())
+                assert np.all(np.abs(got.real - want.real) <= bound), (m, zero_symbol, alpha)
+                assert np.all(np.abs(got.imag - want.imag) <= bound), (m, zero_symbol, alpha)
+
+
+def test_output_blocks_do_not_depend_on_the_blas_thread_count():
+    # a chunk's GEMM is large enough for OpenBLAS to split it over its threads
+    from privamp import operators
+
+    threads = operators._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    rng = np.random.default_rng(239)
+    cq = rand_cq(rng, 13, 3)
+    curve = ConditionalRenyiCurve(cq)
+    tables = rng.integers(0, 3, size=(hashing._CHUNK, 13))
+    default = hashing._output_blocks(tables, curve, 3, 0.5)
+    with operators._blas_threads_for(1):
+        assert threads[0]() == 1
+        one = hashing._output_blocks(tables, curve, 3, 0.5)
+    assert np.array_equal(one, default)
 
 @pytest.mark.parametrize(
     "family",
