@@ -11,8 +11,9 @@ powers: the joint spectrum is a list of atoms, each a log-likelihood ratio
 log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
 The water-filling oracle, the converse mass and D_max read only that list,
 so each is a prefix or suffix sum over it and the oracle is in closed form.
-Non-commuting qubit pairs form no tensor power either: their converse is
-read from the Schur-Weyl blocks of the n-fold pair.
+Non-commuting pairs form no tensor power either: their converse is read
+from the Schur-Weyl blocks of the n-fold pair, in closed form for qubits
+and one irrep at a time for larger dimensions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .operators import (
     ATOM_CAP,
     BudgetExceededError,
     SUPPORT_CUT,
+    TENSOR_BUDGET,
     _as_matrix,
     _blas_threads_for,
     commutator_defect,
@@ -34,7 +36,6 @@ from .operators import (
     eig,
     joint_eigenvalues,
     pinching,
-    tensor_power,
 )
 from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve
 from .states import StateDescriptor, _as_state_matrix
@@ -149,6 +150,24 @@ def _log2(x: float) -> float:
     return math.log2(x) if x > 0 else -math.inf
 
 
+def _block_mass(blocks) -> float:
+    """tr rho P_+ of a block-diagonal rho - c sigma, from its blocks (w, v, g, rho_block, log2_weight).
+
+    A block has eigenvalues 2^g w, |w| <= 1, with eigenvectors v, rho_block
+    is rho on it, and it recurs 2^log2_weight times. P_+ keeps eigenvalues
+    above 1e-12 (1 + max |2^g w|) over all blocks, as converse_bound cuts
+    the whole operator.
+    """
+    p = 0.0
+    if blocks:
+        log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
+        log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
+        for w, v, g, rho_block, log2_weight in blocks:
+            cols = v[:, w > np.exp2(min(log2_cut - g, 1.0))]
+            p += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_block @ cols).real)
+    return p
+
+
 class _QubitBlocks:
     """converse_bound of a qubit pair's tensor powers, from Schur-Weyl blocks.
 
@@ -199,7 +218,6 @@ class _QubitBlocks:
 
     def converse(self, n: int, lam: float, t: float) -> float:
         """converse_bound(rho^(x n), sigma^(x n), lam, t) below _EXP2_CLIP, with the same positive-eigenvalue cut."""
-        p = 0.0
         blocks = []
         for k in range(n // 2 + 1):
             m = n - 2 * k
@@ -212,14 +230,130 @@ class _QubitBlocks:
                 continue  # a zero block
             w, v = np.linalg.eigh(np.exp2(la - g) * rho_m - np.diag(np.exp2(lb - g) * sigma_m))
             blocks.append((w, v, g, rho_m, log2_weight))
-        if blocks:
-            # converse_bound cuts at 1e-12 (1 + max |w|) over the whole operator; here |w| <= 1 in each block
-            log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
-            log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
-            for w, v, g, rho_m, log2_weight in blocks:
-                cols = v[:, w > np.exp2(min(log2_cut - g, 1.0))]
-                p += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_m @ cols).real)
-        return _converse_from_mass(p, t)
+        return _converse_from_mass(_block_mass(blocks), t)
+
+
+def _partitions(n: int, rows: int, top: int):
+    """Partitions of n into at most `rows` parts of at most top each, parts descending."""
+    if n == 0:
+        yield ()
+    elif rows > 0:
+        for first in range(min(n, top), 0, -1):
+            for rest in _partitions(n - first, rows - 1, first):
+                yield (first, *rest)
+
+
+def _standard_tableaux(lam: tuple[int, ...]) -> int:
+    """f_lam, the number of standard Young tableaux of shape lam, by the hook length formula."""
+    heights = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+    hooks = math.prod(row - j + heights[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    return math.factorial(sum(lam)) // hooks
+
+
+def _antisymmetrize(a: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Sum of sgn(g) g(a) over the permutations g of the given axes of a.
+
+    S_k is S_(k-1) times the transpositions {1, (1 k), .., (k-1 k)}, so
+    the sum takes k - 1 rounds of transposition sums, not k! terms.
+    """
+    for k in range(1, len(axes)):
+        a = a - sum(np.swapaxes(a, axes[j], axes[k]) for j in range(k))
+    return a
+
+
+def _irrep_bases(d: int, n: int) -> list[tuple[int, np.ndarray]]:
+    """(f_lam, B_lam) per partition lam of n with at most d rows, for the GL(d) irreps V_lam in (C^d)^(x n).
+
+    B_lam is real, d_lam x d^n, with orthonormal rows spanning one copy of
+    V_lam: the range of the Young symmetrizer of the row-reading tableau
+    (rows symmetrized, then columns antisymmetrized), spanned by its images
+    of the d_lam semistandard fillings. The row sum of a filling is, up to
+    scale, the indicator of the words whose rows sort to it.
+    """
+    if n == 1:
+        return [(1, np.eye(d))]  # C^d itself
+    words = np.indices((d,) * n).reshape(n, -1)  # words[:, i]: the filling at flat index i, in reading order
+    place = d ** np.arange(n - 1, -1, -1)  # the flat index of a filling is place @ filling
+    bases = []
+    for lam in _partitions(n, d, n):
+        starts = [sum(lam[:i]) for i in range(len(lam))]
+        cols = [[s + j for s, length in zip(starts, lam) if length > j] for j in range(lam[0])]
+        row_sorted = np.concatenate([np.sort(words[s : s + length], axis=0) for s, length in zip(starts, lam)])
+        semistandard = (row_sorted == words).all(axis=0)
+        for col in cols:
+            for i, j in zip(col, col[1:]):
+                semistandard &= words[i] < words[j]
+        fillings = np.flatnonzero(semistandard)
+        image = (place @ row_sorted == fillings[:, None]).astype(float).reshape((fillings.size,) + (d,) * n)
+        for col in cols:
+            image = _antisymmetrize(image, [1 + i for i in col])
+        image = image.reshape(fillings.size, -1)
+        # orthonormal rows from the eigenvectors of their Gram matrix: an m x m eigh in place of a QR of d^n rows
+        e, v = np.linalg.eigh(image @ image.T)
+        bases.append((_standard_tableaux(lam), (v / np.sqrt(e)).T @ image))
+    return bases
+
+
+class _IrrepBlocks:
+    """converse_bound of the tensor powers of a d-dim pair, d >= 3, from Schur-Weyl irrep blocks.
+
+    (C^d)^(x n) is the sum of V_lam (x) S_lam over partitions lam of n with
+    at most d rows, and X^(x n) acts as pi_lam(X) (x) 1 there, S_lam having
+    dimension f_lam (Fulton-Harris, Lecture 6; Harrow, quant-ph/0512255).
+    So rho^(x n) - c sigma^(x n) splits into blocks pi_lam(rho) -
+    c pi_lam(sigma), each recurring f_lam times, and tr rho^(x n) P_+ is a
+    weighted sum of block masses. pi_lam(X) is X^(x n) compressed to one
+    copy of V_lam (_irrep_bases), applied as n mode products on the
+    (d,) * n view, so no tensor power is formed. The pair is taken in
+    sigma's eigenbasis, where pi_lam(sigma) is a real Gram matrix weighted
+    by sigma^(x n)'s diagonal, and scaled to spectral norm at most 1, with
+    the scales kept in log2 as _QubitBlocks keeps them. Each n's blocks are
+    built once per instance; their basis vectors have d^n entries.
+    """
+
+    def __init__(self, rm: np.ndarray, sm: np.ndarray):
+        ws, us = np.linalg.eigh(sm)
+        a, s1 = float(np.linalg.norm(rm)), float(np.abs(ws).max())  # the Frobenius norm bounds rho's spectral norm
+        self.d = rm.shape[0]
+        self.rho, self.sigma = us.conj().T @ rm @ us / a, ws / s1
+        self.log2_norms = math.log2(a), math.log2(s1)
+        self._blocks: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+
+    def blocks(self, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(f_lam, pi_lam(rho), pi_lam(sigma)) per partition lam of n with at most d rows, both scaled."""
+        if n not in self._blocks:
+            sigma_n = np.ones(1)
+            for _ in range(n):
+                sigma_n = np.outer(sigma_n, self.sigma).ravel()
+            bases = _irrep_bases(self.d, n)
+            rho_n = np.vstack([b for _, b in bases]).reshape((-1,) + (self.d,) * n)
+            for _ in range(n):
+                # contracts the first site and appends it as the last, so n steps restore the order
+                rho_n = np.tensordot(rho_n, self.rho, axes=([1], [1]))
+            rho_n = rho_n.reshape(rho_n.shape[0], -1)
+            self._blocks[n], start = [], 0
+            for f, b in bases:
+                # Hermitian to rounding; eigh reads its lower triangle, and a mass its Hermitian part
+                rho_lam = b @ rho_n[start : start + b.shape[0]].T
+                start += b.shape[0]
+                self._blocks[n].append((f, rho_lam, (b * sigma_n) @ b.T))
+        return self._blocks[n]
+
+    def mass(self, n: int, log2_c: float) -> float:
+        """tr rho^(x n) {rho^(x n) > 2^log2_c sigma^(x n)}, with converse_bound's positive-eigenvalue cut."""
+        log2_a, log2_s = self.log2_norms
+        la, lb = n * log2_a, log2_c + n * log2_s
+        g = max(la, lb)
+        blocks = []
+        for f, rho_lam, sigma_lam in self.blocks(n):
+            w, v = np.linalg.eigh(np.exp2(la - g) * rho_lam - np.exp2(lb - g) * sigma_lam)
+            blocks.append((w, v, g, rho_lam, math.log2(f) + la))
+        return _block_mass(blocks)
+
+    def converse(self, n: int, lam: float, t: float) -> float:
+        """converse_bound(rho^(x n), sigma^(x n), lam, t) below _EXP2_CLIP."""
+        with _blas_threads_for(self.d**n):
+            return _converse_from_mass(self.mass(n, math.log2(t) + lam), t)
 
 
 @dataclass(frozen=True)
@@ -413,10 +547,13 @@ def iid_smoothing_certificate(
     spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
     that decide the budget n r then sum to near 0, where each convolution
     rounds them finest, instead of to near n r. Non-commuting
-    pairs get the bracket only. Past _EXP2_CLIP their converse reads rho's
-    mass on the kernel of sigma, decided on sigma itself; below it, Schur-Weyl
-    blocks for qubits (_QubitBlocks, with each m's blocks built once for all
-    n) and a dense tensor power under a budget for larger dimensions.
+    pairs get the bracket only. Past _EXP2_CLIP, or at t = inf, their
+    converse reads rho's mass on the kernel of sigma, decided on sigma
+    itself; below it, Schur-Weyl blocks: _QubitBlocks for qubits, with each
+    m's blocks built once for all n, and _IrrepBlocks for larger dimensions
+    d, with each n's irrep blocks built once. Those read vectors of d^n
+    entries, so an n > 1 below _EXP2_CLIP with d^n above TENSOR_BUDGET
+    raises BudgetExceededError before any certificate is computed.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -430,10 +567,16 @@ def iid_smoothing_certificate(
     s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     commuting = commutes(rm, sm)
-    base = None
-    blocks = _QubitBlocks(rm, sm) if not commuting and rm.shape == (2, 2) else None
-    # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP read
-    past_clip = not commuting and max(ns, default=1) * r >= _EXP2_CLIP
+    base = blocks = None
+    if not commuting:
+        d = rm.shape[0]
+        # the d >= 3 blocks read vectors of d^n entries, which TENSOR_BUDGET caps
+        n_blocks = max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
+        if d > 2 and d**n_blocks > TENSOR_BUDGET:
+            raise BudgetExceededError(f"Schur-Weyl basis dim {d}^{n_blocks} exceeds budget {TENSOR_BUDGET}")
+        blocks = _QubitBlocks(rm, sm) if d == 2 else _IrrepBlocks(rm, sm)
+    # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP, and t = inf, read
+    past_clip = not commuting and (math.isinf(t) or max(ns, default=1) * r >= _EXP2_CLIP)
     kernel_mass = _dense_converse_mass(rm, sm, math.inf) if past_clip else None
     if commuting:
         shift = min(max(r, -_EXP2_CLIP), _EXP2_CLIP)  # so that n shift stays finite
@@ -453,15 +596,12 @@ def iid_smoothing_certificate(
             lam_shifted = lam - n * shift  # 0 unless |r| > _EXP2_CLIP
             exact = spectrum.smoothing_oracle(lam_shifted)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam_shifted), t)
-        elif lam >= _EXP2_CLIP:
+        elif lam >= _EXP2_CLIP or math.isinf(t):
             # c = inf: rho^(x n)'s mass off supp(sigma)^(x n) is 1 - (1 - kernel_mass)^n; a
             # product of support eigenvalues is no kernel however small
             exact, lower = None, _converse_from_mass(0.0 - math.expm1(n * math.log1p(-min(kernel_mass, 1.0))), t)
-        elif blocks is not None:
-            exact, lower = None, blocks.converse(n, lam, t)
         else:
-            exact = None
-            lower = converse_bound(tensor_power(rm, n), tensor_power(sm, n), lam, t)
+            exact, lower = None, blocks.converse(n, lam, t)
         certificates.append(
             SmoothingCertificate(
                 lam=lam,

@@ -14,7 +14,7 @@ from privamp.cli import (
     load_state_file,
     main,
 )
-from privamp import CQState, ConditionalRenyiCurve, StateDescriptor, hashing
+from privamp import CQState, ConditionalRenyiCurve, StateDescriptor, hashing, smoothing
 from conftest import acceptance_states
 
 
@@ -314,6 +314,23 @@ def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, cap
     [row] = doc["rows"]
     assert row["upper"] == 1.0
     assert 0.0 <= row["lower"] <= row["exact"] <= 1.0
+
+
+def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch, capsys):
+    # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096; n = 1..7 are not computed first
+    rng = np.random.default_rng(191)
+    paths = []
+    for name in ("rho.json", "sigma.json"):
+        g = rng.standard_normal((3, 3))
+        m = g @ g.T / float(np.trace(g @ g.T))
+        paths.append(write_json(tmp_path / name, {"kind": "density", "dim": 3, "entries": m.tolist()}))
+    calls = []
+    real_blocks = smoothing._IrrepBlocks.blocks
+    monkeypatch.setattr(smoothing._IrrepBlocks, "blocks", lambda self, n: calls.append(n) or real_blocks(self, n))
+    code = main(["smooth", *paths, "--rate", "0.1", "--n-max", "8"])
+    assert code == EXIT_BUDGET
+    assert calls == []
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_smooth_requires_exactly_one_mode(rho_path, sigma_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -294,20 +295,55 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
         assert one.upper == min(iid_one.upper, one.meta["witness_achieved"])
 
 
-def test_iid_certificate_noncommuting_uses_dense_converse():
-    rng = np.random.default_rng(151)
-    rho = rand_density(rng, 3)
-    sigma = rand_density(rng, 3)
-    curve = RenyiDivergenceCurve(rho, sigma)
-    r = 0.5 * (curve.umegaki().value + curve.dmax().value)
-    [cert] = iid_smoothing_certificate(rho, sigma, r, [3])
-    assert cert.exact is None
-    assert not cert.meta["commuting"]
-    assert 0.0 <= cert.lower <= cert.upper <= 1.0
-    assert cert.lower == converse_bound(tensor_power(rho, 3), tensor_power(sigma, 3), 3 * r)
+def _noncommuting_pairs_below_d():
+    """A qutrit pair with n = 1..5 and a ququart pair with n = 1..4, each at the rate D - (D_max - D) / 4.
+
+    Below D the converse mass stays positive, and so does the lower bound
+    from n = 2 on for these draws.
+    """
+    rng = np.random.default_rng(152)
+    for d, n_max in ((3, 5), (4, 4)):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        yield rho, sigma, d1 - 0.25 * (dmax - d1), range(1, n_max + 1)
+
+
+def test_iid_certificate_noncommuting_matches_dense_converse():
+    # the dense eigenvectors of the d^n-dim difference are accurate to about
+    # 1e-16 max|w| / gap; for these pairs both paths agree to a few 1e-14
+    for rho, sigma, r, ns in _noncommuting_pairs_below_d():
+        d = rho.shape[0]
+        for cert in iid_smoothing_certificate(rho, sigma, r, ns):
+            n = cert.meta["n"]
+            assert cert.exact is None and not cert.meta["commuting"]
+            assert 0.0 <= cert.lower <= cert.upper <= 1.0
+            assert cert.lower > 0.0 or n == 1, n
+            dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * r)
+            assert abs(cert.lower - dense) <= 1e-12, (d, n, cert.lower, dense)
+            # each irrep V_lam recurs f_lam times, so the copies fill (C^d)^(x n)
+            bases = smoothing._irrep_bases(d, n)
+            assert sum(f * b.shape[0] for f, b in bases) == d**n
+            for _, b in bases:
+                assert np.abs(b @ b.T - np.eye(b.shape[0])).max() <= 1e-13
     # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096
+    rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
     with pytest.raises(BudgetExceededError):
         iid_smoothing_certificate(rho, sigma, r, [8])
+
+
+def test_irrep_budget_is_refused_before_any_block_is_built(monkeypatch):
+    built = []
+    real_blocks = smoothing._IrrepBlocks.blocks
+    monkeypatch.setattr(smoothing._IrrepBlocks, "blocks", lambda self, n: built.append(n) or real_blocks(self, n))
+    rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
+    with pytest.raises(BudgetExceededError):
+        iid_smoothing_certificate(rho, sigma, r, range(1, 9))
+    assert built == []
+    # budgets n r past _EXP2_CLIP read the kernel of sigma, so n = 5..9 need no blocks at r = 200
+    certs = iid_smoothing_certificate(rho, sigma, 200.0, range(1, 10))
+    assert [c.meta["n"] for c in certs] == list(range(1, 10))
+    assert sorted(set(built)) == [1, 2, 3, 4]
 
 
 def _noncommuting_qubit_pairs():
@@ -395,6 +431,41 @@ def test_qubit_block_converse_matches_high_precision_blocks():
                 assert abs(cert.lower - want) <= 1e-8, (cert.meta["n"], r, cert.lower, want)
 
 
+def _mp_dense_converse_mass(rho, sigma, n: int, c: float) -> float:
+    """tr rho^(x n) {rho^(x n) > c sigma^(x n)} from a 40-digit eigh of the d^n-dim difference.
+
+    The positive part is cut at 1e-12 (1 + max |w|), as converse_bound cuts it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    words = list(itertools.product(range(rho.shape[0]), repeat=n))
+    with mpmath.workdps(40):
+
+        def power(x):
+            xm = [[mpmath.mpmathify(v) for v in row] for row in x.tolist()]
+            return mpmath.matrix([[mpmath.fprod(xm[a][b] for a, b in zip(i, j)) for j in words] for i in words])
+
+        rho_n = power(rho)
+        w, v = mpmath.eigh(rho_n - mpmath.mpf(c) * power(sigma))
+        cut = mpmath.mpf("1e-12") * (1 + max(abs(x) for x in w))
+        return float(mpmath.fsum((v[:, j].H * rho_n * v[:, j])[0].real for j in range(len(w)) if w[j] > cut))
+
+
+def test_irrep_block_mass_matches_high_precision_dense():
+    rng = np.random.default_rng(157)
+    complex_pair = rand_density(rng, 3), rand_density(rng, 3)
+    # a real pair keeps the 27-dim 40-digit eigh near 0.4 s
+    real_pair = [(g @ g.T) / float(np.trace(g @ g.T)) for g in rng.standard_normal((2, 3, 3))]
+    for (rho, sigma), n, scales in ((complex_pair, 2, (1e-4, 1e-2, 0.1, 2.0)), (real_pair, 3, (0.01,))):
+        blocks = smoothing._IrrepBlocks(rho, sigma)
+        # the difference has a positive eigenvalue exactly when c < 2^(n D_max)
+        c_max = 2.0 ** (n * RenyiDivergenceCurve(rho, sigma).dmax().value)
+        for c in (u * c_max for u in scales):
+            want = _mp_dense_converse_mass(rho, sigma, n, c)
+            got = blocks.mass(n, math.log2(c))
+            assert (want > 0) == (c < c_max), (n, c, want)
+            assert abs(got - want) <= 1e-14, (n, c, got, want)
+
+
 def test_qubit_kernel_mass_past_the_clip_matches_closed_form():
     # past _EXP2_CLIP the converse reads rho's mass on the kernel of sigma^(x n):
     # for a pure sigma = |v><v| that is 1 - <v|rho|v>^n; a full-rank sigma has
@@ -428,17 +499,39 @@ def test_dense_kernel_mass_past_the_clip_is_decided_on_sigma():
         dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * 1000.0)
         assert 0.0 < cert.lower <= cert.upper, n
         assert abs(cert.lower - dense) <= 1e-12, (n, cert.lower, dense)
+    # at t = inf, c = t 2^(n r) is infinite at every budget
+    for cert in iid_smoothing_certificate(rho, sigma, 0.3, [1, 2, 3], t=math.inf):
+        n = cert.meta["n"]
+        dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * 0.3, t=math.inf)
+        assert 0.0 < cert.lower <= cert.upper, n
+        assert abs(cert.lower - dense) <= 1e-12, (n, cert.lower, dense)
+
+
+def _spy_on_kron(monkeypatch) -> list:
+    """Shapes of every np.kron call from here on; tensor_power forms its powers with it."""
+    calls = []
+    real_kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: calls.append((np.shape(a), np.shape(b))) or real_kron(a, b))
+    return calls
 
 
 def test_qubit_certificate_builds_no_tensor_power(monkeypatch):
-    powers = []
-    real_power = smoothing.tensor_power
-    monkeypatch.setattr(smoothing, "tensor_power", lambda a, n: powers.append(n) or real_power(a, n))
+    krons = _spy_on_kron(monkeypatch)
     rng = np.random.default_rng(173)
     rho, sigma = rand_density(rng, 2), rand_density(rng, 2)
     iid_smoothing_certificate(rho, sigma, 0.3, range(1, 30))
     smoothing_certificate(rho, sigma, 0.3)
-    assert [n for n in powers if n > 1] == []
+    assert krons == []
+
+
+def test_irrep_certificate_builds_no_tensor_power(monkeypatch):
+    krons = _spy_on_kron(monkeypatch)
+    rng = np.random.default_rng(181)
+    for d, n_max in ((3, 6), (4, 4)):
+        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+        iid_smoothing_certificate(rho, sigma, 0.3, range(1, n_max + 1))
+        smoothing_certificate(rho, sigma, 0.3)
+    assert krons == []
 
 
 def test_qubit_bracket_is_ordered_to_n_128():
