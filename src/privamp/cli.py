@@ -214,6 +214,19 @@ def _config_block(args, inputs: list[str]) -> dict:
     }
 
 
+def _int_at_least(low: int):
+    """An argparse type that reads an integer and refuses one below low (usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
@@ -221,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
     scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
-    scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
+    scan.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads (never changes results)")
+    scan.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
 
     top = argparse.ArgumentParser(prog="privamp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -338,6 +338,8 @@ def _chunk_values(family, values, threads: int, *, count: int = 0, seed: int | N
     seed they are count draws, chunk i drawn from SeedSequence([seed, i]).
     Either way the rows do not depend on the thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if seed is None:
         count = family.table_count
 

@@ -70,9 +70,7 @@ def _blas_threads_for(dim: int):
 
     Below that size a second OpenBLAS thread saves nothing, on a 2-core
     x86 host: a 243-dim complex eigh, the dense converse of a qutrit pair
-    at n = 5, took 7.0 ms on one thread and 6.6-8.8 ms on two, and the
-    Schur-Weyl irrep blocks of that pair, whose basis vectors have 243
-    entries, took 3.4-3.7 ms on one thread and 3.8-3.9 ms on two. Each
+    at n = 5, took 7.0 ms on one thread and 6.6-8.8 ms on two. Each
     threaded call also waits until its worker is scheduled: with the
     other core busy the same eigh took 15 ms. Without OpenBLAS this does
     nothing.

@@ -12,12 +12,14 @@ log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
 The water-filling oracle, the converse mass and D_max read only that list,
 so each is a prefix or suffix sum over it and the oracle is in closed form.
 Non-commuting pairs form no tensor power either: their converse is read
-from the Schur-Weyl blocks of the n-fold pair, in closed form for qubits
-and one irrep at a time for larger dimensions.
+from the Schur-Weyl blocks of the n-fold pair, one GL(d) irrep at a time
+in its Gelfand-Tsetlin basis, by the same path for every dimension d.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -168,71 +170,6 @@ def _block_mass(blocks) -> float:
     return p
 
 
-class _QubitBlocks:
-    """converse_bound of a qubit pair's tensor powers, from Schur-Weyl blocks.
-
-    For a 2 x 2 matrix X, X^(x n) = (+)_k det X^k Sym^m(X) (x) 1 over
-    k <= n/2, m = n - 2k, with multiplicity C(n, k) - C(n, k - 1) (Harrow,
-    quant-ph/0512255), so rho^(x n) - c sigma^(x n) splits into blocks of
-    size m + 1 and tr rho^(x n) P_+ is a weighted sum of block masses. In
-    sigma's eigenbasis Sym^m(sigma) is diag(s1^(m-i) s2^i) and Sym^m(rho) is
-    a^m d diag((b/a)^i) d^T, up to diagonal phases that change no block's
-    spectrum or rho-mass, where d = Sym^m of the real rotation by the angle
-    phi between the two eigenbases. d = exp(phi K) for the spin-m/2
-    generator K = J_- - J_+, taken from the eigenvectors of iK, whose
-    eigenvalues are the integers m, m - 2, .., -m: it stays orthogonal to
-    rounding where expanding polynomial products does not. Each m's blocks
-    are built once per instance; block scales and weights are kept in log2,
-    so C(n, k) and det^k stay finite at large n.
-    """
-
-    def __init__(self, rm: np.ndarray, sm: np.ndarray):
-        wr, ur = np.linalg.eigh(rm)
-        ws, us = np.linalg.eigh(sm)
-        # eigenvalues descending and clipped at 0; columns to match
-        (b, a), (s2, s1) = np.clip(wr, 0.0, None), np.clip(ws, 0.0, None)
-        overlap = np.abs(us[:, ::-1].conj().T @ ur[:, ::-1])
-        self.phi = math.atan2(float(overlap[1, 0]), float(overlap[0, 0]))
-        self.ratios = float(b / a), float(s2 / s1)
-        # log2 of the top eigenvalue and of det
-        self.log2_rho, self.log2_sigma = (_log2(a), _log2(a * b)), (_log2(s1), _log2(s1 * s2))
-        self._sym: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def sym(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sym^m(rho) / a^m and the diagonal of Sym^m(sigma) / s1^m, in sigma's eigenbasis."""
-        if m not in self._sym:
-            i = np.arange(m + 1)
-            up = np.sqrt(i[1:] * (m - i[1:] + 1.0))  # J_+ takes basis vector i to i - 1
-            gen = np.diag(-1j * up, 1) + np.diag(1j * up, -1)  # iK
-            mu, y = np.linalg.eigh(gen)
-            d = ((y * np.exp(-1j * self.phi * np.rint(mu))) @ y.conj().T).real
-            rho_ratio, sigma_ratio = self.ratios
-            self._sym[m] = (d * rho_ratio**i) @ d.T, sigma_ratio**i
-        return self._sym[m]
-
-    @staticmethod
-    def _scale(log2s: tuple[float, float], k: int, m: int) -> float:
-        """log2 of the top eigenvalue of det X^k Sym^m(X), from log2s = (log2 top eigenvalue, log2 det X)."""
-        log2_top, log2_det = log2s
-        return m * log2_top + (k * log2_det if k else 0.0)
-
-    def converse(self, n: int, lam: float, t: float) -> float:
-        """converse_bound(rho^(x n), sigma^(x n), lam, t) below _EXP2_CLIP, with the same positive-eigenvalue cut."""
-        blocks = []
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            rho_m, sigma_m = self.sym(m)
-            la = self._scale(self.log2_rho, k, m)
-            log2_weight = math.log2(math.comb(n, k) - (math.comb(n, k - 1) if k else 0)) + la
-            lb = math.log2(t) + lam + self._scale(self.log2_sigma, k, m)
-            g = max(la, lb)
-            if g == -math.inf:
-                continue  # a zero block
-            w, v = np.linalg.eigh(np.exp2(la - g) * rho_m - np.diag(np.exp2(lb - g) * sigma_m))
-            blocks.append((w, v, g, rho_m, log2_weight))
-        return _converse_from_mass(_block_mass(blocks), t)
-
-
 def _partitions(n: int, rows: int, top: int):
     """Partitions of n into at most `rows` parts of at most top each, parts descending."""
     if n == 0:
@@ -250,110 +187,149 @@ def _standard_tableaux(lam: tuple[int, ...]) -> int:
     return math.factorial(sum(lam)) // hooks
 
 
-def _antisymmetrize(a: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Sum of sgn(g) g(a) over the permutations g of the given axes of a.
+@functools.cache
+def _irreps(n: int, d: int) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+    """(shape, k, log2 f_lam) per partition lam of n with at most d rows: lam is shape + k (1, .., 1), shape[-1] = 0."""
+    lams = [lam + (0,) * (d - len(lam)) for lam in _partitions(n, d, n)]
+    return tuple((tuple(x - lam[-1] for x in lam), lam[-1], math.log2(_standard_tableaux(lam))) for lam in lams)
 
-    S_k is S_(k-1) times the transpositions {1, (1 k), .., (k-1 k)}, so
-    the sum takes k - 1 rounds of transposition sums, not k! terms.
+
+@functools.cache
+def _gt_irrep(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The GL(d) irrep of highest weight `shape`, d = len(shape), in its orthonormal Gelfand-Tsetlin basis.
+
+    Returns the weights, one row per basis vector (pi(E_kk) is the diagonal
+    of column k), and each nonzero entry of the off-diagonal pi(E_ij) as its
+    flat index, the flat index i d + j of its root, and its value.
+    pi(E_(k,k+1)) is Molev's formula for the orthonormal basis
+    (arXiv:math/0211289, Thm 2.3) and pi(E_(k+1,k)) its transpose; the sum
+    A_h of the E_ij with j - i = h is [A_(h-1), sum_k k E_(k,k+1)] / (h - 1),
+    and an entry of A_h belongs to the root by which its two weights differ.
+    Basis vectors run from the highest weight down: the blocks are graded
+    that way, and eigh is more accurate on them so.
     """
-    for k in range(1, len(axes)):
-        a = a - sum(np.swapaxes(a, axes[j], axes[k]) for j in range(k))
-    return a
+    d = len(shape)
+    patterns = [(shape,)]  # row k, of length k, is pattern[d - k]; each interlaces the row above
+    for _ in range(d - 1):
+        patterns = [(*p, r) for p in patterns for r in itertools.product(*(range(a, b - 1, -1) for a, b in zip(p[-1], p[-1][1:])))]
+    index = {p: a for a, p in enumerate(patterns)}
+    weights = np.diff([[0, *(sum(row) for row in reversed(p))] for p in patterns], axis=1)
+    up, tilted = np.zeros((2, len(patterns), len(patterns)))
+    for b, p in enumerate(patterns):
+        for k in range(1, d):
+            # Molev's l_ki = lam_ki - i + 1 (i counted from 1) on rows k + 1, k and k - 1
+            above, row, below = ([x - i for i, x in enumerate(r)] for r in (*p, ())[d - k - 1 : d - k + 2])
+            for i, x in enumerate(row):
+                if x < above[i] and (i == 0 or x < below[i - 1] - 1):  # raising lam_ki keeps the interlacing
+                    a = index[p[: d - k] + (p[d - k][:i] + (p[d - k][i] + 1,) + p[d - k][i + 1 :],) + p[d - k + 1 :]]
+                    num = -math.prod(x - y for y in above) * math.prod(x - y + 1 for y in below)
+                    up[a, b] = math.sqrt(num / math.prod((x - y) * (x - y + 1) for y in row[:i] + row[i + 1 :]))
+                    tilted[a, b] = k * up[a, b]
+    level, gens = up, up.copy()
+    for h in range(2, d):
+        level = (level @ tilted - tilted @ level) / (h - 1)
+        gens += level
+    gens = gens + gens.T  # pi(E_ji) = pi(E_ij)^T, nonzero where pi(E_ij) is not
+    rows, cols = np.nonzero(gens)
+    diff = weights[rows] - weights[cols]
+    root = np.abs(diff).sum(axis=1) == 2  # the rest are rounding left by cancelling terms
+    rows, cols, diff = rows[root], cols[root], diff[root]
+    return weights, rows * len(patterns) + cols, diff.argmax(axis=1) * d + diff.argmin(axis=1), gens[rows, cols]
 
 
-def _irrep_bases(d: int, n: int) -> list[tuple[int, np.ndarray]]:
-    """(f_lam, B_lam) per partition lam of n with at most d rows, for the GL(d) irreps V_lam in (C^d)^(x n).
+def _unitary_log(u: np.ndarray) -> np.ndarray:
+    """A Hermitian h with exp(i h) = u, from the Cayley transform of u turned by a global phase.
 
-    B_lam is real, d_lam x d^n, with orthonormal rows spanning one copy of
-    V_lam: the range of the Young symmetrizer of the row-reading tableau
-    (rows symmetrized, then columns antisymmetrized), spanned by its images
-    of the d_lam semistandard fillings. The row sum of a filling is, up to
-    scale, the indicator of the words whose rows sort to it.
+    The phase puts the middle of the widest gap between u's eigenvalues at
+    -1. Then i (1 - u)(1 + u)^-1 is Hermitian with eigenvalues tan(theta / 2),
+    one-to-one in the eigenvalue angle theta, so its eigh separates
+    eigenvalues of u that nearly coincide in either their real or their
+    imaginary part.
     """
-    if n == 1:
-        return [(1, np.eye(d))]  # C^d itself
-    words = np.indices((d,) * n).reshape(n, -1)  # words[:, i]: the filling at flat index i, in reading order
-    place = d ** np.arange(n - 1, -1, -1)  # the flat index of a filling is place @ filling
-    bases = []
-    for lam in _partitions(n, d, n):
-        starts = [sum(lam[:i]) for i in range(len(lam))]
-        cols = [[s + j for s, length in zip(starts, lam) if length > j] for j in range(lam[0])]
-        row_sorted = np.concatenate([np.sort(words[s : s + length], axis=0) for s, length in zip(starts, lam)])
-        semistandard = (row_sorted == words).all(axis=0)
-        for col in cols:
-            for i, j in zip(col, col[1:]):
-                semistandard &= words[i] < words[j]
-        fillings = np.flatnonzero(semistandard)
-        image = (place @ row_sorted == fillings[:, None]).astype(float).reshape((fillings.size,) + (d,) * n)
-        for col in cols:
-            image = _antisymmetrize(image, [1 + i for i in col])
-        image = image.reshape(fillings.size, -1)
-        # orthonormal rows from the eigenvectors of their Gram matrix: an m x m eigh in place of a QR of d^n rows
-        e, v = np.linalg.eigh(image @ image.T)
-        bases.append((_standard_tableaux(lam), (v / np.sqrt(e)).T @ image))
-    return bases
+    angles = sorted(np.angle(np.linalg.eigvals(u)).tolist())
+    gap, start = max((b - a, a) for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi]))
+    turned, one = u * np.exp(1j * (math.pi - start - gap / 2.0)), np.eye(len(u))
+    k = 1j * np.linalg.solve(one + turned, one - turned)
+    w, v = np.linalg.eigh((k + k.conj().T) / 2.0)
+    return (v * (2.0 * np.arctan(w) + start + gap / 2.0 - math.pi)) @ v.conj().T
 
 
-class _IrrepBlocks:
-    """converse_bound of the tensor powers of a d-dim pair, d >= 3, from Schur-Weyl irrep blocks.
+def _gt_exp(shape: tuple[int, ...], h: np.ndarray) -> np.ndarray:
+    """pi(exp(i h)) = exp(i pi(h)) in the Gelfand-Tsetlin basis of the irrep `shape`, for Hermitian h."""
+    weights, entries, roots, values = _gt_irrep(shape)
+    gen = np.zeros(len(weights) ** 2, dtype=complex)
+    gen[entries] = values * h.ravel()[roots]
+    gen[:: len(weights) + 1] = weights @ h.diagonal().real
+    mu, y = np.linalg.eigh(gen.reshape(len(weights), -1))
+    return (y * np.exp(1j * mu)) @ y.conj().T
+
+
+class _SchurWeylBlocks:
+    """converse_bound of a d-dim pair's tensor powers, d >= 2, from Schur-Weyl irrep blocks.
 
     (C^d)^(x n) is the sum of V_lam (x) S_lam over partitions lam of n with
-    at most d rows, and X^(x n) acts as pi_lam(X) (x) 1 there, S_lam having
+    at most d rows, X^(x n) acts as pi_lam(X) (x) 1 there, and S_lam has
     dimension f_lam (Fulton-Harris, Lecture 6; Harrow, quant-ph/0512255).
-    So rho^(x n) - c sigma^(x n) splits into blocks pi_lam(rho) -
-    c pi_lam(sigma), each recurring f_lam times, and tr rho^(x n) P_+ is a
-    weighted sum of block masses. pi_lam(X) is X^(x n) compressed to one
-    copy of V_lam (_irrep_bases), applied as n mode products on the
-    (d,) * n view, so no tensor power is formed. The pair is taken in
-    sigma's eigenbasis, where pi_lam(sigma) is a real Gram matrix weighted
-    by sigma^(x n)'s diagonal, and scaled to spectral norm at most 1, with
-    the scales kept in log2 as _QubitBlocks keeps them. Each n's blocks are
-    built once per instance; their basis vectors have d^n entries.
+    So tr rho^(x n) P_+ of rho^(x n) - c sigma^(x n) sums the masses of the
+    blocks pi_lam(rho) - c pi_lam(sigma), f_lam times each. pi_lam(X) is
+    det X^(lam_d) pi(X) for the irrep pi of shape lam - lam_d (1, .., 1),
+    in its Gelfand-Tsetlin basis (_gt_irrep) and sigma's eigenbasis: there
+    pi(sigma) is diagonal, and pi(rho) = pi(u) diag(..) pi(u)^dag for rho =
+    u diag(r) u^dag, with pi(u) = exp(i pi(h)) where exp(i h) = u. Diagonal
+    phases on either side of u change no block's spectrum or rho-mass;
+    taken out, they leave a qubit u real. Block scales and weights are kept
+    in log2, so det^(lam_d) and f_lam stay finite at large n. Each shape's
+    block is built once per instance, and no vector of d^n entries is formed.
     """
 
     def __init__(self, rm: np.ndarray, sm: np.ndarray):
+        wr, ur = np.linalg.eigh(rm)
         ws, us = np.linalg.eigh(sm)
-        a, s1 = float(np.linalg.norm(rm)), float(np.abs(ws).max())  # the Frobenius norm bounds rho's spectral norm
-        self.d = rm.shape[0]
-        self.rho, self.sigma = us.conj().T @ rm @ us / a, ws / s1
-        self.log2_norms = math.log2(a), math.log2(s1)
-        self._blocks: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        # eigenvalues descending and clipped at 0; columns to match
+        r, s = np.maximum(wr[::-1], 0.0), np.maximum(ws[::-1], 0.0)
+        self.u = us[:, ::-1].conj().T @ ur[:, ::-1]
+        self.d = len(self.u)
+        if self.d == 2:  # the rotation by the angle between the eigenbases, u up to diagonal phases
+            a, c = np.abs(self.u[:, 0])
+            self.u = np.array([[a, -c], [c, a]])
+        self.ratios = np.stack((r / r[0], s / s[0]))
+        # log2 of the top eigenvalue and of det
+        self.log2_rho, self.log2_sigma = ((_log2(x[0]), float(np.log2(x).sum()) if x[-1] > 0 else -math.inf) for x in (r, s))
+        self._blocks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def blocks(self, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(f_lam, pi_lam(rho), pi_lam(sigma)) per partition lam of n with at most d rows, both scaled."""
-        if n not in self._blocks:
-            sigma_n = np.ones(1)
-            for _ in range(n):
-                sigma_n = np.outer(sigma_n, self.sigma).ravel()
-            bases = _irrep_bases(self.d, n)
-            rho_n = np.vstack([b for _, b in bases]).reshape((-1,) + (self.d,) * n)
-            for _ in range(n):
-                # contracts the first site and appends it as the last, so n steps restore the order
-                rho_n = np.tensordot(rho_n, self.rho, axes=([1], [1]))
-            rho_n = rho_n.reshape(rho_n.shape[0], -1)
-            self._blocks[n], start = [], 0
-            for f, b in bases:
-                # Hermitian to rounding; eigh reads its lower triangle, and a mass its Hermitian part
-                rho_lam = b @ rho_n[start : start + b.shape[0]].T
-                start += b.shape[0]
-                self._blocks[n].append((f, rho_lam, (b * sigma_n) @ b.T))
-        return self._blocks[n]
+    @functools.cached_property
+    def _log_u(self) -> np.ndarray:
+        if self.d == 2:  # exp(i phi J) with J = [[0, i], [-i, 0]] is the rotation by phi
+            return math.atan2(self.u[1, 0], self.u[0, 0]) * np.array([[0.0, 1j], [-1j, 0.0]])
+        return _unitary_log(self.u)
+
+    def block(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """pi(rho) / r1^m and the diagonal of pi(sigma) / s1^m for the irrep `shape` of m boxes, in sigma's eigenbasis."""
+        if shape not in self._blocks:
+            if sum(shape) == 1:  # C^d itself, its standard basis a Gelfand-Tsetlin basis
+                weights, pu = np.eye(self.d, dtype=int), self.u
+            else:
+                weights, pu = _gt_irrep(shape)[0], _gt_exp(shape, self._log_u)
+                pu = pu.real if np.isrealobj(self.u) else pu  # a real u has a real pi(u)
+            rho_ratio, sigma_ratio = (self.ratios[:, None, :] ** weights).prod(axis=2)
+            self._blocks[shape] = (pu * rho_ratio) @ pu.conj().T, sigma_ratio
+        return self._blocks[shape]
 
     def mass(self, n: int, log2_c: float) -> float:
         """tr rho^(x n) {rho^(x n) > 2^log2_c sigma^(x n)}, with converse_bound's positive-eigenvalue cut."""
-        log2_a, log2_s = self.log2_norms
-        la, lb = n * log2_a, log2_c + n * log2_s
-        g = max(la, lb)
         blocks = []
-        for f, rho_lam, sigma_lam in self.blocks(n):
-            w, v = np.linalg.eigh(np.exp2(la - g) * rho_lam - np.exp2(lb - g) * sigma_lam)
-            blocks.append((w, v, g, rho_lam, math.log2(f) + la))
+        for shape, k, log2_f in _irreps(n, self.d):
+            rho_l, sigma_l = self.block(shape)
+            # log2 of det X^k x1^m, which bounds det X^k pi(X) for a shape of m boxes and X's top eigenvalue x1
+            (top_r, det_r), (top_s, det_s), m = self.log2_rho, self.log2_sigma, n - self.d * k
+            la = m * top_r + (k * det_r if k else 0.0)
+            lb = log2_c + m * top_s + (k * det_s if k else 0.0)
+            g = max(la, lb)
+            if g == -math.inf:
+                continue  # a zero block
+            w, v = np.linalg.eigh(np.exp2(la - g) * rho_l - np.diag(np.exp2(lb - g) * sigma_l))
+            blocks.append((w, v, g, rho_l, log2_f + la))
         return _block_mass(blocks)
-
-    def converse(self, n: int, lam: float, t: float) -> float:
-        """converse_bound(rho^(x n), sigma^(x n), lam, t) below _EXP2_CLIP."""
-        with _blas_threads_for(self.d**n):
-            return _converse_from_mass(self.mass(n, math.log2(t) + lam), t)
 
 
 @dataclass(frozen=True)
@@ -549,11 +525,10 @@ def iid_smoothing_certificate(
     rounds them finest, instead of to near n r. Non-commuting
     pairs get the bracket only. Past _EXP2_CLIP, or at t = inf, their
     converse reads rho's mass on the kernel of sigma, decided on sigma
-    itself; below it, Schur-Weyl blocks: _QubitBlocks for qubits, with each
-    m's blocks built once for all n, and _IrrepBlocks for larger dimensions
-    d, with each n's irrep blocks built once. Those read vectors of d^n
-    entries, so an n > 1 below _EXP2_CLIP with d^n above TENSOR_BUDGET
-    raises BudgetExceededError before any certificate is computed.
+    itself; below it, Schur-Weyl blocks (_SchurWeylBlocks), each irrep's
+    block built once for all n. For d >= 3, an n > 1 below _EXP2_CLIP with
+    d^n above TENSOR_BUDGET raises BudgetExceededError before any
+    certificate is computed; d^n bounds every block's dimension.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -570,11 +545,10 @@ def iid_smoothing_certificate(
     base = blocks = None
     if not commuting:
         d = rm.shape[0]
-        # the d >= 3 blocks read vectors of d^n entries, which TENSOR_BUDGET caps
         n_blocks = max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
         if d > 2 and d**n_blocks > TENSOR_BUDGET:
             raise BudgetExceededError(f"Schur-Weyl basis dim {d}^{n_blocks} exceeds budget {TENSOR_BUDGET}")
-        blocks = _QubitBlocks(rm, sm) if d == 2 else _IrrepBlocks(rm, sm)
+        blocks = _SchurWeylBlocks(rm, sm)
     # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP, and t = inf, read
     past_clip = not commuting and (math.isinf(t) or max(ns, default=1) * r >= _EXP2_CLIP)
     kernel_mass = _dense_converse_mass(rm, sm, math.inf) if past_clip else None
@@ -601,7 +575,7 @@ def iid_smoothing_certificate(
             # product of support eigenvalues is no kernel however small
             exact, lower = None, _converse_from_mass(0.0 - math.expm1(n * math.log1p(-min(kernel_mass, 1.0))), t)
         else:
-            exact, lower = None, blocks.converse(n, lam, t)
+            exact, lower = None, _converse_from_mass(blocks.mass(n, math.log2(t) + lam), t)
         certificates.append(
             SmoothingCertificate(
                 lam=lam,

@@ -325,8 +325,8 @@ def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch
         m = g @ g.T / float(np.trace(g @ g.T))
         paths.append(write_json(tmp_path / name, {"kind": "density", "dim": 3, "entries": m.tolist()}))
     calls = []
-    real_blocks = smoothing._IrrepBlocks.blocks
-    monkeypatch.setattr(smoothing._IrrepBlocks, "blocks", lambda self, n: calls.append(n) or real_blocks(self, n))
+    real_mass = smoothing._SchurWeylBlocks.mass
+    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: calls.append(n) or real_mass(self, n, c))
     code = main(["smooth", *paths, "--rate", "0.1", "--n-max", "8"])
     assert code == EXIT_BUDGET
     assert calls == []
@@ -347,6 +347,26 @@ def test_pa_search_budget_exit(cq_path, capsys):
         ["pa-search", cq_path, "--range-size", "2", "--measure", "trace_distance", "--budget", "4"]
     )
     assert code == EXIT_BUDGET
+
+
+def test_scan_options_out_of_range_are_refused(cq_path, capsys):
+    # a thread count below 1 or a negative budget is a usage error (exit 2), not a serial run or a budget exit
+    commands = [
+        ["pa-search", cq_path, "--range-size", "2", "--measure", "trace_distance"],
+        ["pa-family", cq_path, "--family", "all_functions", "--range-size", "2", "--measure", "trace_distance"],
+        ["suite", "example1", "--n", "1", "--range-bits", "1"],
+    ]
+    for argv in commands:
+        for option, value, bound in (("--threads", "0", 1), ("--threads", "-4", 1), ("--budget", "-1", 0)):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, option, value])
+            assert exc.value.code == 2
+            assert f"argument {option}: must be >= {bound}, got {value}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "two"])
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert main([*argv, "--threads", "1", "--budget", "0"]) == EXIT_BUDGET
+        capsys.readouterr()
 
 
 def test_pa_search_threads_byte_identical(cq_path, tmp_path, capsys):

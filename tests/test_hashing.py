@@ -171,6 +171,9 @@ def test_exhaustive_minimum_thread_invariance(monkeypatch):
     ]
     assert len({r.hash_index for r in reports}) == 1
     assert len({r.value for r in reports}) == 1
+    for t in (0, -4):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            min_insecurity_exhaustive(cq, 2, "purified_distance", threads=t)
 
 
 @pytest.mark.parametrize(

@@ -296,17 +296,23 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
 
 
 def _noncommuting_pairs_below_d():
-    """A qutrit pair with n = 1..5 and a ququart pair with n = 1..4, each at the rate D - (D_max - D) / 4.
+    """Pairs at the rate D - (D_max - D) / 4, n = 1..5 for qutrits and 1..4 for a ququart.
 
-    Below D the converse mass stays positive, and so does the lower bound
-    from n = 2 on for these draws.
+    A qutrit and a ququart pair, then a qutrit pair whose sigma has a
+    repeated eigenvalue and one whose rho has rank 2. Below D the converse
+    mass stays positive, and so does the lower bound from n = 2 on for
+    these draws.
     """
     rng = np.random.default_rng(152)
-    for d, n_max in ((3, 5), (4, 4)):
-        rho, sigma = rand_density(rng, d), rand_density(rng, d)
+    pairs = [(rand_density(rng, d), rand_density(rng, d)) for d in (3, 4)]
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    pairs.append((rand_density(rng, 3), (q * [0.49, 0.49, 0.02]) @ q.conj().T))
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    pairs.append((g @ g.conj().T / float(np.trace(g.conj().T @ g).real), rand_density(rng, 3)))
+    for rho, sigma in pairs:
         curve = RenyiDivergenceCurve(rho, sigma)
         d1, dmax = curve.umegaki().value, curve.dmax().value
-        yield rho, sigma, d1 - 0.25 * (dmax - d1), range(1, n_max + 1)
+        yield rho, sigma, d1 - 0.25 * (dmax - d1), range(1, 5 if rho.shape[0] == 4 else 6)
 
 
 def test_iid_certificate_noncommuting_matches_dense_converse():
@@ -321,21 +327,48 @@ def test_iid_certificate_noncommuting_matches_dense_converse():
             assert cert.lower > 0.0 or n == 1, n
             dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * r)
             assert abs(cert.lower - dense) <= 1e-12, (d, n, cert.lower, dense)
-            # each irrep V_lam recurs f_lam times, so the copies fill (C^d)^(x n)
-            bases = smoothing._irrep_bases(d, n)
-            assert sum(f * b.shape[0] for f, b in bases) == d**n
-            for _, b in bases:
-                assert np.abs(b @ b.T - np.eye(b.shape[0])).max() <= 1e-13
+    # each irrep V_lam, of dimension d_lam, recurs f_lam times, so the copies fill (C^d)^(x n)
+    for d in (2, 3, 4):
+        for n in range(1, 7):
+            shapes = [lam + (0,) * (d - len(lam)) for lam in smoothing._partitions(n, d, n)]
+            dims = [len(smoothing._gt_irrep(shape)[0]) for shape in shapes]
+            assert sum(smoothing._standard_tableaux(lam) * dim for lam, dim in zip(shapes, dims)) == d**n
+    # pi_lam is a unitary representation: pi_lam(AB) = pi_lam(A) pi_lam(B)
+    rng = np.random.default_rng(153)
+    for shape in ((3, 0), (2, 1, 0), (3, 1, 0), (4, 0, 0), (2, 1, 1, 0), (3, 2, 1, 0)):
+        a, b = (_rand_unitary(rng, len(shape)) for _ in range(2))
+        pa, pb, pab = (smoothing._gt_exp(shape, smoothing._unitary_log(x)) for x in (a, b, a @ b))
+        assert np.abs(pa @ pb - pab).max() <= 1e-13, shape
+        assert np.abs(pa @ pa.conj().T - np.eye(len(pa))).max() <= 1e-13, shape
     # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096
     rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
     with pytest.raises(BudgetExceededError):
         iid_smoothing_certificate(rho, sigma, r, [8])
 
 
+def _rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def test_unitary_log_inverts_exp_on_repeated_eigenvalues():
+    # eigenvalues repeated, at -1, at 1 and 1e-9 apart, in a random eigenbasis
+    rng = np.random.default_rng(154)
+    spectra = ([1, 1, -1], [-1, -1, 1j], [1, 1, 1, -1], [1j, 1j, np.exp(1j * (math.pi / 2 + 1e-9))], [-1, -1, -1])
+    for phases in spectra:
+        for _ in range(20):
+            q = _rand_unitary(rng, len(phases))
+            u = (q * np.asarray(phases)) @ q.conj().T
+            h = smoothing._unitary_log(u)
+            w, v = np.linalg.eigh(h)
+            assert np.abs(h - h.conj().T).max() <= 1e-13
+            assert np.abs((v * np.exp(1j * w)) @ v.conj().T - u).max() <= 1e-13, phases
+
+
 def test_irrep_budget_is_refused_before_any_block_is_built(monkeypatch):
     built = []
-    real_blocks = smoothing._IrrepBlocks.blocks
-    monkeypatch.setattr(smoothing._IrrepBlocks, "blocks", lambda self, n: built.append(n) or real_blocks(self, n))
+    real_mass = smoothing._SchurWeylBlocks.mass
+    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: built.append(n) or real_mass(self, n, c))
     rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
     with pytest.raises(BudgetExceededError):
         iid_smoothing_certificate(rho, sigma, r, range(1, 9))
@@ -455,8 +488,11 @@ def test_irrep_block_mass_matches_high_precision_dense():
     complex_pair = rand_density(rng, 3), rand_density(rng, 3)
     # a real pair keeps the 27-dim 40-digit eigh near 0.4 s
     real_pair = [(g @ g.T) / float(np.trace(g @ g.T)) for g in rng.standard_normal((2, 3, 3))]
-    for (rho, sigma), n, scales in ((complex_pair, 2, (1e-4, 1e-2, 0.1, 2.0)), (real_pair, 3, (0.01,))):
-        blocks = smoothing._IrrepBlocks(rho, sigma)
+    qubit_pair = rand_density(rng, 2), rand_density(rng, 2)
+    cases = [(complex_pair, 2, (1e-4, 1e-2, 0.1, 2.0)), (real_pair, 3, (0.01,))]
+    cases += [(qubit_pair, n, (1e-2, 0.3)) for n in (3, 4)]
+    for (rho, sigma), n, scales in cases:
+        blocks = smoothing._SchurWeylBlocks(rho, sigma)
         # the difference has a positive eigenvalue exactly when c < 2^(n D_max)
         c_max = 2.0 ** (n * RenyiDivergenceCurve(rho, sigma).dmax().value)
         for c in (u * c_max for u in scales):
