@@ -12,9 +12,6 @@ joint_eigenvalues().
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +22,6 @@ CLUSTER_TOL = 1e-9
 SUPPORT_CUT = 1e-12
 COMMUTE_TOL = 1e-9
 TENSOR_BUDGET = 4096
-BLAS_THREADED_DIM = 512
 ATOM_CAP = 10**7
 
 
@@ -35,56 +31,6 @@ class BudgetExceededError(RuntimeError):
 
 class EigensolverError(RuntimeError):
     """eigh failed or its output did not reconstruct the input."""
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
-
-    Found among the process's mapped libraries, as threadpoolctl finds them;
-    another BLAS, or a platform without /proc/self/maps, gives None.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads_for(dim: int):
-    """Run the block on one BLAS thread if its matrices have fewer than BLAS_THREADED_DIM dimensions.
-
-    Below that size a second OpenBLAS thread saves nothing, on a 2-core
-    x86 host: a 243-dim complex eigh, the dense converse of a qutrit pair
-    at n = 5, took 7.0 ms on one thread and 6.6-8.8 ms on two. Each
-    threaded call also waits until its worker is scheduled: with the
-    other core busy the same eigh took 15 ms. Without OpenBLAS this does
-    nothing.
-    """
-    threads = _openblas_threads() if dim < BLAS_THREADED_DIM else None
-    before = threads[0]() if threads is not None else 1
-    if before <= 1:
-        yield
-        return
-    threads[1](1)
-    try:
-        yield
-    finally:
-        threads[1](before)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -128,14 +74,6 @@ class HermitianOperator:
     @property
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.mat)))
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianOperator":
-        return cls(np.diag(np.asarray(values, dtype=float)))
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim}, max_norm={self.max_norm:.3e})"

@@ -31,7 +31,6 @@ from .operators import (
     SUPPORT_CUT,
     TENSOR_BUDGET,
     _as_matrix,
-    _blas_threads_for,
     commutator_defect,
     commutes,
     distinct_eigenvalue_counts_iid,
@@ -70,15 +69,23 @@ def pinched_smoothing_witness(rho, sigma, lam: float):
     E_sigma(rho) <= (2^lam / v) sigma, with v the distinct-eigenvalue count of
     sigma. The projected state satisfies rho' <= 2^lam sigma (verified as a
     PSD check) and its purified distance to rho is the achieved smoothing.
+    The kernel of sigma, its eigenvalues at most SUPPORT_CUT times the
+    largest, gets no column at any lam.
     Returns (witness StateDescriptor, achieved epsilon).
     """
     rm = _as_matrix(rho) if not isinstance(rho, StateDescriptor) else rho.mat
     sm = _as_matrix(sigma)
-    v = eig(sm).distinct_count
+    sd = eig(sm)
     pinched = pinching(rm, sm).mat
-    coef = _exp2_clipped(lam) / v
+    coef = _exp2_clipped(lam) / sd.distinct_count
     t = coef * sm - pinched
-    w, u = np.linalg.eigh(t)
+    support = sd.eigenvalues > SUPPORT_CUT * max(float(sd.eigenvalues[0]), 0.0)
+    if support.all():
+        w, u = np.linalg.eigh(t)
+    else:  # t in supp sigma's frame: a cut relative to 2^lam would keep the kernel
+        frame = sd.eigenvectors[:, support]
+        w, u = np.linalg.eigh(frame.conj().T @ t @ frame)
+        u = frame @ u
     tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
     cols = u[:, w >= -tol]
     qproj = cols @ cols.conj().T
@@ -110,15 +117,15 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
 
     With p = tr rho {rho > t 2^lam sigma}, any feasible smoothing is at least
     sqrt(p (1 - 2/sqrt(t) - p/t)) whenever that parenthesis is positive.
+    p comes from one eigh of the difference rho - c sigma, and _block_mass
+    owns the cut that decides which of its eigenvalues count as positive.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     rm = _as_state_matrix(rho)
     sm = _as_matrix(sigma)
     c = t * float(np.exp2(lam)) if lam < _EXP2_CLIP else math.inf
-    with _blas_threads_for(rm.shape[0]):
-        p = _dense_converse_mass(rm, sm, c)
-    return _converse_from_mass(p, t)
+    return _converse_from_mass(_dense_converse_mass(rm, sm, c), t)
 
 
 def _dense_converse_mass(rm: np.ndarray, sm: np.ndarray, c: float) -> float:
@@ -133,13 +140,8 @@ def _dense_converse_mass(rm: np.ndarray, sm: np.ndarray, c: float) -> float:
         a = k.conj().T @ rm @ k
         w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
         return float(w[w > 0].sum())
-    diff = rm - c * sm
-    w, u = np.linalg.eigh(diff)
-    pos = w > 1e-12 * (1.0 + float(np.max(np.abs(w))))
-    if not pos.any():
-        return 0.0
-    cols = u[:, pos]
-    return float(np.vdot(cols, rm @ cols).real)
+    w, u = np.linalg.eigh(rm - c * sm)
+    return _block_mass([(w, u, 0.0, rm, 0.0)])
 
 
 def _converse_from_mass(p: float, t: float) -> float:
@@ -155,17 +157,21 @@ def _log2(x: float) -> float:
 def _block_mass(blocks) -> float:
     """tr rho P_+ of a block-diagonal rho - c sigma, from its blocks (w, v, g, rho_block, log2_weight).
 
-    A block has eigenvalues 2^g w, |w| <= 1, with eigenvectors v, rho_block
-    is rho on it, and it recurs 2^log2_weight times. P_+ keeps eigenvalues
-    above 1e-12 (1 + max |2^g w|) over all blocks, as converse_bound cuts
-    the whole operator.
+    A block has eigenvalues 2^g w with eigenvectors v, rho_block is rho on
+    it, and it recurs 2^log2_weight times. P_+ keeps eigenvalues above
+    1e-12 (1 + max |2^g w|) over all blocks. This is the one place that
+    states the converse cut; the dense converse_bound hands it one block of
+    scale 2^0 and weight 1. The cut is capped at 2^(g + _EXP2_CLIP) so that
+    exp2 stays finite. A Schur-Weyl block has |w| <= 1, so no cut past 2^g
+    keeps any of it; the dense block's cut is below 1e-12 DBL_MAX < 2^1000
+    and never reaches the cap.
     """
     p = 0.0
     if blocks:
         log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
         log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
         for w, v, g, rho_block, log2_weight in blocks:
-            cols = v[:, w > np.exp2(min(log2_cut - g, 1.0))]
+            cols = v[:, w > np.exp2(min(log2_cut - g, _EXP2_CLIP))]
             p += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_block @ cols).real)
     return p
 
@@ -454,9 +460,11 @@ def _merge_atoms(llr: np.ndarray, wt: np.ndarray) -> SpectrumDistribution:
 class SmoothingCertificate:
     """Certified bracket for one smoothing evaluation at budget lam.
 
-    lower <= epsilon <= upper always; exact is present on the commuting path
-    and witness on the one-shot path. meta records n, rate, the converse
-    parameter t, v_n, and which path produced the numbers.
+    lower <= epsilon <= upper always, and a violated or empty bracket raises
+    ArithmeticError: it is an invariant of the computation, not of its input.
+    exact is present on the commuting path and witness on the one-shot path.
+    meta records n, rate, the converse parameter t, v_n, and which path
+    produced the numbers.
     """
 
     lam: float
@@ -469,11 +477,11 @@ class SmoothingCertificate:
     def __post_init__(self):
         if self.exact is not None:
             if not (self.lower - 1e-9 <= self.exact <= self.upper + 1e-9):
-                raise ValueError(
+                raise ArithmeticError(
                     f"certificate bracket violated: {self.lower!r} <= {self.exact!r} <= {self.upper!r}"
                 )
         elif self.lower > self.upper + 1e-9:
-            raise ValueError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
+            raise ArithmeticError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
 def _grid_divergences(curve: RenyiDivergenceCurve) -> tuple[np.ndarray, np.ndarray]:

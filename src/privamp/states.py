@@ -63,10 +63,6 @@ class StateDescriptor:
     def subnormalized_state(cls, entries) -> "StateDescriptor":
         return cls(HermitianOperator(entries), "subnormalized")
 
-    @classmethod
-    def diagonal(cls, probs) -> "StateDescriptor":
-        return cls(HermitianOperator.diagonal(probs), "normalized")
-
 
 def _as_state_matrix(state) -> np.ndarray:
     if isinstance(state, StateDescriptor):
@@ -116,13 +112,6 @@ class CQState:
         """Purely classical source: trivial one-dimensional side system."""
         p = np.asarray(probs, dtype=float)
         return cls(p, [np.eye(1)] * p.size)
-
-    @classmethod
-    def uniform(cls, nsymbols: int, conditionals=None) -> "CQState":
-        p = np.full(nsymbols, 1.0 / nsymbols)
-        if conditionals is None:
-            return cls.classical(p)
-        return cls(p, conditionals)
 
     def rho_e(self) -> np.ndarray:
         out = np.zeros((self.dim_e, self.dim_e), dtype=complex)

@@ -9,6 +9,7 @@ import pytest
 
 from privamp.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_VALIDATION,
     load_state_file,
@@ -331,6 +332,16 @@ def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch
     assert code == EXIT_BUDGET
     assert calls == []
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_smooth_empty_bracket_is_an_invariant_failure(rho_path, sigma_path, monkeypatch, capsys):
+    # an empty bracket is privamp's fault, not the input's: exit 1, not 2
+    monkeypatch.setattr(
+        "privamp.cli.smoothing_certificate",
+        lambda rho, sigma, lam, t: smoothing.SmoothingCertificate(lam=lam, lower=0.5, upper=0.4),
+    )
+    assert main(["smooth", rho_path, sigma_path, "--lam", "1.0"]) == EXIT_CHECK_FAILED
+    assert "invariant failure: certificate bracket empty" in capsys.readouterr().err
 
 
 def test_smooth_requires_exactly_one_mode(rho_path, sigma_path, capsys):

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -430,22 +433,25 @@ def test_output_blocks_match_einsum(de):
                 assert np.all(np.abs(got.imag - want.imag) <= bound), (m, zero_symbol, alpha)
 
 
-def test_output_blocks_do_not_depend_on_the_blas_thread_count():
-    # a chunk's GEMM is large enough for OpenBLAS to split it over its threads
-    from privamp import operators
-
-    threads = operators._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy is not linked against OpenBLAS")
+def _one_chunk_of_output_blocks() -> np.ndarray:
     rng = np.random.default_rng(239)
     cq = rand_cq(rng, 13, 3)
-    curve = ConditionalRenyiCurve(cq)
     tables = rng.integers(0, 3, size=(hashing._CHUNK, 13))
-    default = hashing._output_blocks(tables, curve, 3, 0.5)
-    with operators._blas_threads_for(1):
-        assert threads[0]() == 1
-        one = hashing._output_blocks(tables, curve, 3, 0.5)
-    assert np.array_equal(one, default)
+    return hashing._output_blocks(tables, ConditionalRenyiCurve(cq), 3, 0.5)
+
+
+def test_output_blocks_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a chunk's GEMM is large enough for OpenBLAS to split it over its threads; the child gets one
+    out = tmp_path / "one_thread.npy"
+    script = (
+        "import sys; import numpy as np; sys.path[:0] = sys.argv[2:]; "
+        "from test_hashing import _one_chunk_of_output_blocks as f; np.save(sys.argv[1], f())"
+    )
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(hashing.__file__))]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", script, str(out), *paths], env=env, check=True, timeout=120)
+    assert np.array_equal(np.load(out), _one_chunk_of_output_blocks())
+
 
 @pytest.mark.parametrize(
     "family",

@@ -254,22 +254,3 @@ def test_commuting_decision_agrees_at_the_scaled_tolerance(inside):
     assert smoothing_certificate(a, rho_e, 0.3).meta["commuting"] == inside
     [cert] = iid_smoothing_certificate(a, rho_e, 0.3, [1])
     assert cert.meta["commuting"] == inside
-
-
-def test_small_dense_work_runs_on_one_blas_thread():
-    from privamp import operators
-
-    threads = operators._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy is not linked to OpenBLAS")
-    get, put = threads
-    before = get()
-    put(2)
-    try:
-        with operators._blas_threads_for(operators.BLAS_THREADED_DIM - 1):
-            assert get() == 1
-        assert get() == 2
-        with operators._blas_threads_for(operators.BLAS_THREADED_DIM):
-            assert get() == 2
-    finally:
-        put(before)

@@ -584,10 +584,22 @@ def test_qubit_bracket_is_ordered_to_n_128():
 def test_certificate_rejects_crossed_brackets():
     from privamp import SmoothingCertificate
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="bracket empty"):
         SmoothingCertificate(lam=1.0, lower=0.5, upper=0.4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="bracket violated"):
         SmoothingCertificate(lam=1.0, lower=0.1, upper=0.4, exact=0.6)
+
+
+def test_witness_keeps_no_kernel_of_sigma_at_large_budgets():
+    # every rho' <= 2^lam sigma is 0 on ker sigma, so epsilon >= sqrt(rho's mass there) at any lam
+    rho = rand_density(np.random.default_rng(3), 2)
+    sigma = np.diag([1.0, 0.0])
+    floor = math.sqrt(rho[1, 1].real)
+    for lam in (40.0, 45.0, 60.0, 1500.0):
+        cert = smoothing_certificate(rho, sigma, lam)
+        assert cert.lower <= cert.upper, lam
+        assert cert.upper >= floor, (lam, cert.upper, floor)
+        assert abs(cert.witness.mat[1, 1]) <= 1e-12, lam
 
 
 def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
