@@ -319,7 +319,7 @@ def _cmd_measure(args):
         else:
             _require(div != "renyi" or args.alpha is not None, "--divergence renyi needs --alpha")
             order = {"alpha": args.alpha} if div == "renyi" else {}
-            d = _DIVERGENCES[div](a, b.mat, *order.values())
+            d = _DIVERGENCES[div](a, b, *order.values())
             res = {"value": d.value, "support_violation": d.support_violation, **order}
     return args.states, dict(res, divergence=div), None, EXIT_OK
 
@@ -361,7 +361,7 @@ def _cmd_smooth(args):
         return {"lam": cert.lam, "lower": cert.lower, "exact": exact, "upper": cert.upper}
 
     if args.lam is not None:
-        cert = smoothing_certificate(rho.mat, sigma.mat, args.lam, t=args.t)
+        cert = smoothing_certificate(rho, sigma, args.lam, t=args.t)
         meta = cert.meta
         rows = [dict(bracket(cert), witness_achieved=meta["witness_achieved"], commuting=meta["commuting"])]
         results = {"mode": "one-shot", "t": args.t}
@@ -373,7 +373,7 @@ def _cmd_smooth(args):
 
         rows = []
         ns = range(args.n_min, args.n_max + 1)
-        for cert in iid_smoothing_certificate(rho.mat, sigma.mat, args.rate, ns, t=args.t):
+        for cert in iid_smoothing_certificate(rho, sigma, args.rate, ns, t=args.t):
             n = cert.meta["n"]
             rows.append(
                 {
@@ -507,7 +507,7 @@ def _properties_suite(args) -> dict:
         td = trace_distance(rho, sig)
         pd = purified_distance(rho, sig)
         worst = max(worst, td - pd, pd - math.sqrt(max(0.0, 2 * td - td * td)))
-        dv = relative_entropy(rho, sig.mat).value
+        dv = relative_entropy(rho, sig).value
         if math.isfinite(dv):
             worst = max(worst, pd - math.sqrt(math.log(2.0) * dv))
     record("distance orderings", worst, 1e-9)

@@ -11,7 +11,9 @@ exact order derivative of the curve, so no order cap is needed. An exponent
 curve searches the roots of all its rates in lockstep, one derivative call
 per round, and then reads all its values in one log2_q call; each search
 visits the points it would visit alone, so the one-rate functions are the
-same code with one rate.
+same code with one rate. The smoothing certificates' achievability bounds
+are the same supremum for a pair at the rates r - log2(v_n) / n, one
+lockstep search for all block lengths n.
 """
 
 from __future__ import annotations
@@ -139,6 +141,8 @@ def _maximizers(curve, slopes, d_one: float, d_inf: float) -> list[float]:
     in [0, 1] (alpha = 1 / (1 - t)), which covers every order. The searches
     run in lockstep: a round is one d_log2_q call at every unfinished
     search's point, and each search visits the points it would visit alone.
+    A root the search cannot tell from t = 1, where c is d_inf to rounding,
+    comes back as s = inf.
     """
     slopes = np.asarray(slopes, dtype=float).tolist()
     searches = [_brent(c - d_one, c - d_inf) for c in slopes]
@@ -152,7 +156,7 @@ def _maximizers(curve, slopes, d_one: float, d_inf: float) -> list[float]:
             except StopIteration as done:
                 roots[k] = done.value
                 del pending[k]
-    return [t / (1.0 - t) for t in roots]
+    return [t / (1.0 - t) if t < 1.0 else math.inf for t in roots]
 
 
 def _as_cond_curve(state) -> ConditionalRenyiCurve:

@@ -3,15 +3,16 @@
 The sandwiched Renyi family is evaluated through one cached kernel,
 _SandwichedCurve, that diagonalizes the reference operator once. log2_q
 takes a scalar order or a 1-D array of orders, and all orders of a call
-share one stacked eigvalsh, so an exponent curve reads all its values and a
-certificate its whole order grid in one call. The combination keeps the
-rounding of a one-order evaluation bit for bit. d_log2_q gives the exact
-order derivative d/dalpha log2 Q_alpha of any number of orders through one
-stacked eigh; an exponent search pays one such call per round for the root
-searches of all its rates. RenyiDivergenceCurve (an operator pair) and
-ConditionalRenyiCurve (a classical-quantum state) are its two uses; the
-hashing scans reuse the latter's blocks. ConditionalRenyiCurve computes
-H(X|E), H_min(X|E) and the critical rate once, on first use.
+share one stacked eigvalsh, so an exponent curve reads all its values, and
+a certificate list the bounds of all its block lengths, in one call. The
+combination keeps the rounding of a one-order evaluation bit for bit.
+d_log2_q gives the exact order derivative d/dalpha log2 Q_alpha of any
+number of orders through one stacked eigh; an exponent search pays one
+such call per round for the root searches of all its rates.
+RenyiDivergenceCurve (an operator pair) and ConditionalRenyiCurve (a
+classical-quantum state) are its two uses; the hashing scans reuse the
+latter's blocks. ConditionalRenyiCurve computes H(X|E), H_min(X|E) and
+the critical rate once, on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SUPPORT_CUT, _as_matrix, mat_power
-from .states import CQState, _as_state_matrix
+from .states import CQState
 
 ALPHA_ONE_GUARD = 1e-6
 SUPPORT_VIOLATION_TOL = 1e-10
@@ -102,7 +103,7 @@ def fidelity(rho, sigma) -> float:
     plus the subnormalized cross term sqrt((1 - tr rho)(1 - tr sigma)); the
     result is clamped to [0, 1].
     """
-    rm, sm = _as_state_matrix(rho), _as_state_matrix(sigma)
+    rm, sm = _as_matrix(rho), _as_matrix(sigma)
     sqs = mat_power(sm, 0.5).mat
     val = float(np.sqrt(np.clip(np.linalg.eigvalsh(sqs @ rm @ sqs), 0.0, None)).sum())
     tr_r = min(1.0, float(np.trace(rm).real))
@@ -119,7 +120,7 @@ def purified_distance(rho, sigma) -> float:
 
 def trace_distance(rho, sigma) -> float:
     """Generalized trace distance (1/2)(||rho - sigma||_1 + |tr rho - tr sigma|)."""
-    rm, sm = _as_state_matrix(rho), _as_state_matrix(sigma)
+    rm, sm = _as_matrix(rho), _as_matrix(sigma)
     w = np.linalg.eigvalsh(rm - sm)
     return 0.5 * (float(np.abs(w).sum()) + abs(float(np.trace(rm - sm).real)))
 
@@ -228,7 +229,7 @@ class RenyiDivergenceCurve(_SandwichedCurve):
     """
 
     def __init__(self, rho, sigma):
-        rm = _as_state_matrix(rho)
+        rm = _as_matrix(rho)
         sm = _as_matrix(sigma)
         if rm.shape != sm.shape:
             raise ValueError(f"dimension mismatch: {rm.shape} vs {sm.shape}")
@@ -364,7 +365,7 @@ def renyi_conditional_entropy(state, alpha: float, dims: tuple[int, int] | None 
     if dims is None:
         raise ValueError("dense bipartite input needs dims=(dim_a, dim_b)")
     da, db = dims
-    rm = _as_state_matrix(state)
+    rm = _as_matrix(state)
     if rm.shape[0] != da * db:
         raise ValueError(f"state dim {rm.shape[0]} is not dim_a*dim_b = {da * db}")
     rho_b = np.einsum("aibj->ij", rm.reshape(da, db, da, db))
@@ -384,6 +385,6 @@ def min_conditional_entropy(state, dims: tuple[int, int] | None = None) -> float
 
 def apply_measurement(rho, povm) -> np.ndarray:
     """Outcome distribution of a POVM, as a classical probability vector."""
-    rm = _as_state_matrix(rho)
+    rm = _as_matrix(rho)
     p = np.array([float(np.trace(rm @ _as_matrix(m)).real) for m in povm])
     return np.clip(p, 0.0, None)

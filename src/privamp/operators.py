@@ -34,9 +34,8 @@ class EigensolverError(RuntimeError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, HermitianOperator):
-        return a.mat
-    return np.asarray(a, dtype=complex)
+    """The matrix of a HermitianOperator, StateDescriptor or anything else with a .mat, or of array-like entries."""
+    return a.mat if hasattr(a, "mat") else np.asarray(a, dtype=complex)
 
 
 class HermitianOperator:

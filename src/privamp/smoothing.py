@@ -6,7 +6,10 @@ an exact water-filling solution on the joint spectrum; general pairs get a
 certified [converse, achievability] bracket plus an explicit pinched witness.
 iid_smoothing_certificate is the one certificate path and computes each
 n-independent object once; the one-shot certificate is its n = 1 case
-tightened by the witness. Commuting iid inputs never materialize tensor
+tightened by the witness. Every upper bound is the pinching bound at its
+least over all orders s >= 0, read from the smoothing exponent's root
+search (exponents._maximizers) at the rate r - log2(v_n) / n, one lockstep
+search for all n. Commuting iid inputs never materialize tensor
 powers: the joint spectrum is a list of atoms, each a log-likelihood ratio
 log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
 The water-filling oracle, the converse mass and D_max read only that list,
@@ -38,8 +41,9 @@ from .operators import (
     joint_eigenvalues,
     pinching,
 )
-from .measures import SUPPORT_VIOLATION_TOL, RenyiDivergenceCurve
-from .states import StateDescriptor, _as_state_matrix
+from .exponents import _maximizers
+from .measures import RenyiDivergenceCurve
+from .states import StateDescriptor
 
 KKT_TOL = 1e-9
 WITNESS_PSD_TOL = 1e-9
@@ -73,7 +77,7 @@ def pinched_smoothing_witness(rho, sigma, lam: float):
     largest, gets no column at any lam.
     Returns (witness StateDescriptor, achieved epsilon).
     """
-    rm = _as_matrix(rho) if not isinstance(rho, StateDescriptor) else rho.mat
+    rm = _as_matrix(rho)
     sm = _as_matrix(sigma)
     sd = eig(sm)
     pinched = pinching(rm, sm).mat
@@ -100,18 +104,6 @@ def pinched_smoothing_witness(rho, sigma, lam: float):
     return witness, achieved
 
 
-def _least_achievability(s, d, v_count: int, lam: float) -> float:
-    """Least sqrt(2 v^s 2^(s (D_{1+s} - lam))) over orders s with divergences d, clipped to 1.
-
-    Taken in log space: exp2 is monotone, so the least bound is exp2 of the
-    least log2 bound, and an infinite D gives no bound below 1.
-    """
-    # D = inf gives no bound below 1, also at lam = inf; a gap past _EXP2_CLIP gives 0 or 1 either way
-    gap = np.subtract(d, lam, out=np.full(np.shape(d), math.inf), where=np.isfinite(d))
-    log2_bounds = 0.5 * (1.0 + s * math.log2(v_count) + s * np.clip(gap, -_EXP2_CLIP, _EXP2_CLIP))
-    return float(np.exp2(np.min(log2_bounds, initial=0.0)))
-
-
 def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> float:
     """Lower bound on the smoothing quantity from the mass above t 2^lam sigma.
 
@@ -122,7 +114,7 @@ def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> flo
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    rm = _as_state_matrix(rho)
+    rm = _as_matrix(rho)
     sm = _as_matrix(sigma)
     c = t * float(np.exp2(lam)) if lam < _EXP2_CLIP else math.inf
     return _converse_from_mass(_dense_converse_mass(rm, sm, c), t)
@@ -377,7 +369,7 @@ class SpectrumDistribution:
 
     @classmethod
     def from_commuting_pair(cls, rho, sigma) -> "SpectrumDistribution":
-        rm = _as_state_matrix(rho)
+        rm = _as_matrix(rho)
         sm = _as_matrix(sigma)
         if not commutes(rm, sm):
             raise ValueError(
@@ -484,17 +476,27 @@ class SmoothingCertificate:
             raise ArithmeticError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
-def _grid_divergences(curve: RenyiDivergenceCurve) -> tuple[np.ndarray, np.ndarray]:
-    """(s, D_{1+s}) on 400 geometric points in [1e-4, 64]; every grid point gives a valid bound.
+def _achievability(curve: RenyiDivergenceCurve, r: float, ns, v) -> list[float]:
+    """Least sqrt(2 v_n^s 2^(s n (D_{1+s} - r))) over all orders s >= 0, clipped to 1, for every n in ns.
 
-    All 400 orders go through one kernel call; mass of rho outside supp(sigma)
-    makes every D_{1+s} infinite, as divergence() has it.
+    Its log2 is (1 - n F_n) / 2 with F_n = sup_s s c_n - log2 Q_{1+s} and
+    c_n = r - log2(v_n) / n, the supremum smoothing_exponent takes at rate
+    c_n: one lockstep _maximizers search finds the roots of all distinct c_n
+    in (D, D_max), and one log2_q call reads their F_n. A c_n above D and at
+    or above D_max has F_n = inf and the bound 0, the s -> inf limit, as
+    r >= D_max makes rho^(x n) <= 2^(n r) sigma^(x n). Any other c_n without
+    a finite root keeps F_n = 0 and the bound 1: c_n <= D, which takes in
+    rho's mass outside supp(sigma) (D = inf), or a root the search cannot
+    tell from s = inf.
     """
-    s = np.geomspace(1e-4, 64.0, 400)
-    alpha = 1.0 + s
-    if curve.support_violation > SUPPORT_VIOLATION_TOL:
-        return s, np.full_like(s, math.inf)
-    return s, curve.log2_q(alpha) / (alpha - 1.0)
+    slopes = [r - math.log2(v[n - 1]) / n for n in ns]
+    d_one, d_max = curve.umegaki().value, curve.dmax().value
+    inside = list(dict.fromkeys(c for c in slopes if d_one < c < d_max))
+    roots = {x: s for x, s in zip(inside, _maximizers(curve, inside, d_one, d_max)) if s < math.inf}
+    c, s = np.array(list(roots)), np.array(list(roots.values()))
+    sup = {x: math.inf for x in slopes if d_one < x >= d_max}
+    sup.update(zip(c.tolist(), (s * c - curve.log2_q(1.0 + s)).tolist()))
+    return [float(np.exp2(min(0.5 * (1.0 - n * sup.get(x, 0.0)), 0.0))) for n, x in zip(ns, slopes)]
 
 
 def smoothing_certificate(rho, sigma, lam: float, *, t: float = DEFAULT_CONVERSE_T) -> SmoothingCertificate:
@@ -522,9 +524,10 @@ def iid_smoothing_certificate(
 ) -> list[SmoothingCertificate]:
     """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
-    The s-grid divergences, the commuting decision, the base spectrum and
-    the distinct-eigenvalue counts v_1..v_max(ns) of sigma's tensor powers do
-    not depend on n and are computed once. Commuting pairs get the exact
+    The commuting decision, the base spectrum and the distinct-eigenvalue
+    counts v_1..v_max(ns) of sigma's tensor powers do not depend on n and
+    are computed once, and every n's upper bound comes from one lockstep
+    order search (_achievability). Commuting pairs get the exact
     spectrum-path epsilon plus the bracket; the n-fold spectrum is the
     previous n's convolved with the base once more (restarting from the base
     when n decreases), so a list 1..N convolves N - 1 times. The base is the
@@ -545,10 +548,10 @@ def iid_smoothing_certificate(
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    rm = _as_state_matrix(rho)
+    rm = _as_matrix(rho)
     sm = _as_matrix(sigma)
-    s_grid, d_grid = _grid_divergences(RenyiDivergenceCurve(rm, sm))
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
+    uppers = _achievability(RenyiDivergenceCurve(rm, sm), r, ns, v)
     commuting = commutes(rm, sm)
     base = blocks = None
     if not commuting:
@@ -566,10 +569,8 @@ def iid_smoothing_certificate(
         base = SpectrumDistribution(joint.llr - shift, joint.weight)
     spectrum, power = base, 1
     certificates = []
-    for n in ns:
+    for n, upper in zip(ns, uppers):
         lam = n * r
-        # D_{1+s} of the n-fold pair is n D_{1+s}
-        upper = _least_achievability(s_grid, d_grid * n, v[n - 1], lam)
         if commuting:
             if n < power:
                 spectrum, power = base, 1

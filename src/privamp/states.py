@@ -64,12 +64,6 @@ class StateDescriptor:
         return cls(HermitianOperator(entries), "subnormalized")
 
 
-def _as_state_matrix(state) -> np.ndarray:
-    if isinstance(state, StateDescriptor):
-        return state.mat
-    return _as_matrix(state)
-
-
 class CQState:
     """Classical-quantum ensemble: symbols x = 0..m-1 with weights p_x and states rho_x.
 

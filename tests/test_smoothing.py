@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,20 @@ from privamp import (
     BudgetExceededError,
     RenyiDivergenceCurve,
     SpectrumDistribution,
+    StateDescriptor,
     converse_bound,
+    distinct_eigenvalue_counts_iid,
     iid_smoothing_certificate,
     max_relative_entropy,
     pinched_smoothing_witness,
     positive_part_trace,
+    sandwiched_renyi_divergence,
     smoothing_certificate,
+    smoothing_exponent,
     tensor_power,
 )
 from privamp import operators, smoothing
-from conftest import rand_commuting_pair, rand_density
+from conftest import rand_commuting_pair, rand_density, two_stage_grid_max
 
 P = np.array([0.5, 0.5])
 Q = np.array([0.25, 0.75])
@@ -185,12 +190,103 @@ def test_achievability_and_converse_standalone():
     sigma = np.diag([0.25, 0.75])
     lam = 0.5
     exact = _oracle(P, Q, lam)
-    # the order-2 pinching bound, v = 2 distinct eigenvalues of sigma
-    up = smoothing._least_achievability(1.0, RenyiDivergenceCurve(rho, sigma).divergence(2.0).value, 2, lam)
+    # the order-2 pinching bound sqrt(2 v 2^(D_2 - lam)), v = 2 distinct eigenvalues of sigma
+    order_two = math.sqrt(2.0 * 2.0 * 2.0 ** (RenyiDivergenceCurve(rho, sigma).divergence(2.0).value - lam))
+    [cert] = iid_smoothing_certificate(rho, sigma, lam, [1])
     lo = converse_bound(rho, sigma, lam)
     assert 0.0 <= lo <= exact + 1e-12
-    assert exact <= up + 1e-12
-    assert up <= 1.0
+    assert exact <= cert.upper + 1e-12
+    assert cert.upper <= min(order_two, 1.0)
+
+
+def _two_stage_upper(curve: RenyiDivergenceCurve, r: float, n: int, v: int) -> float:
+    """min(1, 2^((1 - n F) / 2)) with F = max of s c - log2 Q_{1+s}, c = r - log2(v) / n, over t = s / (1 + s) in [0, 1)."""
+    c = r - math.log2(v) / n
+    f_max = two_stage_grid_max(lambda t: t / (1.0 - t) * c - curve.log2_q(1.0 / (1.0 - t)), 0.0, 1.0 - 1e-7, 4001)
+    return 2.0 ** min(0.5 * (1.0 - n * f_max), 0.0)
+
+
+def _grid_upper(curve: RenyiDivergenceCurve, r: float, n: int, v: int) -> float:
+    """The least bound over 400 geometric orders s in [1e-4, 64]."""
+    s = np.geomspace(1e-4, 64.0, 400)
+    return 2.0 ** min(float(np.min(0.5 * (1.0 + s * math.log2(v) + n * (curve.log2_q(1.0 + s) - s * r)))), 0.0)
+
+
+def test_achievability_is_the_optimum_over_every_order():
+    rng = np.random.default_rng(171)
+    # a commuting qutrit pair whose two top ratios 2 and 1.9 keep the order derivative short of D_max at s = 100
+    pairs = [(np.diag([0.5, 0.3, 0.2]), np.diag([0.25, 0.3 / 1.9, 0.4]))]
+    pairs += [rand_commuting_pair(rng, d) for d in (2, 3, 4)]
+    pairs += [(rand_density(rng, d), rand_density(rng, d)) for d in (2, 3, 4)]
+    ns, tighter = [1, 2, 5], 0
+    for rho, sigma in pairs:
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        v = distinct_eigenvalue_counts_iid(sigma, max(ns))
+        rates = [d1 + x * (dmax - d1) for x in (0.2, 0.5, 0.8)]
+        # a rate that puts the n = 5 optimum at s = 100, past the 400-point grid's last order 64, on
+        # pairs whose order derivative at s = 100 still falls short of D_max
+        s_100 = curve.d_log2_q(101.0) + math.log2(v[4]) / 5
+        far = dmax - curve.d_log2_q(101.0) > 1e-7
+        for r in rates + [s_100] * far:
+            for cert in iid_smoothing_certificate(rho, sigma, r, ns):
+                n = cert.meta["n"]
+                ref = _two_stage_upper(curve, r, n, v[n - 1])
+                assert abs(cert.upper - ref) <= 1e-9 * ref, (r, n, cert.upper, ref)
+        if far:  # cert is the n = 5 certificate at that rate
+            tighter += 1
+            assert cert.upper < (1.0 - 1e-6) * _grid_upper(curve, s_100, 5, v[4]) < 1.0 - 1e-6
+    assert tighter >= 4
+
+
+def test_achievability_edges_are_exact():
+    rng = np.random.default_rng(173)
+    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        ns = range(1, 5)
+        # v_n <= d^n, so c_n = r - log2(v_n) / n >= D_max at r = D_max + log2 d
+        for r, upper in ((d1, 1.0), (d1 - 1.0, 1.0), (-math.inf, 1.0), (dmax + math.log2(len(rho)), 0.0), (math.inf, 0.0)):
+            assert [c.upper for c in iid_smoothing_certificate(rho, sigma, r, ns)] == [upper] * len(ns), r
+    # mass of rho outside supp(sigma) leaves every budget's bound at 1, also r = inf
+    rho = rand_density(rng, 2)
+    for r in (0.0, 5.0, math.inf):
+        assert [c.upper for c in iid_smoothing_certificate(rho, np.diag([1.0, 0.0]), r, [1, 2])] == [1.0, 1.0]
+    # one ulp below D_max the root search on this pair ends at t = 1, s = inf, which bounds nothing below 1
+    curve = RenyiDivergenceCurve(*rand_commuting_pair(np.random.default_rng(1), 3))
+    assert smoothing._achievability(curve, float(np.nextafter(curve.dmax().value, -math.inf)), [1], [1]) == [1.0]
+
+
+def test_achievability_exponent_stays_below_the_smoothing_exponent():
+    # -log2(upper_n) / n = (n F_n - 1) / (2 n) <= F_n / 2 <= F(r) / 2, as c_n <= r and F is nondecreasing in the rate
+    rng = np.random.default_rng(179)
+    ns = range(1, 41)
+    for k in range(60):
+        d = 2 + k % 3
+        rho, sigma = rand_commuting_pair(rng, d) if k % 2 else (rand_density(rng, d), rand_density(rng, d))
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        v = distinct_eigenvalue_counts_iid(sigma, max(ns))
+        for x in np.linspace(-0.1, 1.1, 11):
+            r = d1 + float(x) * (dmax - d1)
+            exponent = smoothing_exponent(curve, None, r).value
+            for n, upper in zip(ns, smoothing._achievability(curve, r, ns, v)):
+                assert (-math.log2(upper) / n if upper > 0.0 else math.inf) <= exponent + 1e-9, (k, r, n, upper, exponent)
+
+
+def test_state_descriptor_sigma_reads_as_its_matrix():
+    rng = np.random.default_rng(181)
+    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
+        sigma = StateDescriptor.density(sigma / float(np.trace(sigma).real))
+        rho = StateDescriptor.density(rho)
+        assert sandwiched_renyi_divergence(rho, sigma, 2.0) == sandwiched_renyi_divergence(rho, sigma.mat, 2.0)
+        assert converse_bound(rho, sigma, 0.5) == converse_bound(rho, sigma.mat, 0.5)
+        (w_sd, a_sd), (w_mat, a_mat) = (pinched_smoothing_witness(rho, s, 0.5) for s in (sigma, sigma.mat))
+        assert a_sd == a_mat and np.array_equal(w_sd.mat, w_mat.mat)
+        one_sd, one_mat = (smoothing_certificate(rho, s, 0.5) for s in (sigma, sigma.mat))
+        assert np.array_equal(one_sd.witness.mat, one_mat.witness.mat)
+        assert replace(one_sd, witness=None) == replace(one_mat, witness=None)
+        assert iid_smoothing_certificate(rho, sigma, 0.3, [1, 2, 3]) == iid_smoothing_certificate(rho, sigma.mat, 0.3, [1, 2, 3])
 
 
 def test_spectrum_matches_dense_divergences():
