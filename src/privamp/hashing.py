@@ -15,13 +15,18 @@ identity-table case.
 
 A hash family numbers its members 0 .. table_count - 1: tables(members)
 maps an int64 array of member indices to their tables, and
-sample_tables(rng, count) draws count tables in one generator call. Every
-scan runs through one loop over chunks of _CHUNK = 2048 tables: exhaustive
-scans take the members in index order, and Monte Carlo draws chunk i from
-its own generator SeedSequence([seed, i]), so the chunk size is part of the
-seed contract and no result depends on the thread count. Family means, the
-lemma checks' among them, and example 2 evaluate each distinct table of a
-chunk once, keyed by its base-M integer unless that overflows int64.
+sample_members(rng, count) draws count member indices in one generator
+call. Every scan runs through one loop over chunks of _CHUNK = 2048 rows.
+Exhaustive scans take the members in index order. Monte Carlo draws chunk
+i of its members from its own generator SeedSequence([seed, i]), so the
+chunk size is part of the seed contract and no result depends on the
+thread count; it then evaluates each distinct member drawn once per scan
+and gathers the values back into draw order. Only all_functions can number
+more members than int64 holds; its Monte Carlo scans then draw the tables
+themselves (sample_tables, the same generator call) and evaluate every
+drawn row. Exhaustive family means, the lemma checks' among them, evaluate
+each distinct table of a chunk once, keyed by its base-M integer unless
+that overflows int64, and example 2 each distinct member it draws.
 
 Relabeling the outputs of a table does not change its insecurity under any
 of the four measures, so tables come in twins. The exhaustive minimum reads
@@ -331,30 +336,25 @@ def _distinct_values(values, m: int):
     return distinct
 
 
-def _chunk_values(family, values, threads: int, *, count: int = 0, seed: int | None = None):
-    """Yield (first row, values(tables)) for each _CHUNK rows of tables, in row order.
+def _chunk_values(tables, count: int, values, threads: int):
+    """Yield (first row, values(tables(rows))) for each _CHUNK rows of 0 .. count - 1, in row order.
 
-    Without a seed the rows are every member of the family, ascending. With a
-    seed they are count draws, chunk i drawn from SeedSequence([seed, i]).
-    Either way the rows do not depend on the thread count.
+    rows is an ascending int64 slice of row indices, and no result depends on
+    the thread count. min(threads, chunks) workers share the chunks; with one
+    of them the chunks run on the calling thread and no pool starts.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if seed is None:
-        count = family.table_count
 
     def evaluate(lo):
-        size = min(_CHUNK, count - lo)
-        if seed is None:
-            return lo, values(family.tables(np.arange(lo, lo + size, dtype=np.int64)))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
-        return lo, values(family.sample_tables(rng, size))
+        return lo, values(tables(np.arange(lo, min(lo + _CHUNK, count), dtype=np.int64)))
 
     starts = range(0, count, _CHUNK)
-    if threads <= 1:
+    workers = min(threads, len(starts))
+    if workers <= 1:
         yield from map(evaluate, starts)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(evaluate, starts)
 
 
@@ -382,7 +382,7 @@ def min_insecurity_exhaustive(
     curve = ConditionalRenyiCurve(source)
     best_val, best_row = math.inf, -1
     for lo, vals in _chunk_values(
-        family, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads
+        family.tables, family.table_count, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads
     ):
         k = int(np.argmin(vals))
         if vals[k] < best_val:
@@ -408,6 +408,9 @@ class AllFunctionsFamily:
     """Uniform distribution over every table domain -> range.
 
     Member k is the table whose big-endian base-range digits spell k.
+    sample_tables draws tables digit by digit; sample_members reads the
+    same draw as base-range indices, which fit int64 only while
+    table_count does.
     """
 
     kind = "all_functions"
@@ -422,22 +425,32 @@ class AllFunctionsFamily:
     def table_count(self) -> int:
         return self.range_size**self.domain_size
 
+    def _powers(self) -> np.ndarray:
+        return self.range_size ** np.arange(self.domain_size - 1, -1, -1, dtype=np.int64)
+
     def tables(self, members: np.ndarray) -> np.ndarray:
-        powers = self.range_size ** np.arange(self.domain_size - 1, -1, -1, dtype=np.int64)
-        return (members[:, None] // powers[None, :]) % self.range_size
+        return (members[:, None] // self._powers()[None, :]) % self.range_size
 
     def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.integers(0, self.range_size, size=(count, self.domain_size))
 
+    def sample_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return self.sample_tables(rng, count) @ self._powers()
+
     def collision_certificate(self) -> dict:
         """Max pair-collision probability; exactly 1/range for this family.
 
-        Verified exhaustively up to 2^16 tables, otherwise by the exact
-        per-pair independence of table entries.
+        Verified exhaustively up to 2^16 tables, one narrow row of outputs
+        per symbol, otherwise by the exact per-pair independence of table
+        entries.
         """
         bound = 1.0 / self.range_size
         if self.table_count <= 1 << 16:
-            worst = _max_pair_collision(self.tables(np.arange(self.table_count)).T)
+            members = np.arange(self.table_count)
+            symbols = np.empty((self.domain_size, self.table_count), dtype=np.min_scalar_type(self.range_size - 1))
+            for x, power in enumerate(self._powers()):
+                symbols[x] = members // power % self.range_size
+            worst = _max_pair_collision(symbols)
             certified = worst <= bound + 1e-12
             return {"max_collision": worst, "bound": bound, "certified": certified, "method": "exhaustive"}
         return {"max_collision": bound, "bound": bound, "certified": True, "method": "entrywise-independence"}
@@ -479,7 +492,7 @@ class _RestrictedGrowthTables:
 class AffinePrimeFamily:
     """Tables x -> ((a x + b) mod p) mod range, a in [1, p), b in [0, p).
 
-    Member k has a = 1 + k // p and b = k % p.
+    Member k has a = 1 + k // p and b = k % p; p(p - 1) must fit int64.
     """
 
     kind = "affine_prime"
@@ -491,6 +504,8 @@ class AffinePrimeFamily:
             raise ValueError(f"domain size {domain_size} must be in [1, {prime}]")
         if not 2 <= range_size <= prime:
             raise ValueError(f"range size {range_size} must be in [2, {prime}]")
+        if (prime - 1) * prime > np.iinfo(np.int64).max:
+            raise ValueError(f"prime {prime} numbers more members than int64 holds")
         self.prime = prime
         self.domain_size = domain_size
         self.range_size = range_size
@@ -505,9 +520,9 @@ class AffinePrimeFamily:
         x = np.arange(self.domain_size)
         return ((a[:, None] * x[None, :] + b[:, None]) % self.prime) % self.range_size
 
-    def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
         a, b = rng.integers([1, 0], [self.prime, self.prime], size=(count, 2)).T
-        return self.tables((a - 1) * self.prime + b)
+        return (a - 1) * self.prime + b
 
     def collision_certificate(self) -> dict:
         """Exhaustive pair-collision count over all (a, b) members, for primes up to 257."""
@@ -531,12 +546,16 @@ class PermutationProductFamily:
     probability is exactly 1/3 <= 1/2, certified by enumerating all 24
     permutations. n copies draw their permutations independently, hashing
     4^n symbols to n bits. Member k applies, to copy i, the permutation
-    numbered by the i-th big-endian base-24 digit of k.
+    numbered by the i-th big-endian base-24 digit of k, its rank among the
+    24 in lexicographic order.
     """
 
     kind = "example2_permutation"
     _base_map = np.array([0, 0, 1, 1])
     _perms = np.array(list(itertools.permutations(range(4))))
+    # _perm_rank[perm @ (64, 16, 4, 1)] is the row of perm in _perms
+    _perm_rank = np.zeros(256, dtype=np.int64)
+    _perm_rank[_perms @ 4 ** np.arange(3, -1, -1)] = np.arange(24)
 
     def __init__(self, n: int):
         if n < 1:
@@ -549,18 +568,17 @@ class PermutationProductFamily:
     def table_count(self) -> int:
         return 24**self.n
 
-    def _tables_for_perms(self, perms: np.ndarray) -> np.ndarray:
-        """One table per row of perms, shape (rows, n, 4): copy i permuted by perms[:, i]."""
-        place = np.arange(self.n - 1, -1, -1)
-        digits = (np.arange(self.domain_size)[:, None] // 4 ** place[None, :]) % 4
-        return self._base_map[perms[:, np.arange(self.n), digits]] @ 2**place
+    def _places(self, base: int) -> np.ndarray:
+        return base ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
 
     def tables(self, members: np.ndarray) -> np.ndarray:
-        digits = (members[:, None] // 24 ** np.arange(self.n - 1, -1, -1, dtype=np.int64)[None, :]) % 24
-        return self._tables_for_perms(self._perms[digits])
+        perms = self._perms[(members[:, None] // self._places(24)[None, :]) % 24]
+        symbol_digits = (np.arange(self.domain_size)[:, None] // self._places(4)[None, :]) % 4
+        return self._base_map[perms[:, np.arange(self.n), symbol_digits]] @ self._places(2)
 
-    def sample_tables(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self._tables_for_perms(rng.permuted(np.tile(np.arange(4), (count, self.n, 1)), axis=-1))
+    def sample_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        perms = rng.permuted(np.tile(np.arange(4), (count, self.n, 1)), axis=-1)
+        return self._perm_rank[perms @ 4 ** np.arange(3, -1, -1)] @ self._places(24)
 
     def collision_certificate(self) -> dict:
         """Exact worst collision probability of the single-copy family, over its 24 members."""
@@ -583,7 +601,7 @@ def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: i
     _check_domain(family, source)
     _check_budget(family.table_count, budget)
     total = 0.0
-    for _, vals in _chunk_values(family, values, threads):
+    for _, vals in _chunk_values(family.tables, family.table_count, values, threads):
         total += float(vals.sum())
     return total / family.table_count
 
@@ -602,23 +620,42 @@ def family_expectation(
 ) -> FamilyExpectation:
     """Expected insecurity over a hash family, exhaustive or Monte-Carlo.
 
-    Monte-Carlo draws each chunk of tables from its own generator keyed by
-    (seed, chunk index), so results do not depend on the thread count; the
-    standard error of the mean is reported alongside.
+    Monte-Carlo draws each chunk of members from its own generator keyed by
+    (seed, chunk index), evaluates each distinct member once per scan and
+    reads the values back in draw order, so results do not depend on the
+    thread count; the standard error of the mean is reported alongside.
+    all_functions past int64 members draws its tables instead and evaluates
+    every drawn row.
     """
     _validate_measure(measure, s)
     curve = ConditionalRenyiCurve(source)
     m = family.range_size
-    values = _distinct_values(lambda tables: _batch_values(tables, curve, m, measure, s), m)
+
+    def values(tables):
+        return _batch_values(tables, curve, m, measure, s)
+
     if sampling == "exhaustive":
-        mean = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
+        mean = _exhaustive_mean(family, source, _distinct_values(values, m), budget=budget, threads=threads)
         return FamilyExpectation(mean, None, family.table_count, "exhaustive")
     if sampling != "monte_carlo":
         raise ValueError(f"sampling must be 'exhaustive' or 'monte_carlo', got {sampling!r}")
     if count < 2:
         raise ValueError("monte_carlo needs count >= 2")
     _check_domain(family, source)
-    vals = np.concatenate([v for _, v in _chunk_values(family, values, threads, count=count, seed=seed)])
+
+    def chunk_rng(lo):
+        return np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
+
+    if family.table_count > np.iinfo(np.int64).max:
+        chunks = _chunk_values(lambda rows: family.sample_tables(chunk_rng(rows[0]), rows.size), count, values, threads)
+        vals = np.concatenate([v for _, v in chunks])
+    else:
+        members = np.empty(count, dtype=np.int64)
+        for lo in range(0, count, _CHUNK):
+            members[lo : lo + _CHUNK] = family.sample_members(chunk_rng(lo), min(_CHUNK, count - lo))
+        distinct, inverse = np.unique(members, return_inverse=True)
+        chunks = _chunk_values(lambda rows: family.tables(distinct[rows]), distinct.size, values, threads)
+        vals = np.concatenate([v for _, v in chunks])[inverse]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(count))
     return FamilyExpectation(mean, se, count, "monte_carlo")
@@ -797,11 +834,11 @@ def example2_suite(
     family = PermutationProductFamily(n)
     cert = family.collision_certificate()
     curve = ConditionalRenyiCurve(CQState.classical(np.full(4**n, 0.25**n)))
-    tables = family.sample_tables(np.random.default_rng(np.random.SeedSequence(seed)), realizations)
-    m = family.range_size
+    members = family.sample_members(np.random.default_rng(np.random.SeedSequence(seed)), realizations)
+    tables = family.tables(np.unique(members))
     tol = 1e-12
     worst = {
-        meas: max(0.0, float(_distinct_values(lambda rows: _batch_values(rows, curve, m, meas, s), m)(tables).max()))
+        meas: max(0.0, float(_batch_values(tables, curve, family.range_size, meas, s).max()))
         for meas, s in (("purified_distance", None), ("relative_entropy", None), ("renyi", 1.0))
     }
     checks = [

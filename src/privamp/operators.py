@@ -108,7 +108,7 @@ def eig(a) -> SpectralDecomposition:
     The decomposition is verified to reconstruct the input within
     RECONSTRUCTION_TOL * (1 + max entry).
     """
-    op = a if isinstance(a, HermitianOperator) else HermitianOperator(a)
+    op = a if isinstance(a, HermitianOperator) else HermitianOperator(_as_matrix(a))
     m = op.mat
     try:
         w, u = np.linalg.eigh(m)

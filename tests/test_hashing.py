@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -260,11 +261,15 @@ def test_scans_evaluate_each_distinct_table_once(monkeypatch):
         rows.clear()
         min_insecurity_exhaustive(cq, m, "relative_entropy")
         assert sum(rows) == sum(map(_restricted_growth, itertools.product(range(m), repeat=cq.nsymbols))), m
-    # 110 members, drawn 5000 times in chunks of 2048
+    # 110 members, drawn 5000 times in chunks of 2048: one kernel call reads each distinct member once
     fam = AffinePrimeFamily(11, 9, 3)
+    drawn = np.concatenate([
+        fam.sample_members(np.random.default_rng(np.random.SeedSequence([3, i])), min(2048, 5000 - lo))
+        for i, lo in enumerate(range(0, 5000, 2048))
+    ])
     rows.clear()
     family_expectation(fam, sampled, "trace_distance", sampling="monte_carlo", count=5000, seed=3)
-    assert len(rows) == 3 and max(rows) <= fam.table_count
+    assert rows == [np.unique(drawn).size] and rows[0] <= fam.table_count
     # d_E = 2 and full-rank d_E = 3 blocks are read in closed form, d_E = 4 blocks by eigvalsh
     assert eigvalsh_calls == []
     rows.clear()
@@ -453,28 +458,73 @@ def test_output_blocks_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert np.array_equal(np.load(out), _one_chunk_of_output_blocks())
 
 
+def _drawn_tables(family, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count tables drawn from rng: all_functions draws tables, the other families member indices."""
+    if isinstance(family, AllFunctionsFamily):
+        return family.sample_tables(rng, count)
+    return family.tables(family.sample_members(rng, count))
+
+
 @pytest.mark.parametrize(
     "family",
-    [AffinePrimeFamily(11, 9, 3), AllFunctionsFamily(6, 2), PermutationProductFamily(3)],
-    ids=["affine_prime", "all_functions", "permutation-key-overflows"],
+    [AffinePrimeFamily(11, 9, 3), AllFunctionsFamily(6, 2), PermutationProductFamily(3), AllFunctionsFamily(64, 2)],
+    ids=["affine_prime", "all_functions", "permutation-key-overflows", "all_functions-members-overflow"],
 )
 def test_monte_carlo_mean_equals_mean_over_every_drawn_row(monkeypatch, family):
-    # 300 draws in chunks of 64; the 8^64 keys of the permutation family overflow int64
+    # 300 draws in chunks of 64. The 8^64 table keys of the permutation family
+    # overflow int64 but its 24^3 members do not; the 2^64 members of the last
+    # family do, so its scan evaluates every drawn row.
     monkeypatch.setattr(hashing, "_CHUNK", 64)
     rng = np.random.default_rng(227)
     cq = rand_cq(rng, family.domain_size, 2)
     curve = ConditionalRenyiCurve(cq)
     for measure, s in MEASURE_ORDERS:
-        got = family_expectation(family, cq, measure, s, sampling="monte_carlo", count=300, seed=11)
         rows = np.concatenate([
             hashing._batch_values(
-                family.sample_tables(np.random.default_rng(np.random.SeedSequence([11, i])), min(64, 300 - lo)),
+                _drawn_tables(family, np.random.default_rng(np.random.SeedSequence([11, i])), min(64, 300 - lo)),
                 curve, family.range_size, measure, s,
             )
             for i, lo in enumerate(range(0, 300, 64))
         ])
-        assert got.value == float(rows.mean()), measure
-        assert got.std_error == float(rows.std(ddof=1) / math.sqrt(300)), measure
+        for threads in (1, 2, 5):
+            got = family_expectation(family, cq, measure, s, sampling="monte_carlo", count=300, seed=11, threads=threads)
+            assert got.value == float(rows.mean()), (measure, threads)
+            assert got.std_error == float(rows.std(ddof=1) / math.sqrt(300)), (measure, threads)
+
+
+def test_pool_starts_only_for_scans_of_more_than_one_chunk(monkeypatch):
+    rng = np.random.default_rng(229)
+    cq9, cq6 = rand_cq(rng, 9, 2), rand_cq(rng, 6, 2)
+
+    def scans(threads):
+        return [
+            # at most 110 distinct members of 5000 draws
+            family_expectation(AffinePrimeFamily(11, 9, 3), cq9, "renyi", 0.5, sampling="monte_carlo",
+                               count=5000, seed=5, threads=threads),
+            # 356 distinct members of 600 draws
+            family_expectation(AllFunctionsFamily(9, 2), cq9, "trace_distance", sampling="monte_carlo",
+                               count=600, seed=5, threads=threads),
+            family_expectation(AllFunctionsFamily(6, 2), cq6, "purified_distance", threads=threads),
+            min_insecurity_exhaustive(cq6, 3, "relative_entropy", threads=threads),
+        ]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk scan started a pool")
+
+    monkeypatch.setattr(hashing, "ThreadPoolExecutor", no_pool)
+    assert scans(4) == scans(1)
+    monkeypatch.setattr(hashing, "_CHUNK", 64)
+    workers = []
+
+    def pool(max_workers):
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(hashing, "ThreadPoolExecutor", pool)
+    runs = {threads: scans(threads) for threads in (1, 2, 5)}
+    assert runs[1] == runs[2] == runs[5]
+    # 2, 6, 1 and 2 chunks: min(threads, chunks) workers, and no pool for the one-chunk mean
+    assert workers == [2, 2, 2, 2, 5, 2]
 
 
 # reporting a failing example imports libcst, whose import warns; without
@@ -597,8 +647,28 @@ def test_sample_tables_match_looped_draws(kind):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, count]))
                 want = np.stack([_looped_table(fam, rng) for _ in range(count)])
                 rng = np.random.default_rng(np.random.SeedSequence([seed, count]))
-                got = fam.sample_tables(rng, count)
+                got = fam.tables(fam.sample_members(rng, count))
                 assert np.array_equal(got, want), (fam.kind, vars(fam), count, seed)
+                if isinstance(fam, AllFunctionsFamily):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, count]))
+                    assert np.array_equal(fam.sample_tables(rng, count), want), (vars(fam), count, seed)
+
+
+@pytest.mark.parametrize("nx,m", [(3, 2), (5, 3), (8, 4), (16, 2), (9, 3), (1, 1), (6, 6)])
+def test_all_functions_collision_certificate_matches_enumeration(nx, m):
+    fam = AllFunctionsFamily(nx, m)
+    symbols = _enumerated_tables(fam).T
+    equal = [np.count_nonzero(symbols[x1] == symbols[x2]) for x1, x2 in itertools.combinations(range(nx), 2)]
+    cert = fam.collision_certificate()
+    assert cert["method"] == "exhaustive"
+    assert cert["max_collision"] == max(equal, default=0) / fam.table_count
+    assert cert["certified"]
+
+
+def test_affine_prime_family_members_fit_int64():
+    AffinePrimeFamily(3037000493, 2, 2)
+    with pytest.raises(ValueError, match="int64"):
+        AffinePrimeFamily(3037000507, 2, 2)
 
 
 @pytest.mark.parametrize("kind", SAMPLED_FAMILIES)
@@ -713,7 +783,7 @@ def test_example2_suite_equals_the_per_realization_loop(n):
     source = CQState.classical(np.full(4**n, 0.25**n))
     for seed in (0, 1):
         worst = {"purified_distance": 0.0, "relative_entropy": 0.0, "renyi": 0.0}
-        for table in family.sample_tables(np.random.default_rng(np.random.SeedSequence(seed)), 30):
+        for table in family.tables(family.sample_members(np.random.default_rng(np.random.SeedSequence(seed)), 30)):
             hashed = apply_hash(source, table)
             for measure, s in (("purified_distance", None), ("relative_entropy", None), ("renyi", 1.0)):
                 worst[measure] = max(worst[measure], insecurity(hashed, measure, s).value)

@@ -9,6 +9,7 @@ from privamp import (
     BudgetExceededError,
     CQState,
     HermitianOperator,
+    StateDescriptor,
     commutator_defect,
     distinct_eigenvalue_counts_iid,
     eig,
@@ -180,6 +181,20 @@ def test_distinct_count_grows_polynomially_for_commuting_spectrum():
     sigma = np.diag([0.25, 0.75])
     counts = distinct_eigenvalue_counts_iid(sigma, 64)
     assert [counts[n - 1] for n in (1, 4, 16, 64)] == [2, 5, 17, 65]
+
+
+def test_state_descriptor_reads_as_its_matrix():
+    rng = np.random.default_rng(43)
+    rho, sigma = (StateDescriptor.density(rand_density(rng, 2)) for _ in range(2))
+    for got, want in (
+        (eig(sigma), eig(sigma.mat)),
+        (pinching(rho, sigma), pinching(rho.mat, sigma.mat)),
+        (mat_power(sigma, -0.5), mat_power(sigma.mat, -0.5)),
+    ):
+        for name in ("eigenvalues", "eigenvectors", "clusters", "mat"):
+            if hasattr(want, name):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert distinct_eigenvalue_counts_iid(sigma, 5) == distinct_eigenvalue_counts_iid(sigma.mat, 5)
 
 
 # CQ state plumbing
