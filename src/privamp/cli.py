@@ -4,14 +4,14 @@ Commands: measure, exponent-curve, smooth, pa-search, pa-family, and suite
 example1, example2 or properties, one nested parser each. The shared
 options sit on three parent parsers, each declared once, and a command
 takes only those it reads: each takes --format and --out; pa-search,
-pa-family and suite example1 take --threads and --budget; pa-family, suite
-example2 and suite properties take --seed; any other is a usage error. The
-parser is built once per process (PARSER). A handler returns (inputs,
-results, rows, exit code), and main() assembles every document in one
-place: a reproducibility header (artifact version, the format and
-whichever of seed and budget the command takes, input hashes), the command
-and the results. Outputs are deterministic for a fixed seed regardless of
---threads. Exit codes: 0 success, 1 invariant or check failure, 2 input
+pa-family and suite example1 take --budget, and --threads, which has no
+effect; pa-family, suite example2 and suite properties take --seed; any
+other is a usage error. The parser is built once per process (PARSER). A
+handler returns (inputs, results, rows, exit code), and main() assembles
+every document in one place: a reproducibility header (artifact version,
+the format and whichever of seed and budget the command takes, input
+hashes), the command and the results. Outputs are deterministic for a
+fixed seed. Exit codes: 0 success, 1 invariant or check failure, 2 input
 validation or usage error, 3 budget exceeded.
 """
 
@@ -205,8 +205,8 @@ def _flatten(doc, prefix=""):
 
 
 def _config_block(args, inputs: list[str]) -> dict:
-    # threads intentionally not recorded: documents must be identical across
-    # thread counts for a fixed seed
+    # --threads is not recorded: it has no effect, and documents must be
+    # identical whatever its value
     return {
         "artifact": {"name": "privamp", "version": __version__},
         "config": {key: getattr(args, key) for key in ("seed", "budget", "format") if hasattr(args, key)},
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--seed", type=int, default=0, help="master seed for any sampling")
     scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads (never changes results)")
+    # kept so that existing command lines still parse; every scan runs on one thread
+    scan.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted for compatibility; has no effect")
     scan.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET, help="exhaustive enumeration budget")
 
     top = argparse.ArgumentParser(prog="privamp", description=__doc__)
@@ -397,7 +398,6 @@ def _cmd_pa_search(args):
         args.measure,
         args.s,
         budget=args.budget,
-        threads=args.threads,
     )
     results = {
         "measure": rep.measure,
@@ -433,7 +433,6 @@ def _cmd_pa_family(args):
         count=args.count,
         seed=args.seed,
         budget=args.budget,
-        threads=args.threads,
     )
     results = {
         "family": args.family,
@@ -550,7 +549,7 @@ def _properties_suite(args) -> dict:
 
 def _cmd_suite(args):
     if args.which == "example1":
-        rep = example1_suite(args.n, args.range_bits, budget=args.budget, threads=args.threads)
+        rep = example1_suite(args.n, args.range_bits, budget=args.budget)
         results = {
             "n": rep["n"],
             "range_bits": rep["range_bits"],

@@ -250,20 +250,26 @@ def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> l
 
 
 def pa_upper_exponent(state, rate: float) -> ExponentValue:
-    """Achievable insecurity exponent sup_{s >= 0} s (H_{1+s}(X|E) - rate).
+    """Upper bound on the insecurity exponent, sup_{s >= 0} s (H_{1+s}(X|E) - rate).
 
-    The divergence-measure exponent is the value; the purified-distance
-    exponent (half of it) rides along in purified_value. Classification:
-    zero at rate >= H(X|E), divergent (+inf) at rate <= H_min(X|E), otherwise
-    an interior optimum whose regime records which side of the critical rate
-    the request fell on. The search covers every order s >= 0; the optimizer
-    grows without bound as the rate approaches H_min(X|E).
+    The paper's upper bound on the exponent of the insecurity's decay. It
+    equals pa_lower_exponent at rates at or above the critical rate, where
+    it is the exact security exponent. The divergence-measure exponent is
+    the value; the purified-distance exponent (half of it) rides along in
+    purified_value. Classification: zero at rate >= H(X|E), divergent (+inf)
+    at rate <= H_min(X|E), otherwise an interior optimum whose regime records
+    which side of the critical rate the request fell on. The search covers
+    every order s >= 0; the optimizer grows without bound as the rate
+    approaches H_min(X|E).
     """
     return _curve_points(_as_cond_curve(state), [rate], "upper", 1.0)[0].upper
 
 
 def pa_lower_exponent(state, rate: float) -> ExponentValue:
-    """Converse insecurity exponent max_{0 <= s <= 1} s (H_{1+s}(X|E) - rate)."""
+    """Hayashi's lower bound on the insecurity exponent, max_{0 <= s <= 1} s (H_{1+s}(X|E) - rate).
+
+    Two-universal hashing at this rate achieves it.
+    """
     return _curve_points(_as_cond_curve(state), [rate], "lower", 1.0)[0].lower
 
 

@@ -16,15 +16,15 @@ identity-table case.
 A hash family numbers its members 0 .. table_count - 1: tables(members)
 maps an int64 array of member indices to their tables, and
 sample_members(rng, count) draws count member indices in one generator
-call. Every scan runs through one loop over chunks of _CHUNK = 2048 rows.
-Exhaustive scans take the members in index order. Monte Carlo draws chunk
-i of its members from its own generator SeedSequence([seed, i]), so the
-chunk size is part of the seed contract and no result depends on the
-thread count; it then evaluates each distinct member drawn once per scan
-and gathers the values back into draw order. Only all_functions can number
-more members than int64 holds; its Monte Carlo scans then draw the tables
-themselves (sample_tables, the same generator call) and evaluate every
-drawn row. Exhaustive family means, the lemma checks' among them, evaluate
+call. Every scan runs on the calling thread, through one loop over chunks
+of _CHUNK = 2048 rows in order. Exhaustive scans take the members in index
+order. Monte Carlo draws chunk i of its members from its own generator
+SeedSequence([seed, i]), so the chunk size is part of the seed contract;
+it then evaluates each distinct member drawn once per scan and gathers the
+values back into draw order. Only all_functions can number more members
+than int64 holds; its Monte Carlo scans then draw the tables themselves
+(sample_tables, the same generator call) and evaluate every drawn row.
+Exhaustive family means, the lemma checks' among them, evaluate
 each distinct table of a chunk once, keyed by its base-M integer unless
 that overflows int64, and example 2 each distinct member it draws.
 
@@ -33,15 +33,14 @@ of the four measures, so tables come in twins. The exhaustive minimum reads
 one table per relabeling orbit: the restricted-growth tables, whose outputs
 first appear in the order 0, 1, 2, ..., taken in ascending base-M index.
 Each is the smallest index among its twins, so the reduction (min value,
-ties to the smaller index) reports that canonical twin whatever the thread
-count, and `evaluated` still counts all M^X tables the minimum ranges over.
+ties to the smaller index) reports that canonical twin, and `evaluated`
+still counts all M^X tables the minimum ranges over.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,26 +335,16 @@ def _distinct_values(values, m: int):
     return distinct
 
 
-def _chunk_values(tables, count: int, values, threads: int):
+def _chunk_values(tables, count: int, values):
     """Yield (first row, values(tables(rows))) for each _CHUNK rows of 0 .. count - 1, in row order.
 
-    rows is an ascending int64 slice of row indices, and no result depends on
-    the thread count. min(threads, chunks) workers share the chunks; with one
-    of them the chunks run on the calling thread and no pool starts.
+    rows is an ascending int64 slice of row indices. The chunks run one after
+    another on the calling thread: a chunk's kernel is many small NumPy
+    calls, and a second thread contending for the interpreter lock ran them
+    no faster than one.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    def evaluate(lo):
-        return lo, values(tables(np.arange(lo, min(lo + _CHUNK, count), dtype=np.int64)))
-
-    starts = range(0, count, _CHUNK)
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        yield from map(evaluate, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(evaluate, starts)
+    for lo in range(0, count, _CHUNK):
+        yield lo, values(tables(np.arange(lo, min(lo + _CHUNK, count), dtype=np.int64)))
 
 
 def min_insecurity_exhaustive(
@@ -365,15 +354,13 @@ def min_insecurity_exhaustive(
     s: float | None = None,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> InsecurityReport:
     """Exhaustive minimum insecurity over all tables domain -> [range_size].
 
     Reads one table per relabeling orbit, the restricted-growth tables in
-    ascending base-range_size index; ties resolve to the smallest index,
-    making the result independent of threading, and the winner is its own
-    canonical twin (module docstring). More than budget tables in all raise
-    BudgetExceededError.
+    ascending base-range_size index; ties resolve to the smallest index, so
+    the winner is its own canonical twin (module docstring). More than
+    budget tables in all raise BudgetExceededError.
     """
     _validate_measure(measure, s)
     total = range_size**source.nsymbols
@@ -382,7 +369,7 @@ def min_insecurity_exhaustive(
     curve = ConditionalRenyiCurve(source)
     best_val, best_row = math.inf, -1
     for lo, vals in _chunk_values(
-        family.tables, family.table_count, lambda tables: _batch_values(tables, curve, range_size, measure, s), threads
+        family.tables, family.table_count, lambda tables: _batch_values(tables, curve, range_size, measure, s)
     ):
         k = int(np.argmin(vals))
         if vals[k] < best_val:
@@ -596,14 +583,28 @@ def _check_domain(family, source: CQState) -> None:
         raise ValueError(f"family domain {family.domain_size} != source symbols {source.nsymbols}")
 
 
-def _exhaustive_mean(family, source: CQState, values, *, budget: int, threads: int) -> float:
+def _exhaustive_mean(family, source: CQState, values, *, budget: int) -> float:
     """Mean of values(tables) over every member, summed chunk by chunk in order."""
     _check_domain(family, source)
     _check_budget(family.table_count, budget)
     total = 0.0
-    for _, vals in _chunk_values(family.tables, family.table_count, values, threads):
+    for _, vals in _chunk_values(family.tables, family.table_count, values):
         total += float(vals.sum())
     return total / family.table_count
+
+
+def _distinct_members(members: np.ndarray, table_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(members, return_inverse=True) for member indices in [0, table_count).
+
+    With no more members than draws, a presence mask and its running count
+    give the same arrays without a sort: at most 9 bytes per draw, where the
+    sort holds about 47.
+    """
+    if table_count > members.size:
+        return np.unique(members, return_inverse=True)
+    present = np.zeros(table_count, dtype=bool)
+    present[members] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[members]
 
 
 def family_expectation(
@@ -616,16 +617,14 @@ def family_expectation(
     count: int = 10**4,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> FamilyExpectation:
     """Expected insecurity over a hash family, exhaustive or Monte-Carlo.
 
     Monte-Carlo draws each chunk of members from its own generator keyed by
     (seed, chunk index), evaluates each distinct member once per scan and
-    reads the values back in draw order, so results do not depend on the
-    thread count; the standard error of the mean is reported alongside.
-    all_functions past int64 members draws its tables instead and evaluates
-    every drawn row.
+    reads the values back in draw order; the standard error of the mean is
+    reported alongside. all_functions past int64 members draws its tables
+    instead and evaluates every drawn row.
     """
     _validate_measure(measure, s)
     curve = ConditionalRenyiCurve(source)
@@ -635,7 +634,7 @@ def family_expectation(
         return _batch_values(tables, curve, m, measure, s)
 
     if sampling == "exhaustive":
-        mean = _exhaustive_mean(family, source, _distinct_values(values, m), budget=budget, threads=threads)
+        mean = _exhaustive_mean(family, source, _distinct_values(values, m), budget=budget)
         return FamilyExpectation(mean, None, family.table_count, "exhaustive")
     if sampling != "monte_carlo":
         raise ValueError(f"sampling must be 'exhaustive' or 'monte_carlo', got {sampling!r}")
@@ -647,14 +646,14 @@ def family_expectation(
         return np.random.default_rng(np.random.SeedSequence([seed, lo // _CHUNK]))
 
     if family.table_count > np.iinfo(np.int64).max:
-        chunks = _chunk_values(lambda rows: family.sample_tables(chunk_rng(rows[0]), rows.size), count, values, threads)
+        chunks = _chunk_values(lambda rows: family.sample_tables(chunk_rng(rows[0]), rows.size), count, values)
         vals = np.concatenate([v for _, v in chunks])
     else:
         members = np.empty(count, dtype=np.int64)
         for lo in range(0, count, _CHUNK):
             members[lo : lo + _CHUNK] = family.sample_members(chunk_rng(lo), min(_CHUNK, count - lo))
-        distinct, inverse = np.unique(members, return_inverse=True)
-        chunks = _chunk_values(lambda rows: family.tables(distinct[rows]), distinct.size, values, threads)
+        distinct, inverse = _distinct_members(members, family.table_count)
+        chunks = _chunk_values(lambda rows: family.tables(distinct[rows]), distinct.size, values)
         vals = np.concatenate([v for _, v in chunks])[inverse]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(count))
@@ -679,14 +678,14 @@ def positive_part_superadditivity_check(ops, lam: float):
     return lhs, rhs
 
 
-def _hashed_q_mean(source: CQState, family, s: float, scale: float, *, budget: int, threads: int):
+def _hashed_q_mean(source: CQState, family, s: float, scale: float, *, budget: int):
     """(E_F scale Q_{1+s}(rho^F_ZE || 1_Z (x) rho_E), the source curve, v(rho_E)), scaling each table's Q."""
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
     curve = ConditionalRenyiCurve(source)
     m = family.range_size
     values = _distinct_values(lambda tables: scale * _batch_q_renyi(tables, curve, m, s), m)
-    lhs = _exhaustive_mean(family, source, values, budget=budget, threads=threads)
+    lhs = _exhaustive_mean(family, source, values, budget=budget)
     return lhs, curve, eig(source.rho_e()).distinct_count
 
 
@@ -696,14 +695,13 @@ def hashed_q_expectation_check(
     s: float,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ):
     """E_F Q_{1+s}(rho^F_ZE || 1_Z (x) rho_E) against its two-universal bound.
 
     The bound is v(rho_E) (Q_{1+s}(rho_XE || 1_X (x) rho_E) + range^-s).
     Returns (lhs, rhs) and raises if lhs exceeds rhs beyond slack.
     """
-    lhs, curve, v = _hashed_q_mean(source, family, s, 1.0, budget=budget, threads=threads)
+    lhs, curve, v = _hashed_q_mean(source, family, s, 1.0, budget=budget)
     rhs = v * (float(np.exp2(curve.log2_q(1.0 + s))) + family.range_size**-s)
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"hashed Q expectation bound violated: {lhs!r} > {rhs!r}")
@@ -716,14 +714,13 @@ def leftover_hash_exponent_check(
     s: float,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ):
     """E_F 2^(s D_{1+s}(rho^F_ZE || ideal)) against 1 + v^s 2^(s(log M - H_{1+s})).
 
     Returns (lhs, rhs) and raises if lhs exceeds rhs beyond slack.
     """
     m = family.range_size
-    lhs, curve, v = _hashed_q_mean(source, family, s, m**s, budget=budget, threads=threads)
+    lhs, curve, v = _hashed_q_mean(source, family, s, m**s, budget=budget)
     rhs = 1.0 + v**s * float(np.exp2(s * (math.log2(m) - curve.h(1.0 + s))))
     if lhs > rhs + LEMMA_SLACK:
         raise ArithmeticError(f"leftover-hash exponent bound violated: {lhs!r} > {rhs!r}")
@@ -735,7 +732,6 @@ def example1_suite(
     range_bits: int = 1,
     *,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict:
     """Exhaustive minima for the iid biased binary source p = (1/3, 2/3).
 
@@ -754,9 +750,7 @@ def example1_suite(
     source = base.tensor_power(n) if n > 1 else base
     m = 2**range_bits
     reports = {
-        meas: min_insecurity_exhaustive(
-            source, m, meas, budget=budget, threads=threads
-        )
+        meas: min_insecurity_exhaustive(source, m, meas, budget=budget)
         for meas in ("trace_distance", "purified_distance", "relative_entropy")
     }
     floor = 1.0 / (2.0 * 3.0**n)

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -164,22 +164,6 @@ def test_exhaustive_minimum_biased_source():
     assert rep.hash_index == HashFunction(2, 2, rep.hash_table).index
 
 
-def test_exhaustive_minimum_thread_invariance(monkeypatch):
-    # 8 restricted-growth tables of the 16 in chunks of 3, the last one short
-    monkeypatch.setattr(hashing, "_CHUNK", 3)
-    rng = np.random.default_rng(173)
-    cq = rand_cq(rng, 4, 2)
-    reports = [
-        min_insecurity_exhaustive(cq, 2, "purified_distance", threads=t)
-        for t in (1, 2, 5)
-    ]
-    assert len({r.hash_index for r in reports}) == 1
-    assert len({r.value for r in reports}) == 1
-    for t in (0, -4):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            min_insecurity_exhaustive(cq, 2, "purified_distance", threads=t)
-
-
 @pytest.mark.parametrize(
     "measure,s",
     [("trace_distance", None), ("purified_distance", None), ("relative_entropy", None), ("renyi", 0.5)],
@@ -235,11 +219,10 @@ def test_exhaustive_minimum_matches_brute_force(monkeypatch, nx, m):
         for measure, s in MEASURE_ORDERS:
             cq = rand_cq(rng, nx, de)
             want_index, want_value = _brute_force_minimum(cq, m, measure, s)
-            for threads in (1, 2, 5):
-                rep = min_insecurity_exhaustive(cq, m, measure, s, threads=threads)
-                assert rep.hash_index == want_index, (de, measure, threads)
-                assert abs(rep.value - want_value) <= 1e-12, (de, measure, threads)
-                assert rep.evaluated == m**nx
+            rep = min_insecurity_exhaustive(cq, m, measure, s)
+            assert rep.hash_index == want_index, (de, measure)
+            assert abs(rep.value - want_value) <= 1e-12, (de, measure)
+            assert rep.evaluated == m**nx
 
 
 def test_scans_evaluate_each_distinct_table_once(monkeypatch):
@@ -486,45 +469,50 @@ def test_monte_carlo_mean_equals_mean_over_every_drawn_row(monkeypatch, family):
             )
             for i, lo in enumerate(range(0, 300, 64))
         ])
-        for threads in (1, 2, 5):
-            got = family_expectation(family, cq, measure, s, sampling="monte_carlo", count=300, seed=11, threads=threads)
-            assert got.value == float(rows.mean()), (measure, threads)
-            assert got.std_error == float(rows.std(ddof=1) / math.sqrt(300)), (measure, threads)
+        got = family_expectation(family, cq, measure, s, sampling="monte_carlo", count=300, seed=11)
+        assert got.value == float(rows.mean()), measure
+        assert got.std_error == float(rows.std(ddof=1) / math.sqrt(300)), measure
 
 
-def test_pool_starts_only_for_scans_of_more_than_one_chunk(monkeypatch):
+def test_scans_run_on_the_calling_thread(monkeypatch):
     rng = np.random.default_rng(229)
     cq9, cq6 = rand_cq(rng, 9, 2), rand_cq(rng, 6, 2)
 
-    def scans(threads):
+    def scans():
         return [
             # at most 110 distinct members of 5000 draws
             family_expectation(AffinePrimeFamily(11, 9, 3), cq9, "renyi", 0.5, sampling="monte_carlo",
-                               count=5000, seed=5, threads=threads),
+                               count=5000, seed=5),
             # 356 distinct members of 600 draws
             family_expectation(AllFunctionsFamily(9, 2), cq9, "trace_distance", sampling="monte_carlo",
-                               count=600, seed=5, threads=threads),
-            family_expectation(AllFunctionsFamily(6, 2), cq6, "purified_distance", threads=threads),
-            min_insecurity_exhaustive(cq6, 3, "relative_entropy", threads=threads),
+                               count=600, seed=5),
+            family_expectation(AllFunctionsFamily(6, 2), cq6, "purified_distance"),
+            min_insecurity_exhaustive(cq6, 3, "relative_entropy"),
         ]
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk scan started a pool")
+    def no_thread(self):
+        raise AssertionError("a scan started a thread")
 
-    monkeypatch.setattr(hashing, "ThreadPoolExecutor", no_pool)
-    assert scans(4) == scans(1)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    whole = scans()
+    # 2, 6, 1 and 2 chunks of rows to evaluate
     monkeypatch.setattr(hashing, "_CHUNK", 64)
-    workers = []
+    chunked = scans()
+    assert chunked[2:] == whole[2:]
+    # Monte Carlo draws are keyed by chunk, so the two estimates differ by sampling alone
+    for a, b in zip(chunked[:2], whole[:2]):
+        assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
 
-    def pool(max_workers):
-        workers.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(hashing, "ThreadPoolExecutor", pool)
-    runs = {threads: scans(threads) for threads in (1, 2, 5)}
-    assert runs[1] == runs[2] == runs[5]
-    # 2, 6, 1 and 2 chunks: min(threads, chunks) workers, and no pool for the one-chunk mean
-    assert workers == [2, 2, 2, 2, 5, 2]
+def test_distinct_members_equal_np_unique():
+    rng = np.random.default_rng(233)
+    # table counts below, at and above the draw count: the presence mask and the np.unique branch
+    for table_count, count in ((110, 20000), (64, 300), (300, 300), (512, 600), (24**3, 300), (1, 5)):
+        members = rng.integers(0, table_count, size=count)
+        distinct, inverse = hashing._distinct_members(members, table_count)
+        want_distinct, want_inverse = np.unique(members, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct), (table_count, count)
+        assert np.array_equal(inverse, want_inverse), (table_count, count)
 
 
 # reporting a failing example imports libcst, whose import warns; without
@@ -709,12 +697,10 @@ def test_family_expectation_monte_carlo_reproducible(monkeypatch):
     cq = rand_cq(rng, 5, 2)
     fam = AllFunctionsFamily(5, 2)
     runs = [
-        family_expectation(
-            fam, cq, "renyi", 0.5, sampling="monte_carlo", count=600, seed=42, threads=t
-        )
-        for t in (1, 3, 8)
+        family_expectation(fam, cq, "renyi", 0.5, sampling="monte_carlo", count=600, seed=42)
+        for _ in range(2)
     ]
-    assert runs[0].value == runs[1].value == runs[2].value
+    assert runs[0] == runs[1]
     assert runs[0].std_error is not None and runs[0].std_error > 0.0
     other = family_expectation(
         fam, cq, "renyi", 0.5, sampling="monte_carlo", count=600, seed=43
