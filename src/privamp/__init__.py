@@ -17,7 +17,6 @@ from .operators import (
     pinching,
     positive_part_trace,
     simultaneous_eigenbasis,
-    tensor_power,
 )
 from .states import CQState, StateDescriptor
 from .measures import (

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BudgetExceededError, _as_matrix, eig, positive_part_trace
-from .measures import ConditionalRenyiCurve
-from .states import CQState
+from .measures import _STACK_ENTRIES, ConditionalRenyiCurve
+from .states import MAX_SYMBOLS, CQState
 
 MEASURES = ("trace_distance", "purified_distance", "relative_entropy", "renyi")
 DEFAULT_BUDGET = 1 << 24
@@ -285,7 +285,13 @@ def _batch_q_renyi(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, s: 
     return (_output_eigenvalues(tables, curve, m, 1.0 + s) ** (1.0 + s)).sum(axis=(1, 2))
 
 
-def _batch_values(
+def _batch_values(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, measure: str, s: float | None) -> np.ndarray:
+    """_measure_values in parts of at most _STACK_ENTRIES one-hot entries (rows x m x symbols); rows are independent."""
+    step = max(1, _STACK_ENTRIES // (m * curve.weights.size))
+    return np.concatenate([_measure_values(tables[lo : lo + step], curve, m, measure, s) for lo in range(0, len(tables), step)])
+
+
+def _measure_values(
     tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, measure: str, s: float | None
 ) -> np.ndarray:
     """Insecurity of each table row under the requested measure.
@@ -547,6 +553,8 @@ class PermutationProductFamily:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
+        if 4**n > MAX_SYMBOLS:
+            raise BudgetExceededError(f"permutation family domain 4^{n} exceeds the cap {MAX_SYMBOLS} symbols")
         self.n = n
         self.domain_size = 4**n
         self.range_size = 2**n
@@ -559,9 +567,10 @@ class PermutationProductFamily:
         return base ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
 
     def tables(self, members: np.ndarray) -> np.ndarray:
-        perms = self._perms[(members[:, None] // self._places(24)[None, :]) % 24]
+        bits = self._base_map[self._perms[(members[:, None] // self._places(24)[None, :]) % 24]]
         symbol_digits = (np.arange(self.domain_size)[:, None] // self._places(4)[None, :]) % 4
-        return self._base_map[perms[:, np.arange(self.n), symbol_digits]] @ self._places(2)
+        # one copy at a time: gathering every copy at once holds n int64 per table entry
+        return sum(bits[:, i, symbol_digits[:, i]] << (self.n - 1 - i) for i in range(self.n))
 
     def sample_members(self, rng: np.random.Generator, count: int) -> np.ndarray:
         perms = rng.permuted(np.tile(np.arange(4), (count, self.n, 1)), axis=-1)

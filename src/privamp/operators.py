@@ -21,7 +21,6 @@ RECONSTRUCTION_TOL = 1e-9
 CLUSTER_TOL = 1e-9
 SUPPORT_CUT = 1e-12
 COMMUTE_TOL = 1e-9
-TENSOR_BUDGET = 4096
 ATOM_CAP = 10**7
 
 
@@ -180,22 +179,6 @@ def positive_part_trace(a) -> float:
     """tr (A)_+ = sum of positive eigenvalues."""
     w = np.linalg.eigvalsh(_as_matrix(a))
     return float(w[w > 0].sum())
-
-
-def tensor_power(a, n: int) -> HermitianOperator:
-    """n-fold Kronecker power; a power n > 1 above TENSOR_BUDGET total dimensions is refused."""
-    m = _as_matrix(a)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > 1 and m.shape[0] ** n > TENSOR_BUDGET:
-        raise BudgetExceededError(
-            f"dense tensor power dim {m.shape[0]}^{n} exceeds budget {TENSOR_BUDGET}; "
-            "use the spectrum fast path for iid inputs"
-        )
-    out = m
-    for _ in range(n - 1):
-        out = np.kron(out, m)
-    return HermitianOperator(out)
 
 
 def simultaneous_eigenbasis(a, b) -> np.ndarray:

@@ -32,7 +32,6 @@ from .operators import (
     ATOM_CAP,
     BudgetExceededError,
     SUPPORT_CUT,
-    TENSOR_BUDGET,
     _as_matrix,
     commutator_defect,
     commutes,
@@ -49,6 +48,7 @@ KKT_TOL = 1e-9
 WITNESS_PSD_TOL = 1e-9
 MERGE_TOL = 1e-12
 DEFAULT_CONVERSE_T = 9.0
+BLOCK_BUDGET = 4096
 _EXP2_CLIP = 1000.0
 
 
@@ -169,11 +169,11 @@ def _block_mass(blocks) -> float:
 
 
 def _partitions(n: int, rows: int, top: int):
-    """Partitions of n into at most `rows` parts of at most top each, parts descending."""
+    """Partitions of n into at most `rows` parts of at most top each, parts descending; the first is at least n / rows."""
     if n == 0:
         yield ()
     elif rows > 0:
-        for first in range(min(n, top), 0, -1):
+        for first in range(min(n, top), (n - 1) // rows, -1):
             for rest in _partitions(n - first, rows - 1, first):
                 yield (first, *rest)
 
@@ -190,6 +190,16 @@ def _irreps(n: int, d: int) -> tuple[tuple[tuple[int, ...], int, float], ...]:
     """(shape, k, log2 f_lam) per partition lam of n with at most d rows: lam is shape + k (1, .., 1), shape[-1] = 0."""
     lams = [lam + (0,) * (d - len(lam)) for lam in _partitions(n, d, n)]
     return tuple((tuple(x - lam[-1] for x in lam), lam[-1], math.log2(_standard_tableaux(lam))) for lam in lams)
+
+
+def _largest_block(n: int, d: int) -> int:
+    """Rows of the largest Schur-Weyl block at n, the largest d_lam over the partitions lam of n with at most d rows.
+
+    d_lam = prod_(i < k) (lam_i - lam_k + k - i) / (k - i) is Weyl's dimension formula; it needs no f_lam (_irreps).
+    """
+    pairs = list(itertools.combinations(range(d), 2))
+    padded = (lam + (0,) * (d - len(lam)) for lam in _partitions(n, d, n))
+    return max(math.prod(lam[i] - lam[k] + k - i for i, k in pairs) for lam in padded) // math.prod(k - i for i, k in pairs)
 
 
 @functools.cache
@@ -277,7 +287,8 @@ class _SchurWeylBlocks:
     phases on either side of u change no block's spectrum or rho-mass;
     taken out, they leave a qubit u real. Block scales and weights are kept
     in log2, so det^(lam_d) and f_lam stay finite at large n. Each shape's
-    block is built once per instance, and no vector of d^n entries is formed.
+    block is built once per instance, the largest of d_lam rows (_largest_block,
+    held to BLOCK_BUDGET); no vector of d^n entries is formed.
     """
 
     def __init__(self, rm: np.ndarray, sm: np.ndarray):
@@ -537,9 +548,9 @@ def iid_smoothing_certificate(
     pairs get the bracket only. Past _EXP2_CLIP, or at t = inf, their
     converse reads rho's mass on the kernel of sigma, decided on sigma
     itself; below it, Schur-Weyl blocks (_SchurWeylBlocks), each irrep's
-    block built once for all n. For d >= 3, an n > 1 below _EXP2_CLIP with
-    d^n above TENSOR_BUDGET raises BudgetExceededError before any
-    certificate is computed; d^n bounds every block's dimension.
+    block built once for all n. BudgetExceededError is raised before v or
+    any bound when the largest n > 1 below _EXP2_CLIP has a block of more
+    than BLOCK_BUDGET rows; a smaller n has no larger block.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -550,16 +561,13 @@ def iid_smoothing_certificate(
         raise ValueError("n must be >= 1")
     rm = _as_matrix(rho)
     sm = _as_matrix(sigma)
+    commuting = commutes(rm, sm)
+    n_blocks = 1 if commuting else max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
+    if n_blocks > 1 and (rows := _largest_block(n_blocks, rm.shape[0])) > BLOCK_BUDGET:
+        raise BudgetExceededError(f"Schur-Weyl block of {rows} rows at n = {n_blocks} exceeds budget {BLOCK_BUDGET}")
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     uppers = _achievability(RenyiDivergenceCurve(rm, sm), r, ns, v)
-    commuting = commutes(rm, sm)
-    base = blocks = None
-    if not commuting:
-        d = rm.shape[0]
-        n_blocks = max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
-        if d > 2 and d**n_blocks > TENSOR_BUDGET:
-            raise BudgetExceededError(f"Schur-Weyl basis dim {d}^{n_blocks} exceeds budget {TENSOR_BUDGET}")
-        blocks = _SchurWeylBlocks(rm, sm)
+    base, blocks = None, None if commuting else _SchurWeylBlocks(rm, sm)
     # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP, and t = inf, read
     past_clip = not commuting and (math.isinf(t) or max(ns, default=1) * r >= _EXP2_CLIP)
     kernel_mass = _dense_converse_mass(rm, sm, math.inf) if past_clip else None

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from privamp import CQState
+from privamp import CQState, HermitianOperator
 
 
 def rand_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / float(np.trace(m).real)
+
+
+def kron_power(a, n: int) -> np.ndarray:
+    """The dense n-fold Kronecker power of a, symmetrized as HermitianOperator ingests it."""
+    return HermitianOperator(functools.reduce(np.kron, [np.asarray(a, dtype=complex)] * n)).mat
 
 
 def rand_cq(rng: np.random.Generator, nx: int, dim_e: int) -> CQState:

@@ -15,7 +15,7 @@ from privamp.cli import (
     load_state_file,
     main,
 )
-from privamp import CQState, ConditionalRenyiCurve, StateDescriptor, hashing, smoothing
+from privamp import CQState, ConditionalRenyiCurve, StateDescriptor, hashing, measures, smoothing
 from conftest import acceptance_states
 
 
@@ -318,20 +318,27 @@ def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, cap
 
 
 def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch, capsys):
-    # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096; n = 1..7 are not computed first
+    # the largest Schur-Weyl block has 4,375 rows for a qutrit at n = 42 and
+    # 4,097 for a qubit at n = 4,096, past BLOCK_BUDGET = 4,096; no smaller n
+    # is computed first, nor any v_n or order search
     rng = np.random.default_rng(191)
-    paths = []
-    for name in ("rho.json", "sigma.json"):
-        g = rng.standard_normal((3, 3))
-        m = g @ g.T / float(np.trace(g @ g.T))
-        paths.append(write_json(tmp_path / name, {"kind": "density", "dim": 3, "entries": m.tolist()}))
-    calls = []
+    calls, counted, searched = [], [], []
     real_mass = smoothing._SchurWeylBlocks.mass
     monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: calls.append(n) or real_mass(self, n, c))
-    code = main(["smooth", *paths, "--rate", "0.1", "--n-max", "8"])
-    assert code == EXIT_BUDGET
-    assert calls == []
-    assert "budget exceeded" in capsys.readouterr().err
+    real_counts = smoothing.distinct_eigenvalue_counts_iid
+    monkeypatch.setattr(smoothing, "distinct_eigenvalue_counts_iid", lambda sm, n: counted.append(n) or real_counts(sm, n))
+    real_slope = measures._SandwichedCurve.d_log2_q
+    monkeypatch.setattr(measures._SandwichedCurve, "d_log2_q", lambda self, a: searched.append(a) or real_slope(self, a))
+    for d, n_max in ((3, 42), (2, 4096)):
+        paths = []
+        for name in ("rho.json", "sigma.json"):
+            g = rng.standard_normal((d, d))
+            m = g @ g.T / float(np.trace(g @ g.T))
+            paths.append(write_json(tmp_path / name, {"kind": "density", "dim": d, "entries": m.tolist()}))
+        code = main(["smooth", *paths, "--rate", "0.1", "--n-max", str(n_max)])
+        assert code == EXIT_BUDGET
+        assert f"at n = {n_max} exceeds budget 4096" in capsys.readouterr().err
+    assert calls == counted == searched == []
 
 
 def test_smooth_empty_bracket_is_an_invariant_failure(rho_path, sigma_path, monkeypatch, capsys):
@@ -473,21 +480,24 @@ def test_pa_family_records_the_options_its_family_takes(tmp_path, capsys):
 
 
 def test_pa_family_domain_mismatch_exits_before_building_tables(tmp_path, capsys):
-    # ten permutation copies hash 4^10 symbols; a 2-symbol state must be
-    # refused without materializing anything of that size
+    # eight permutation copies hash 4^8 symbols; a 2-symbol state must be
+    # refused without materializing anything of that size, and ten copies,
+    # 4^10 symbols, exceed MAX_SYMBOLS before any state is compared
     path = write_json(
         tmp_path / "two.json",
         {"kind": "cq", "dim": 1, "probs": [0.5, 0.5], "conditionals": [[[1.0]], [[1.0]]]},
     )
-    argv = ["pa-family", path, "--family", "example2_permutation", "--n", "10", "--measure", "trace_distance"]
+    argv = ["pa-family", path, "--family", "example2_permutation", "--measure", "trace_distance", "--n"]
     tracemalloc.start()
     try:
-        code = main(argv)
+        codes = [main([*argv, n]) for n in ("8", "10")]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == EXIT_VALIDATION
-    assert "family domain 1048576 != source symbols 2" in capsys.readouterr().err
+    assert codes == [EXIT_VALIDATION, EXIT_BUDGET]
+    err = capsys.readouterr().err
+    assert "family domain 65536 != source symbols 2" in err
+    assert "permutation family domain 4^10 exceeds the cap 65536 symbols" in err
     assert peak < 16 * 2**20
 
 
@@ -523,6 +533,22 @@ def test_suite_example2_passes(capsys):
     assert code == EXIT_OK
     assert doc["results"]["passed"] is True
     assert doc["results"]["exponent_marker"] == "inf"
+
+
+def test_suite_example2_stays_within_its_memory_and_symbol_caps(capsys):
+    # each _batch_values part holds at most _STACK_ENTRIES one-hot entries: the
+    # n = 6 suite traced 404 MiB when all 100 realizations went in one part
+    tracemalloc.start()
+    try:
+        code, doc = run_json(["suite", "example2", "--n", "6"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert doc["results"]["passed"] is True
+    assert peak < 128 * 2**20
+    assert main(["suite", "example2", "--n", "9"]) == EXIT_BUDGET
+    assert "permutation family domain 4^9 exceeds the cap 65536 symbols" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

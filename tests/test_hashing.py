@@ -573,6 +573,10 @@ def test_permutation_family_members():
     assert tables.shape == (24**2, 16)
     # every member table is onto {0,1} x {0,1} pairs encoded in base 4
     assert np.array_equal(np.unique(tables), np.arange(4))
+    # 4^8 symbols is MAX_SYMBOLS; past it the member indices would also overflow int64 from n = 14
+    assert PermutationProductFamily(8).domain_size == 65536
+    with pytest.raises(BudgetExceededError, match="4\\^9 exceeds the cap 65536"):
+        PermutationProductFamily(9)
 
 
 # The families once drew one table per call and enumerated their members

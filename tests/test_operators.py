@@ -17,9 +17,8 @@ from privamp import (
     pinching,
     positive_part_trace,
     simultaneous_eigenbasis,
-    tensor_power,
 )
-from conftest import rand_cq, rand_density
+from conftest import kron_power, rand_cq, rand_density
 
 
 def test_ingest_symmetrizes_roundoff():
@@ -129,15 +128,6 @@ def test_positive_part_trace_values():
         assert abs(positive_part_trace(h) - w[w > 0].sum()) <= 1e-9
 
 
-def test_tensor_power_shapes_and_budget():
-    a = np.diag([0.25, 0.75])
-    cube = tensor_power(a, 3)
-    assert cube.dim == 8
-    assert abs(cube.trace - 1.0) <= 1e-12
-    with pytest.raises(BudgetExceededError):
-        tensor_power(a, 13)
-
-
 def test_simultaneous_eigenbasis_diagonalizes_both():
     rng = np.random.default_rng(37)
     g = rng.standard_normal((4, 4))
@@ -165,7 +155,7 @@ def test_distinct_eigenvalue_count_iid_matches_dense():
         d = int(rng.integers(2, 4))
         sigma = rand_density(rng, d)
         fast = distinct_eigenvalue_counts_iid(sigma, 3)
-        dense = [eig(tensor_power(sigma, n).mat).distinct_count for n in (1, 2, 3)]
+        dense = [eig(kron_power(sigma, n)).distinct_count for n in (1, 2, 3)]
         assert fast == dense
 
 
@@ -173,7 +163,7 @@ def test_distinct_eigenvalue_count_iid_with_kernel():
     sigma = np.diag([0.5, 0.25, 0.0])
     # spectra {1/2^a 1/4^b} stay powers of two: n+1 values off the kernel
     got = distinct_eigenvalue_counts_iid(sigma, 4)
-    dense = [eig(tensor_power(sigma, n).mat).distinct_count for n in (1, 2, 3, 4)]
+    dense = [eig(kron_power(sigma, n)).distinct_count for n in (1, 2, 3, 4)]
     assert got == dense
 
 

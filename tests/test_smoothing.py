@@ -22,10 +22,9 @@ from privamp import (
     sandwiched_renyi_divergence,
     smoothing_certificate,
     smoothing_exponent,
-    tensor_power,
 )
-from privamp import operators, smoothing
-from conftest import rand_commuting_pair, rand_density, two_stage_grid_max
+from privamp import measures, operators, smoothing
+from conftest import kron_power, rand_commuting_pair, rand_density, two_stage_grid_max
 
 P = np.array([0.5, 0.5])
 Q = np.array([0.25, 0.75])
@@ -337,8 +336,8 @@ def test_spectrum_convolution_is_additive():
 
 def test_spectrum_mass_above_matches_dense_positive_part():
     n = 3
-    rho_n = tensor_power(np.diag(P), n).mat
-    sigma_n = tensor_power(np.diag(Q), n).mat
+    rho_n = kron_power(np.diag(P), n)
+    sigma_n = kron_power(np.diag(Q), n)
     spec_n = _iid(SpectrumDistribution.from_vectors(P, Q), n)
     for thr in (0.0, 0.5, 1.2):
         # mass of rho on eigenspaces where rho > 2^thr sigma
@@ -421,7 +420,7 @@ def test_iid_certificate_noncommuting_matches_dense_converse():
             assert cert.exact is None and not cert.meta["commuting"]
             assert 0.0 <= cert.lower <= cert.upper <= 1.0
             assert cert.lower > 0.0 or n == 1, n
-            dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * r)
+            dense = converse_bound(kron_power(rho, n), kron_power(sigma, n), n * r)
             assert abs(cert.lower - dense) <= 1e-12, (d, n, cert.lower, dense)
     # each irrep V_lam, of dimension d_lam, recurs f_lam times, so the copies fill (C^d)^(x n)
     for d in (2, 3, 4):
@@ -429,6 +428,7 @@ def test_iid_certificate_noncommuting_matches_dense_converse():
             shapes = [lam + (0,) * (d - len(lam)) for lam in smoothing._partitions(n, d, n)]
             dims = [len(smoothing._gt_irrep(shape)[0]) for shape in shapes]
             assert sum(smoothing._standard_tableaux(lam) * dim for lam, dim in zip(shapes, dims)) == d**n
+            assert smoothing._largest_block(n, d) == max(dims)
     # pi_lam is a unitary representation: pi_lam(AB) = pi_lam(A) pi_lam(B)
     rng = np.random.default_rng(153)
     for shape in ((3, 0), (2, 1, 0), (3, 1, 0), (4, 0, 0), (2, 1, 1, 0), (3, 2, 1, 0)):
@@ -436,10 +436,10 @@ def test_iid_certificate_noncommuting_matches_dense_converse():
         pa, pb, pab = (smoothing._gt_exp(shape, smoothing._unitary_log(x)) for x in (a, b, a @ b))
         assert np.abs(pa @ pb - pab).max() <= 1e-13, shape
         assert np.abs(pa @ pa.conj().T - np.eye(len(pa))).max() <= 1e-13, shape
-    # 3^8 = 6561 dimensions exceed TENSOR_BUDGET = 4096
+    # the largest qutrit block at n = 42 has 4,375 rows, past BLOCK_BUDGET = 4,096
     rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
-    with pytest.raises(BudgetExceededError):
-        iid_smoothing_certificate(rho, sigma, r, [8])
+    with pytest.raises(BudgetExceededError, match="4375 rows at n = 42"):
+        iid_smoothing_certificate(rho, sigma, r, [42])
 
 
 def _rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -462,17 +462,35 @@ def test_unitary_log_inverts_exp_on_repeated_eigenvalues():
 
 
 def test_irrep_budget_is_refused_before_any_block_is_built(monkeypatch):
-    built = []
+    built, counted, searched = [], [], []
     real_mass = smoothing._SchurWeylBlocks.mass
     monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: built.append(n) or real_mass(self, n, c))
+    real_counts = smoothing.distinct_eigenvalue_counts_iid
+    monkeypatch.setattr(smoothing, "distinct_eigenvalue_counts_iid", lambda sm, n: counted.append(n) or real_counts(sm, n))
+    real_slope = measures._SandwichedCurve.d_log2_q
+    monkeypatch.setattr(measures._SandwichedCurve, "d_log2_q", lambda self, a: searched.append(a) or real_slope(self, a))
+    # the largest block at n = 42 has 4,375 rows for a qutrit and at n = 4,096 4,097 rows for a qubit
     rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
-    with pytest.raises(BudgetExceededError):
-        iid_smoothing_certificate(rho, sigma, r, range(1, 9))
-    assert built == []
-    # budgets n r past _EXP2_CLIP read the kernel of sigma, so n = 5..9 need no blocks at r = 200
-    certs = iid_smoothing_certificate(rho, sigma, 200.0, range(1, 10))
-    assert [c.meta["n"] for c in certs] == list(range(1, 10))
+    qubits = rand_density(np.random.default_rng(155), 2), rand_density(np.random.default_rng(156), 2)
+    for (rho_d, sigma_d), n_max in (((rho, sigma), 42), (qubits, 4096)):
+        with pytest.raises(BudgetExceededError, match=f"at n = {n_max} exceeds budget 4096"):
+            iid_smoothing_certificate(rho_d, sigma_d, 0.1, range(1, n_max + 1))
+    assert built == counted == searched == []
+    # budgets n r past _EXP2_CLIP read the kernel of sigma, so n = 5..42 need no blocks at r = 200
+    certs = iid_smoothing_certificate(rho, sigma, 200.0, range(1, 43))
+    assert [c.meta["n"] for c in certs] == list(range(1, 43))
     assert sorted(set(built)) == [1, 2, 3, 4]
+
+
+def test_qutrit_certificate_to_n_16_keeps_a_positive_lower_bound():
+    rng = np.random.default_rng(5)
+    rho, sigma = rand_density(rng, 3), rand_density(rng, 3)
+    curve = RenyiDivergenceCurve(rho, sigma)
+    d1, dmax = curve.umegaki().value, curve.dmax().value
+    certs = iid_smoothing_certificate(rho, sigma, d1 + 0.5 * (dmax - d1), range(1, 17))
+    assert [c.meta["n"] for c in certs] == list(range(1, 17))
+    assert all(0.0 <= c.lower <= c.upper <= 1.0 for c in certs)
+    assert certs[-1].lower > 0.0
 
 
 def _noncommuting_qubit_pairs():
@@ -502,7 +520,7 @@ def test_qubit_block_converse_matches_dense():
         for r in rates:
             for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 11)):
                 n = cert.meta["n"]
-                dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * r)
+                dense = converse_bound(kron_power(rho, n), kron_power(sigma, n), n * r)
                 assert abs(cert.lower - dense) <= (1e-12 if n <= 4 else 1e-6), (n, r, cert.lower, dense)
 
 
@@ -628,19 +646,19 @@ def test_dense_kernel_mass_past_the_clip_is_decided_on_sigma():
     sigma = (q * [0.7, 0.3, 0.0]) @ q.conj().T
     for cert in iid_smoothing_certificate(rho, sigma, 1000.0, [1, 2, 3, 4]):
         n = cert.meta["n"]
-        dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * 1000.0)
+        dense = converse_bound(kron_power(rho, n), kron_power(sigma, n), n * 1000.0)
         assert 0.0 < cert.lower <= cert.upper, n
         assert abs(cert.lower - dense) <= 1e-12, (n, cert.lower, dense)
     # at t = inf, c = t 2^(n r) is infinite at every budget
     for cert in iid_smoothing_certificate(rho, sigma, 0.3, [1, 2, 3], t=math.inf):
         n = cert.meta["n"]
-        dense = converse_bound(tensor_power(rho, n), tensor_power(sigma, n), n * 0.3, t=math.inf)
+        dense = converse_bound(kron_power(rho, n), kron_power(sigma, n), n * 0.3, t=math.inf)
         assert 0.0 < cert.lower <= cert.upper, n
         assert abs(cert.lower - dense) <= 1e-12, (n, cert.lower, dense)
 
 
 def _spy_on_kron(monkeypatch) -> list:
-    """Shapes of every np.kron call from here on; tensor_power forms its powers with it."""
+    """Shapes of every np.kron call from here on; a dense power is formed with it (kron_power)."""
     calls = []
     real_kron = np.kron
     monkeypatch.setattr(np, "kron", lambda a, b: calls.append((np.shape(a), np.shape(b))) or real_kron(a, b))
