@@ -196,7 +196,10 @@ def _largest_block(n: int, d: int) -> int:
     """Rows of the largest Schur-Weyl block at n, the largest d_lam over the partitions lam of n with at most d rows.
 
     d_lam = prod_(i < k) (lam_i - lam_k + k - i) / (k - i) is Weyl's dimension formula; it needs no f_lam (_irreps).
+    If lam = (n) has C(n + d - 1, d - 1) > BLOCK_BUDGET rows, those are returned; else at most as many lam are listed.
     """
+    if (rows := math.comb(n + d - 1, d - 1)) > BLOCK_BUDGET:
+        return rows
     pairs = list(itertools.combinations(range(d), 2))
     padded = (lam + (0,) * (d - len(lam)) for lam in _partitions(n, d, n))
     return max(math.prod(lam[i] - lam[k] + k - i for i, k in pairs) for lam in padded) // math.prod(k - i for i, k in pairs)
@@ -380,13 +383,10 @@ class SpectrumDistribution:
 
     @classmethod
     def from_commuting_pair(cls, rho, sigma) -> "SpectrumDistribution":
-        rm = _as_matrix(rho)
-        sm = _as_matrix(sigma)
+        rm, sm = _as_matrix(rho), _as_matrix(sigma)
         if not commutes(rm, sm):
-            raise ValueError(
-                f"operators do not commute (defect {commutator_defect(rm, sm):.3e}); "
-                "use certificate bounds for non-commuting pairs"
-            )
+            defect = commutator_defect(rm, sm)
+            raise ValueError(f"operators do not commute (defect {defect:.3e}); use certificate bounds for non-commuting pairs")
         qv, pv = joint_eigenvalues(sm, rm)
         return cls.from_vectors(pv, qv)
 
@@ -549,8 +549,8 @@ def iid_smoothing_certificate(
     converse reads rho's mass on the kernel of sigma, decided on sigma
     itself; below it, Schur-Weyl blocks (_SchurWeylBlocks), each irrep's
     block built once for all n. BudgetExceededError is raised before v or
-    any bound when the largest n > 1 below _EXP2_CLIP has a block of more
-    than BLOCK_BUDGET rows; a smaller n has no larger block.
+    any bound when the largest n > 1 below _EXP2_CLIP has a block whose eigh
+    and d - 2 _gt_irrep commutators, max(1, d - 2) d_lam^3, pass BLOCK_BUDGET^3.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -559,12 +559,12 @@ def iid_smoothing_certificate(
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    rm = _as_matrix(rho)
-    sm = _as_matrix(sigma)
+    rm, sm = _as_matrix(rho), _as_matrix(sigma)
     commuting = commutes(rm, sm)
     n_blocks = 1 if commuting else max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
-    if n_blocks > 1 and (rows := _largest_block(n_blocks, rm.shape[0])) > BLOCK_BUDGET:
-        raise BudgetExceededError(f"Schur-Weyl block of {rows} rows at n = {n_blocks} exceeds budget {BLOCK_BUDGET}")
+    if n_blocks > 1 and (work := max(1, len(rm) - 2)) * (rows := _largest_block(n_blocks, len(rm))) ** 3 > BLOCK_BUDGET**3:
+        msg = f"Schur-Weyl block of {rows} rows at n = {n_blocks} exceeds budget {BLOCK_BUDGET}"
+        raise BudgetExceededError(f"{msg} (work {work} x rows^3 against {BLOCK_BUDGET}^3)")
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
     uppers = _achievability(RenyiDivergenceCurve(rm, sm), r, ns, v)
     base, blocks = None, None if commuting else _SchurWeylBlocks(rm, sm)

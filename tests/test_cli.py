@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -320,7 +321,9 @@ def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, cap
 def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch, capsys):
     # the largest Schur-Weyl block has 4,375 rows for a qutrit at n = 42 and
     # 4,097 for a qubit at n = 4,096, past BLOCK_BUDGET = 4,096; no smaller n
-    # is computed first, nor any v_n or order search
+    # is computed first, nor any v_n or order search. d = 5 at n = 2,000 has
+    # about 6e9 partitions, none listed, and d = 65 at n = 2 a block of 2,145
+    # rows whose 63 commutators count 63 times: both exit at once
     rng = np.random.default_rng(191)
     calls, counted, searched = [], [], []
     real_mass = smoothing._SchurWeylBlocks.mass
@@ -329,13 +332,15 @@ def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch
     monkeypatch.setattr(smoothing, "distinct_eigenvalue_counts_iid", lambda sm, n: counted.append(n) or real_counts(sm, n))
     real_slope = measures._SandwichedCurve.d_log2_q
     monkeypatch.setattr(measures._SandwichedCurve, "d_log2_q", lambda self, a: searched.append(a) or real_slope(self, a))
-    for d, n_max in ((3, 42), (2, 4096)):
+    for d, n_max in ((3, 42), (2, 4096), (5, 2000), (65, 2)):
         paths = []
         for name in ("rho.json", "sigma.json"):
             g = rng.standard_normal((d, d))
             m = g @ g.T / float(np.trace(g @ g.T))
             paths.append(write_json(tmp_path / name, {"kind": "density", "dim": d, "entries": m.tolist()}))
+        start = time.perf_counter()
         code = main(["smooth", *paths, "--rate", "0.1", "--n-max", str(n_max)])
+        assert time.perf_counter() - start < 5.0, d
         assert code == EXIT_BUDGET
         assert f"at n = {n_max} exceeds budget 4096" in capsys.readouterr().err
     assert calls == counted == searched == []

@@ -440,6 +440,15 @@ def test_iid_certificate_noncommuting_matches_dense_converse():
     rho, sigma, r, _ = next(_noncommuting_pairs_below_d())
     with pytest.raises(BudgetExceededError, match="4375 rows at n = 42"):
         iid_smoothing_certificate(rho, sigma, r, [42])
+    # from d = 4 a block's d - 2 commutators count too: max(1, d - 2) rows^3 <= 4,096^3
+    rng = np.random.default_rng(157)
+    for d, n, rows, work in ((4, 15, 4004, 2), (48, 2, 1176, 46), (65, 2, 2145, 63)):
+        with pytest.raises(BudgetExceededError, match=f"{rows} rows at n = {n} exceeds budget 4096 \\(work {work} x"):
+            iid_smoothing_certificate(rand_density(rng, d), rand_density(rng, d), 0.1, [n])
+    assert smoothing._largest_block(14, 4) == 2880 and 2 * 2880**3 <= 4096**3
+    assert smoothing._largest_block(2, 47) == 1128 and 45 * 1128**3 <= 4096**3
+    # past the budget the block of (n) is returned before any partition is listed
+    assert smoothing._largest_block(2000, 5) == math.comb(2004, 4)
 
 
 def _rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
