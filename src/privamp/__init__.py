@@ -26,7 +26,6 @@ from .measures import (
     apply_measurement,
     fidelity,
     max_relative_entropy,
-    min_conditional_entropy,
     purified_distance,
     relative_entropy,
     renyi_conditional_entropy,
@@ -58,15 +57,12 @@ from .hashing import (
     AffinePrimeFamily,
     AllFunctionsFamily,
     FamilyExpectation,
-    HashFunction,
     InsecurityReport,
     PermutationProductFamily,
-    apply_hash,
     example1_suite,
     example2_suite,
     family_expectation,
     hashed_q_expectation_check,
-    insecurity,
     leftover_hash_exponent_check,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,

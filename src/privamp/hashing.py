@@ -10,8 +10,8 @@ purified-distance fidelity, 1 for relative entropy and trace distance).
 The blocks come from one real GEMM of weighted one-hot rows against the
 sandwiched source blocks. Their eigenvalues are read in closed form for
 blocks of size 3 or less, where 3 x 3 blocks with a near-degenerate pair
-go to eigvalsh, and by eigvalsh for larger blocks. insecurity() is its
-identity-table case.
+go to eigvalsh, and by eigvalsh for larger blocks. No hashed state is
+built.
 
 A hash family numbers its members 0 .. table_count - 1: tables(members)
 maps an int64 array of member indices to their tables, and
@@ -39,6 +39,7 @@ still counts all M^X tables the minimum ranges over.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,42 +56,6 @@ DEFAULT_BUDGET = 1 << 24
 # so this size is part of the seed contract
 _CHUNK = 2048
 LEMMA_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class HashFunction:
-    """A lookup table from [domain_size] onto [range_size]."""
-
-    domain_size: int
-    range_size: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.table) != self.domain_size:
-            raise ValueError(f"table length {len(self.table)} != domain {self.domain_size}")
-        if self.range_size < 1:
-            raise ValueError("range_size must be >= 1")
-        if any(not 0 <= z < self.range_size for z in self.table):
-            raise ValueError("table entries must lie in [0, range_size)")
-
-    @property
-    def index(self) -> int:
-        """The table as a big-endian base-range_size integer."""
-        out = 0
-        for z in self.table:
-            out = out * self.range_size + int(z)
-        return out
-
-    @classmethod
-    def from_index(cls, idx: int, domain_size: int, range_size: int) -> "HashFunction":
-        """The table whose index is idx; idx must lie in [0, range_size^domain_size)."""
-        if not 0 <= idx < range_size**domain_size:
-            raise ValueError(f"index {idx} outside [0, {range_size}^{domain_size})")
-        digits = []
-        for _ in range(domain_size):
-            digits.append(idx % range_size)
-            idx //= range_size
-        return cls(domain_size, range_size, tuple(reversed(digits)))
 
 
 @dataclass(frozen=True)
@@ -113,36 +78,6 @@ class FamilyExpectation:
     sampling: str
 
 
-def apply_hash(source: CQState, f) -> CQState:
-    """Push a CQ source through a hash table: Z = f(X), side system untouched.
-
-    Output blocks with zero probability get a maximally mixed conditional.
-    """
-    if isinstance(f, HashFunction):
-        table = np.asarray(f.table, dtype=int)
-        m = f.range_size
-    else:
-        table = np.asarray(f, dtype=int)
-        if (table < 0).any():
-            raise ValueError("table entries must be nonnegative")
-        m = int(table.max()) + 1 if table.size else 1
-    if table.shape != (source.nsymbols,):
-        raise ValueError(f"table length {table.shape} does not match {source.nsymbols} symbols")
-    d = source.dim_e
-    probs = np.zeros(m)
-    blocks = np.zeros((m, d, d), dtype=complex)
-    for px, cond, z in zip(source.probs, source.conditionals, table):
-        probs[z] += px
-        blocks[z] += px * cond
-    conds = []
-    for z in range(m):
-        if probs[z] > 0:
-            conds.append(blocks[z] / probs[z])
-        else:
-            conds.append(np.eye(d) / d)
-    return CQState(probs, conds)
-
-
 def _validate_measure(measure: str, s: float | None) -> None:
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
@@ -151,44 +86,6 @@ def _validate_measure(measure: str, s: float | None) -> None:
             raise ValueError(f"renyi measure needs a finite s > 0, got {s}")
     elif s is not None:
         raise ValueError(f"measure {measure!r} takes no order parameter")
-
-
-def insecurity(state_ze: CQState, measure: str, s: float | None = None) -> InsecurityReport:
-    """Distance of a hashed CQ state from uniform-Z times its own marginal.
-
-    The identity-table case of the batched table kernel. relative_entropy,
-    log2 |Z| - H(Z|E) there, is cross-checked against the direct blockwise
-    divergence from the ideal state.
-    """
-    _validate_measure(measure, s)
-    m = state_ze.nsymbols
-    val = float(_batch_values(np.arange(m)[None], ConditionalRenyiCurve(state_ze), m, measure, s)[0])
-    if measure == "relative_entropy":
-        direct = _blockwise_umegaki_vs_ideal(state_ze)
-        if abs(val - direct) > 1e-9:
-            raise ArithmeticError(
-                f"insecurity identity check failed: {val!r} vs direct {direct!r}"
-            )
-    return InsecurityReport(measure, val, s=s)
-
-
-def _blockwise_umegaki_vs_ideal(state_ze: CQState) -> float:
-    """D(rho_ZE || uniform (x) rho_E) summed block by block, in bits."""
-    m = state_ze.nsymbols
-    re = state_ze.rho_e()
-    w_e, v_e = np.linalg.eigh(re)
-    pos_e = w_e > 0
-    log_ideal = v_e[:, pos_e] @ np.diag(np.log2(w_e[pos_e] / m)) @ v_e[:, pos_e].conj().T
-    total = 0.0
-    for qz, cond in zip(state_ze.probs, state_ze.conditionals):
-        if qz <= 0:
-            continue
-        block = qz * cond
-        wb, vb = np.linalg.eigh(block)
-        posb = wb > 0
-        total += float((wb[posb] * np.log2(wb[posb])).sum())
-        total -= float(np.trace(block @ log_ideal).real)
-    return total
 
 
 def _output_blocks(tables: np.ndarray, curve: ConditionalRenyiCurve, m: int, alpha: float) -> np.ndarray:
@@ -316,9 +213,11 @@ def _measure_values(
 
 
 def _check_budget(count: int, budget: int) -> None:
-    if count > budget:
+    # member indices are int64, so no budget admits more tables than int64 holds
+    cap = min(budget, np.iinfo(np.int64).max)
+    if count > cap:
         raise BudgetExceededError(
-            f"{count} tables exceed the exhaustive budget {budget}; use monte_carlo sampling instead"
+            f"{count} tables exceed the exhaustive budget {cap}; use monte_carlo sampling instead"
         )
 
 
@@ -380,9 +279,9 @@ def min_insecurity_exhaustive(
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val, best_row = float(vals[k]), lo + k
-    winner = family.tables(np.array([best_row], dtype=np.int64))[0]
-    f = HashFunction(source.nsymbols, range_size, tuple(int(z) for z in winner))
-    return InsecurityReport(measure, best_val, s=s, hash_index=f.index, hash_table=f.table, evaluated=total)
+    table = tuple(int(z) for z in family.tables(np.array([best_row], dtype=np.int64))[0])
+    index = functools.reduce(lambda acc, z: acc * range_size + z, table, 0)
+    return InsecurityReport(measure, best_val, s=s, hash_index=index, hash_table=table, evaluated=total)
 
 
 def _max_pair_collision(symbols: np.ndarray) -> float:

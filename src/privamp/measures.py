@@ -51,10 +51,6 @@ class DivergenceResult:
     alpha: float | None = None
     support_violation: float = 0.0
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
 
 def _log2(x: np.ndarray) -> np.ndarray:
     """math.log2 on every element, with log2(0) = -inf.
@@ -353,34 +349,12 @@ class ConditionalRenyiCurve(_SandwichedCurve):
         return -self.log2_q(alpha) / (alpha - 1.0)
 
 
-def renyi_conditional_entropy(state, alpha: float, dims: tuple[int, int] | None = None) -> float:
-    """H_alpha(A|B) = -D_alpha(rho_AB || 1_A (x) rho_B) in bits.
+def renyi_conditional_entropy(cq: CQState, alpha: float) -> float:
+    """H_alpha(X|E) = -D_alpha(rho_XE || 1_X (x) rho_E) of a CQ state, in bits.
 
-    Accepts a CQState (fast block path) or a bipartite StateDescriptor with
-    dims = (dim_a, dim_b) for the dense path. alpha = 1 gives the von Neumann
-    conditional entropy; alpha = inf gives H_min.
+    alpha = 1 gives the von Neumann conditional entropy; alpha = inf gives H_min.
     """
-    if isinstance(state, CQState):
-        return ConditionalRenyiCurve(state).h(alpha)
-    if dims is None:
-        raise ValueError("dense bipartite input needs dims=(dim_a, dim_b)")
-    da, db = dims
-    rm = _as_matrix(state)
-    if rm.shape[0] != da * db:
-        raise ValueError(f"state dim {rm.shape[0]} is not dim_a*dim_b = {da * db}")
-    rho_b = np.einsum("aibj->ij", rm.reshape(da, db, da, db))
-    sigma = np.kron(np.eye(da), rho_b)
-    curve = RenyiDivergenceCurve(rm, sigma)
-    if alpha == 1.0:
-        return -curve.umegaki().value
-    if math.isinf(alpha):
-        return -curve.dmax().value
-    return -curve.divergence(alpha).value
-
-
-def min_conditional_entropy(state, dims: tuple[int, int] | None = None) -> float:
-    """H_min(A|B), the alpha -> inf limit."""
-    return renyi_conditional_entropy(state, math.inf, dims)
+    return ConditionalRenyiCurve(cq).h(alpha)
 
 
 def apply_measurement(rho, povm) -> np.ndarray:

@@ -94,10 +94,6 @@ class SpectralDecomposition:
     def distinct_count(self) -> int:
         return len(self.clusters)
 
-    def projector(self, i: int) -> np.ndarray:
-        cols = self.eigenvectors[:, list(self.clusters[i])]
-        return cols @ cols.conj().T
-
 
 def eig(a) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.

@@ -114,25 +114,6 @@ class CQState:
                 out += px * c
         return (out + out.conj().T) / 2.0
 
-    def to_density(self) -> StateDescriptor:
-        """Dense block-diagonal embedding of rho_XE."""
-        d = self.dim_e
-        nx = self.nsymbols
-        out = np.zeros((nx * d, nx * d), dtype=complex)
-        for i, (px, c) in enumerate(zip(self.probs, self.conditionals)):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = px * c
-        return StateDescriptor.density(out)
-
-    def reference_sigma(self) -> HermitianOperator:
-        """Dense 1_X (x) rho_E, the conditional-entropy reference operator."""
-        d = self.dim_e
-        nx = self.nsymbols
-        re = self.rho_e()
-        out = np.zeros((nx * d, nx * d), dtype=complex)
-        for i in range(nx):
-            out[i * d : (i + 1) * d, i * d : (i + 1) * d] = re
-        return HermitianOperator(out)
-
     def tensor_power(self, n: int) -> "CQState":
         """iid n-copy ensemble; symbol tuples are numbered in row-major order."""
         if n < 1:

@@ -372,6 +372,21 @@ def test_pa_search_budget_exit(cq_path, capsys):
     assert code == EXIT_BUDGET
 
 
+def test_scans_past_int64_exit_on_the_budget(tmp_path, capsys):
+    # 2^64 tables from 64 symbols: a budget of 10^20 admits them, but member
+    # indices are int64, so both scans must refuse at once instead of
+    # overflowing (pa-search) or grinding (pa-family)
+    path = write_json(
+        tmp_path / "s64.json", {"kind": "cq", "dim": 1, "probs": [1 / 64] * 64, "conditionals": [[[1.0]]] * 64}
+    )
+    common = ["--range-size", "2", "--measure", "trace_distance", "--budget", str(10**20)]
+    for argv in (["pa-search", path, *common], ["pa-family", path, "--family", "all_functions", *common]):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_BUDGET, argv[0]
+        assert time.perf_counter() - start < 5.0, argv[0]
+        assert f"{2**64} tables exceed the exhaustive budget {2**63 - 1}" in capsys.readouterr().err
+
+
 def test_scan_options_out_of_range_are_refused(cq_path, capsys):
     # a thread count below 1 or a negative budget is a usage error (exit 2), not a serial run or a budget exit
     commands = [

@@ -22,6 +22,7 @@ from privamp import (
     smoothing_exponent,
 )
 from conftest import acceptance_states, rand_cq, rand_density, two_stage_grid_max
+from reference import mp_log2_q, mp_upper_exponent
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
 
@@ -150,46 +151,6 @@ def test_upper_exponent_near_hmin_classical_closed_form():
         assert ev.maximizer_s == pytest.approx(math.log2((1.0 - eps) / eps) - 1.0, rel=1e-4)
 
 
-def _mp_log2_q(mpmath, cq: CQState):
-    """alpha -> 40-digit log2 Q_alpha(rho_XE || 1 (x) rho_E), with no support cut.
-
-    Powers of rho_E are taken on its support only (eigenvalues below 1e-30
-    count as zero), so a rank-deficient rho_E is handled.
-    """
-    probs = [mpmath.mpf(float(p)) for p in cq.probs]
-    conds = [mpmath.matrix(np.asarray(c).tolist()) for c in cq.conditionals]
-
-    def log2_q(alpha):
-        # recomputed at every call: mpmath.diff raises the working precision
-        rho_e = probs[0] * conds[0]
-        for p, c in zip(probs[1:], conds[1:]):
-            rho_e += p * c
-        mu, v = mpmath.eigh(rho_e)
-        e = (1 - alpha) / (2 * alpha)
-        root = v * mpmath.diag([m**e if m > 1e-30 else 0 for m in mu]) * v.H
-        total = 0
-        for p, c in zip(probs, conds):
-            block = root * c * root
-            lam = mpmath.eigh((block + block.H) / 2, eigvals_only=True)
-            total += p**alpha * mpmath.fsum(max(x, 0) ** alpha for x in lam)
-        return mpmath.log(total, 2)
-
-    return log2_q
-
-
-def _mp_upper_exponent(cq: CQState, rate: float, s0: float) -> float:
-    """40-digit sup_s s (H_{1+s}(X|E) - rate) at the root of its s-derivative nearest s0."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        log2_q = _mp_log2_q(mpmath, cq)
-
-        def objective(s):
-            return -log2_q(1 + s) - s * mpmath.mpf(rate)
-
-        s_star = mpmath.findroot(lambda s: mpmath.diff(objective, s), mpmath.mpf(s0))
-        return float(objective(s_star))
-
-
 def test_upper_and_lower_match_mpmath_above_critical_rate():
     # above R_c the lower exponent is the upper one's clamp, so check both against an outside reference
     for state in acceptance_states(3):
@@ -198,7 +159,7 @@ def test_upper_and_lower_match_mpmath_above_critical_rate():
         for frac in (0.1, 0.5, 0.9):
             r = rc + frac * (h1 - rc)
             upper = pa_upper_exponent(curve, r)
-            want = _mp_upper_exponent(state, r, upper.maximizer_s)
+            want = mp_upper_exponent(state, r, upper.maximizer_s)
             assert abs(upper.value - want) <= 1e-9, (r, upper.value, want)
             assert abs(pa_lower_exponent(curve, r).value - want) <= 1e-9, r
 
@@ -229,7 +190,7 @@ def test_order_derivative_matches_mpmath(k):
     orders = np.array([1.3, 2.0, 6.0])
     got = curve.d_log2_q(orders)
     with mpmath.workdps(40):
-        log2_q = _mp_log2_q(mpmath, state)
+        log2_q = mp_log2_q(mpmath, state)
         want = [float(mpmath.diff(log2_q, mpmath.mpf(a))) for a in orders.tolist()]
     assert np.max(np.abs(got - want)) <= 1e-12, (got, want)
     assert got.tolist() == [curve.d_log2_q(a) for a in orders.tolist()]
@@ -254,7 +215,7 @@ def test_upper_exponent_near_hmin_matches_mpmath():
         for eps in (1e-4, 1e-6):
             ev = pa_upper_exponent(curve, hmin + eps)
             assert ev.regime == "low-rate" and math.isfinite(ev.value)
-            want = _mp_upper_exponent(state, hmin + eps, ev.maximizer_s)
+            want = mp_upper_exponent(state, hmin + eps, ev.maximizer_s)
             assert abs(ev.value - want) <= 1e-9, (eps, ev.value, want)
 
 

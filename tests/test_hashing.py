@@ -16,143 +16,115 @@ from privamp import (
     AllFunctionsFamily,
     BudgetExceededError,
     CQState,
-    HashFunction,
     PermutationProductFamily,
-    apply_hash,
     example1_suite,
     example2_suite,
     family_expectation,
     hashed_q_expectation_check,
-    insecurity,
     leftover_hash_exponent_check,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,
-    purified_distance,
-    relative_entropy,
-    renyi_conditional_entropy,
-    sandwiched_renyi_divergence,
     trace_distance,
 )
 from privamp import hashing
 from privamp.measures import ConditionalRenyiCurve
 from conftest import rand_cq, rand_density
+import reference
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
 
 
-def test_hash_function_index_roundtrip():
-    f = HashFunction(domain_size=3, range_size=2, table=(1, 0, 1))
-    # big-endian: first symbol owns the most significant digit
-    assert f.index == 1 * 4 + 0 * 2 + 1
-    back = HashFunction.from_index(f.index, 3, 2)
-    assert back.table == (1, 0, 1)
-    assert HashFunction.from_index(0, 3, 2).table == (0, 0, 0)
-    assert HashFunction.from_index(7, 3, 2).table == (1, 1, 1)
+def _insecurity(cq: CQState, table, m: int, measure: str, s: float | None = None) -> float:
+    """The batched kernel's value for one table onto [m]."""
+    return float(hashing._batch_values(np.array([table]), ConditionalRenyiCurve(cq), m, measure, s)[0])
 
 
-def test_hash_function_from_index_rejects_out_of_range():
-    for idx in (-1, 8, 100):
-        with pytest.raises(ValueError):
-            HashFunction.from_index(idx, 3, 2)
-
-
-def test_apply_hash_merges_blocks():
-    rng = np.random.default_rng(157)
-    cq = rand_cq(rng, 4, 2)
-    hashed = apply_hash(cq, [0, 1, 0, 1])
-    assert hashed.nsymbols == 2
-    assert abs(hashed.probs[0] - (cq.probs[0] + cq.probs[2])) <= 1e-12
-    want = cq.probs[0] * cq.conditionals[0] + cq.probs[2] * cq.conditionals[2]
-    got = hashed.probs[0] * hashed.conditionals[0]
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
-def test_apply_hash_fills_empty_buckets():
-    cq = CQState.classical([0.5, 0.5])
-    hashed = apply_hash(cq, HashFunction(2, 2, (0, 0)))
-    assert hashed.probs[1] == 0.0
-    assert abs(np.trace(hashed.conditionals[1]).real - 1.0) <= 1e-12
-
-
-def test_apply_hash_rejects_negative_entries():
-    # a plain table must not wrap -1 to the last output, as numpy indexing would
-    cq = CQState.classical([0.5, 0.25, 0.25])
-    with pytest.raises(ValueError, match="nonnegative"):
-        apply_hash(cq, [-1, 0, 1])
+def _table_index(table, m: int) -> int:
+    """The table as a big-endian base-m integer: the first symbol owns the most significant digit."""
+    return sum(int(z) * m ** (len(table) - 1 - i) for i, z in enumerate(table))
 
 
 def test_insecurity_zero_for_uniform_decoupled_source():
     cq = CQState.classical(np.full(4, 0.25))
-    hashed = apply_hash(cq, [0, 1, 0, 1])
-    assert insecurity(hashed, "trace_distance").value <= 1e-12
-    assert insecurity(hashed, "purified_distance").value <= 1e-12
-    assert insecurity(hashed, "relative_entropy").value <= 1e-12
-    assert insecurity(hashed, "renyi", s=1.0).value <= 1e-12
+    table = [0, 1, 0, 1]
+    assert _insecurity(cq, table, 2, "trace_distance") <= 1e-12
+    assert _insecurity(cq, table, 2, "purified_distance") <= 1e-12
+    assert _insecurity(cq, table, 2, "relative_entropy") <= 1e-12
+    assert _insecurity(cq, table, 2, "renyi", s=1.0) <= 1e-12
 
 
 def test_insecurity_relative_entropy_identity():
+    # D(rho_ZE || 1/M (x) rho_E) = log2 M - H(Z|E) of the dense hashed state
     rng = np.random.default_rng(163)
     cq = rand_cq(rng, 4, 2)
-    hashed = apply_hash(cq, [0, 1, 1, 0])
-    rep = insecurity(hashed, "relative_entropy")
-    want = 1.0 - renyi_conditional_entropy(hashed, 1.0)
-    assert abs(rep.value - want) <= 1e-10
+    table = [0, 1, 1, 0]
+    want = 1.0 - reference.conditional_entropy(reference.hashed_density(cq, table, 2), (2, 2), 1.0)
+    assert abs(_insecurity(cq, table, 2, "relative_entropy") - want) <= 1e-10
 
 
 def test_insecurity_renyi_identity():
     rng = np.random.default_rng(167)
     cq = rand_cq(rng, 4, 2)
-    hashed = apply_hash(cq, [0, 1, 1, 0])
+    table = [0, 1, 1, 0]
     for s in (0.25, 1.0):
-        rep = insecurity(hashed, "renyi", s=s)
-        want = 1.0 - renyi_conditional_entropy(hashed, 1.0 + s)
-        assert abs(rep.value - want) <= 1e-10
+        want = 1.0 - reference.conditional_entropy(reference.hashed_density(cq, table, 2), (2, 2), 1.0 + s)
+        assert abs(_insecurity(cq, table, 2, "renyi", s=s) - want) <= 1e-10
 
 
 def _reference_case(case: str):
+    """(source, table, outputs m) of one dense-reference case."""
     rng = np.random.default_rng(211)
     if case == "full-rank":
-        return rand_cq(rng, 5, 2), [0, 1, 2, 0, 1]
+        return rand_cq(rng, 5, 2), [0, 1, 2, 0, 1], 3
     if case == "rank-deficient":
         # d_E = 3, every conditional inside one 2-dimensional subspace
         iso = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
         conds = [iso @ rand_density(rng, 2) @ iso.conj().T for _ in range(4)]
-        return CQState(rng.dirichlet(np.ones(4)), conds), [1, 0, 0, 1]
+        return CQState(rng.dirichlet(np.ones(4)), conds), [1, 0, 0, 1], 2
     if case == "one-dim-E":
-        return CQState.classical(rng.dirichlet(np.ones(5))), [0, 1, 1, 0, 1]
+        return CQState.classical(rng.dirichlet(np.ones(5))), [0, 1, 1, 0, 1], 2
     # output 1 of three receives no symbol
-    return rand_cq(rng, 4, 3), [0, 2, 0, 2]
+    return rand_cq(rng, 4, 3), [0, 2, 0, 2], 3
 
 
 @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "one-dim-E", "empty-output"])
 def test_insecurity_matches_dense_reference(case):
-    # the batched kernel against the dense divergences from 1_Z/m (x) rho_E
-    cq, table = _reference_case(case)
-    hashed = apply_hash(cq, table)
-    m = hashed.nsymbols
-    rho = hashed.to_density().mat
-    ideal = np.kron(np.eye(m) / m, hashed.rho_e())
+    # the batched kernel on the table against the plain-numpy divergences of
+    # the dense hashed state from 1_Z/m (x) rho_E. The library's dense
+    # fidelity would not do as the reference: on the rank-deficient case it
+    # square-roots two rounding-level eigenvalues (3e-18, 6e-18) of
+    # sqrt(sigma) rho sqrt(sigma) and reads P 8e-9 off a 40-digit value.
+    cq, table, m = _reference_case(case)
+    rho = reference.hashed_density(cq, table, m)
+    ideal = np.kron(np.eye(m) / m, cq.rho_e())
     want = {
         "trace_distance": trace_distance(rho, ideal),
-        "purified_distance": purified_distance(rho, ideal),
-        "relative_entropy": relative_entropy(rho, ideal).value,
+        "purified_distance": reference.purified_distance(rho, ideal),
+        "relative_entropy": reference.divergence(rho, ideal, 1.0),
     }
     for measure, value in want.items():
-        assert abs(insecurity(hashed, measure).value - value) <= 1e-10, measure
+        assert abs(_insecurity(cq, table, m, measure) - value) <= 1e-10, measure
     for s in (0.25, 1.0, 3.0):
-        value = sandwiched_renyi_divergence(rho, ideal, 1.0 + s).value
-        assert abs(insecurity(hashed, "renyi", s).value - value) <= 1e-10, s
+        value = reference.divergence(rho, ideal, 1.0 + s)
+        assert abs(_insecurity(cq, table, m, "renyi", s) - value) <= 1e-10, s
     # an order next to 1 is finite and near the relative entropy
-    near_one = insecurity(hashed, "renyi", 1e-7).value
+    near_one = _insecurity(cq, table, m, "renyi", 1e-7)
     assert math.isfinite(near_one)
     assert abs(near_one - want["relative_entropy"]) <= 1e-6
 
 
 def test_insecurity_requires_order_for_renyi():
-    with pytest.raises(ValueError):
-        insecurity(BIASED, "renyi")
-    with pytest.raises(ValueError):
-        insecurity(BIASED, "no_such_measure")
+    scans = (
+        lambda measure, s=None: min_insecurity_exhaustive(BIASED, 2, measure, s),
+        lambda measure, s=None: family_expectation(AllFunctionsFamily(2, 2), BIASED, measure, s),
+    )
+    for scan in scans:
+        with pytest.raises(ValueError, match="needs a finite s > 0"):
+            scan("renyi")
+        with pytest.raises(ValueError, match="measure must be one of"):
+            scan("no_such_measure")
+        with pytest.raises(ValueError, match="takes no order parameter"):
+            scan("trace_distance", 0.5)
 
 
 def test_exhaustive_minimum_biased_source():
@@ -161,7 +133,8 @@ def test_exhaustive_minimum_biased_source():
     assert rep.evaluated == 4
     # identity and swap tables tie at 1/6; the smaller index wins
     assert rep.hash_table in ((0, 1), (1, 0))
-    assert rep.hash_index == HashFunction(2, 2, rep.hash_table).index
+    assert rep.hash_index == _table_index(rep.hash_table, 2)
+    assert type(rep.hash_index) is int and all(type(z) is int for z in rep.hash_table)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +150,8 @@ def test_exhaustive_minimum_reports_canonical_twin(measure, s):
         rep = min_insecurity_exhaustive(cq, 3, measure, s)
         first_seen = list(dict.fromkeys(rep.hash_table))
         assert first_seen == list(range(len(first_seen))), rep.hash_table
-        assert rep.hash_index == HashFunction(6, 3, rep.hash_table).index
-        twin = insecurity(apply_hash(cq, HashFunction(6, 3, rep.hash_table)), measure, s).value
+        assert rep.hash_index == _table_index(rep.hash_table, 3)
+        twin = _insecurity(cq, rep.hash_table, 3, measure, s)
         assert abs(twin - rep.value) <= 1e-12
 
 
@@ -203,8 +176,8 @@ def _brute_force_minimum(cq: CQState, m: int, measure: str, s):
     vals = hashing._batch_values(fam.tables(np.arange(fam.table_count)), ConditionalRenyiCurve(cq), m, measure, s)
     k = int(np.argmin(vals))
     labels: dict[int, int] = {}
-    table = tuple(labels.setdefault(z, len(labels)) for z in HashFunction.from_index(k, cq.nsymbols, m).table)
-    return HashFunction(cq.nsymbols, m, table).index, float(vals[k])
+    table = tuple(labels.setdefault(int(z), len(labels)) for z in fam.tables(np.array([k]))[0])
+    return _table_index(table, m), float(vals[k])
 
 
 MEASURE_ORDERS = [("trace_distance", None), ("purified_distance", None), ("relative_entropy", None), ("renyi", 0.5)]
@@ -274,7 +247,7 @@ def _rank_one(v) -> np.ndarray:
 
 def _indefinite_trace_distance_block() -> np.ndarray:
     # the trace-distance branch's output-1 block minus the ideal diag(mu) / m
-    cq, table = _reference_case("full-rank")
+    cq, table, _ = _reference_case("full-rank")
     curve = ConditionalRenyiCurve(cq)
     blocks = hashing._output_blocks(np.array([table]), curve, 3, 1.0) - np.diag(curve._mu) / 3
     return blocks[0, 1]
@@ -294,7 +267,7 @@ def _with_spectrum(spectrum, seed: int) -> np.ndarray:
 
 def _indefinite_qutrit_block() -> np.ndarray:
     # the same for d_E = 3: output 0 of three, which receives symbols 0 and 2
-    cq, table = _reference_case("empty-output")
+    cq, table, _ = _reference_case("empty-output")
     curve = ConditionalRenyiCurve(cq)
     blocks = hashing._output_blocks(np.array([table]), curve, 3, 1.0) - np.diag(curve._mu) / 3
     return blocks[0, 0]
@@ -534,8 +507,8 @@ def test_insecurity_invariant_under_output_relabeling(seed, nx, de, m, measure, 
     table = data.draw(st.lists(st.integers(0, m - 1), min_size=nx, max_size=nx))
     relabel = data.draw(st.permutations(range(m)))
     s = s if measure == "renyi" else None
-    value = insecurity(apply_hash(cq, HashFunction(nx, m, tuple(table))), measure, s).value
-    twin = insecurity(apply_hash(cq, HashFunction(nx, m, tuple(relabel[z] for z in table))), measure, s).value
+    value = _insecurity(cq, table, m, measure, s)
+    twin = _insecurity(cq, [relabel[z] for z in table], m, measure, s)
     assert abs(twin - value) <= 1e-12
 
 
@@ -683,12 +656,7 @@ def test_family_expectation_exhaustive_matches_direct_mean(measure, s, zero_symb
         cq = CQState([cq.probs[0] + cq.probs[1], 0.0, cq.probs[2]], cq.conditionals)
     fam = AllFunctionsFamily(3, 2)
     exp = family_expectation(fam, cq, measure, s)
-    direct = np.mean(
-        [
-            insecurity(apply_hash(cq, HashFunction.from_index(i, 3, 2)), measure, s).value
-            for i in range(8)
-        ]
-    )
+    direct = np.mean([_insecurity(cq, table, 2, measure, s) for table in itertools.product(range(2), repeat=3)])
     assert abs(exp.value - direct) <= 1e-12
     assert exp.sampling == "exhaustive"
     assert exp.std_error is None
@@ -774,9 +742,8 @@ def test_example2_suite_equals_the_per_realization_loop(n):
     for seed in (0, 1):
         worst = {"purified_distance": 0.0, "relative_entropy": 0.0, "renyi": 0.0}
         for table in family.tables(family.sample_members(np.random.default_rng(np.random.SeedSequence(seed)), 30)):
-            hashed = apply_hash(source, table)
             for measure, s in (("purified_distance", None), ("relative_entropy", None), ("renyi", 1.0)):
-                worst[measure] = max(worst[measure], insecurity(hashed, measure, s).value)
+                worst[measure] = max(worst[measure], _insecurity(source, table, family.range_size, measure, s))
         rep = example2_suite(n, realizations=30, seed=seed)
         assert rep["worst_insecurity"] == worst
         assert [c["measured"] for c in rep["checks"][1:]] == list(worst.values())

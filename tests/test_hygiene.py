@@ -5,8 +5,10 @@ reads src/privamp/*.py and fails on any name bound by an import that the
 module never references (__init__.py is skipped: its imports are the public
 re-exports), on any private name (a module-level function, class or
 assigned constant, or a method of a module-level class, starting with _)
-that no module of the package references, and on any module-level
-UPPER_CASE constant, public or private, that the package never reads.
+that no module of the package references, on any module-level
+UPPER_CASE constant, public or private, that the package never reads, and
+on any name __init__.py re-exports that no other module references and
+README.md does not name in backticks.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import ast
 import copy
 import functools
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "privamp"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "privamp"
 PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
@@ -106,10 +110,10 @@ def _pieces(stmt: ast.stmt):
 
 
 @functools.cache
-def _package_references() -> frozenset[str]:
-    """Names loaded, accessed as attributes or imported by name in the package, outside their own definition."""
+def _package_references(paths: tuple[pathlib.Path, ...] = tuple(PACKAGE)) -> frozenset[str]:
+    """Names loaded, accessed as attributes or imported by name in the modules at paths, outside their own definition."""
     used = set()
-    for path in PACKAGE:
+    for path in paths:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             for node, own in _pieces(stmt):
                 refs = _referenced_names(node)
@@ -144,3 +148,25 @@ def test_no_unreferenced_constants(path):
     used = _package_references()
     dead = sorted((line, name) for name, line in _constant_definitions(tree) if name not in used)
     assert not dead, f"{path.name}: constants never referenced " + ", ".join(f"{n} (line {l})" for l, n in dead)
+
+
+def _reexports() -> list[tuple[str, int]]:
+    """(name, line) of each name __init__.py imports from a package module."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [
+        (alias.asname or alias.name, alias.lineno)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_every_reexport_is_used_or_documented():
+    # a public name that only tests call is surface the package need not carry,
+    # unless the README names it as part of the paper's interface
+    used = _package_references(tuple(MODULES))
+    documented = set(re.findall(r"`([A-Za-z_]\w*)`", (ROOT / "README.md").read_text()))
+    unused = sorted((line, name) for name, line in _reexports() if name not in used | documented)
+    assert not unused, "re-exported but neither referenced nor named in README.md: " + ", ".join(
+        f"{n} (line {l})" for l, n in unused
+    )

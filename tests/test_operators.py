@@ -55,14 +55,6 @@ def test_eig_clusters_track_degeneracies():
     assert sizes == [1, 1, 2]
 
 
-def test_cluster_projector_is_rank_correct():
-    a = np.diag([3.0, 3.0, 1.0])
-    dec = eig(a)
-    p = dec.projector(0)
-    assert abs(np.trace(p).real - 2.0) <= 1e-12
-    assert np.max(np.abs(p @ p - p)) <= 1e-12
-
-
 def test_mat_power_agrees_with_spectral_route():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -204,18 +196,6 @@ def test_cq_zero_probability_symbols_are_allowed():
     cq = CQState([1.0, 0.0], [np.eye(2) / 2, np.diag([1.0, 0.0])])
     assert cq.nsymbols == 2
     assert abs(np.trace(cq.rho_e()).real - 1.0) <= 1e-12
-
-
-def test_cq_to_density_and_reference_shapes():
-    rng = np.random.default_rng(47)
-    cq = rand_cq(rng, 3, 2)
-    joint = cq.to_density()
-    ref = cq.reference_sigma()
-    assert joint.dim == 6 and ref.dim == 6
-    assert abs(joint.trace - 1.0) <= 1e-12
-    assert abs(ref.trace - 3.0) <= 1e-12
-    block = joint.mat[2:4, 2:4]
-    assert np.max(np.abs(block - cq.probs[1] * cq.conditionals[1])) <= 1e-12
 
 
 def test_cq_tensor_power_counts_and_caps():

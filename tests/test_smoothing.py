@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import replace
 
@@ -25,6 +24,7 @@ from privamp import (
 )
 from privamp import measures, operators, smoothing
 from conftest import kron_power, rand_commuting_pair, rand_density, two_stage_grid_max
+from reference import mp_dense_converse_mass, mp_iid_oracle_eps, mp_qubit_block_converse
 
 P = np.array([0.5, 0.5])
 Q = np.array([0.25, 0.75])
@@ -62,7 +62,7 @@ def test_oracle_epsilon_decreases_in_budget():
         eps = [_oracle(p, q, lam) for lam in lams]
         assert all(b <= a + 1e-12 for a, b in zip(eps, eps[1:]))
         for lam, e in zip(lams, eps):
-            assert abs(e - _mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-9
+            assert abs(e - mp_iid_oracle_eps(p, q, 1, lam)) <= 1e-9
 
 
 def test_oracle_handles_reference_zeros():
@@ -87,49 +87,7 @@ def test_oracle_matches_reference_on_ties_and_zeros(p, q, n, lams):
     # lam = -3 caps every atom; the atom with q = 0 has an infinite ratio
     spectrum = _iid(SpectrumDistribution.from_vectors(p, q), n)
     for lam in lams:
-        assert abs(spectrum.smoothing_oracle(lam) - _mp_iid_oracle_eps(p, q, n, lam)) <= 1e-12, lam
-
-
-def _compositions(n: int, parts: int):
-    """Every tuple of `parts` nonnegative integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k, *rest)
-
-
-def _mp_iid_oracle_eps(p, q, n: int, lam: float):
-    """40-digit water-filling on the exact n-fold type-class spectrum of diag(p) vs diag(q)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        pm = [mpmath.mpf(float(x)) for x in p]
-        total = mpmath.fsum(pm)
-        pm = [x / total for x in pm]
-        qm = [mpmath.mpf(float(x)) for x in q]
-        scale = mpmath.power(2, mpmath.mpf(lam))
-        atoms = []
-        for k in _compositions(n, len(pm)):
-            mult = mpmath.factorial(n) / mpmath.fprod(mpmath.factorial(ki) for ki in k)
-            pa = mult * mpmath.fprod(x**ki for x, ki in zip(pm, k))
-            qa = mult * mpmath.fprod(x**ki for x, ki in zip(qm, k))
-            if pa > 0:
-                atoms.append((scale * qa / pa, pa, scale * qa))
-        atoms.sort()
-        target = min(mpmath.mpf(1), mpmath.fsum(a[2] for a in atoms))
-        # mass(c) = sum of caps with ratio <= c + c * (p-mass with ratio > c); solve mass(c) = target
-        capped, free = mpmath.mpf(0), mpmath.fsum(a[1] for a in atoms)
-        c = atoms[-1][0]  # every atom capped when the total cap mass is the target
-        for ratio, pa, cap in atoms:
-            if capped + ratio * free >= target:
-                c = (target - capped) / free
-                break
-            capped += cap
-            free -= pa
-        fid = mpmath.fsum(mpmath.sqrt(pa * (cap if ratio <= c else c * pa)) for ratio, pa, cap in atoms)
-        # at lam >= n D_max, F = 1 exactly and 1 - F^2 may round a few ulps below 0
-        return float(mpmath.sqrt(max(0, 1 - fid**2)))
+        assert abs(spectrum.smoothing_oracle(lam) - mp_iid_oracle_eps(p, q, n, lam)) <= 1e-12, lam
 
 
 def test_iid_exact_epsilon_stays_accurate_when_tiny():
@@ -141,7 +99,7 @@ def test_iid_exact_epsilon_stays_accurate_when_tiny():
     curve = RenyiDivergenceCurve(rho, sigma)
     r = 0.5 * (curve.umegaki().value + curve.dmax().value)
     for cert in iid_smoothing_certificate(rho, sigma, r, [30, 35, 38, 40]):
-        want = _mp_iid_oracle_eps(p, q, cert.meta["n"], cert.lam)
+        want = mp_iid_oracle_eps(p, q, cert.meta["n"], cert.lam)
         assert 0.0 < cert.exact
         assert abs(cert.exact - want) <= 1e-6 * want, (cert.meta["n"], cert.exact, want)
 
@@ -331,7 +289,7 @@ def test_spectrum_convolution_is_additive():
     assert abs(triple.dmax() - 3.0 * spec.dmax()) <= 1e-10
     for n, spec_n in ((2, double), (3, triple)):
         for lam in (-0.5 * n, 0.0, 0.5 * n):
-            assert abs(spec_n.smoothing_oracle(lam) - _mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
+            assert abs(spec_n.smoothing_oracle(lam) - mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
 
 
 def test_spectrum_mass_above_matches_dense_positive_part():
@@ -533,77 +491,12 @@ def test_qubit_block_converse_matches_dense():
                 assert abs(cert.lower - dense) <= (1e-12 if n <= 4 else 1e-6), (n, r, cert.lower, dense)
 
 
-def _mp_qubit_block_converse(rho, sigma, n: int, lam: float, t: float = 9.0) -> float:
-    """converse_bound's lower bound for rho^(x n) against sigma^(x n), from 40-digit Schur-Weyl blocks.
-
-    Sym^m of the rotation between the eigenbases is expanded as polynomial
-    products, exact at 40 digits for small m; the positive part is cut at
-    1e-12 (1 + max |w|) over all blocks, as converse_bound cuts it.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        er, ur = mpmath.eigh(mpmath.matrix(rho.tolist()))
-        es, us = mpmath.eigh(mpmath.matrix(sigma.tolist()))
-        # mpmath sorts ascending: column 1 is the larger eigenvalue
-        (b, a), (s2, s1) = er, es
-        w00 = abs((us[:, 1].H * ur[:, 1])[0])
-        w10 = abs((us[:, 0].H * ur[:, 1])[0])
-        cos, sin = w00 / mpmath.hypot(w00, w10), w10 / mpmath.hypot(w00, w10)
-        c = t * mpmath.power(2, mpmath.mpf(lam))
-        blocks = []
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            rot = mpmath.matrix(m + 1, m + 1)
-            for i in range(m + 1):
-                # Sym^m of [[cos, -sin], [sin, cos]] on the normalized basis x0^(m-i) x1^i
-                for p in range(m - i + 1):
-                    for q in range(i + 1):
-                        rot[p + q, i] += (
-                            mpmath.binomial(m - i, p) * cos ** (m - i - p) * sin**p
-                            * mpmath.binomial(i, q) * (-sin) ** (i - q) * cos**q
-                        )
-                for j in range(m + 1):
-                    rot[j, i] *= mpmath.sqrt(mpmath.binomial(m, i) / mpmath.binomial(m, j))
-            rho_k = (a * b) ** k * rot * mpmath.diag([a ** (m - i) * b**i for i in range(m + 1)]) * rot.T
-            sigma_k = c * (s1 * s2) ** k * mpmath.diag([s1 ** (m - i) * s2**i for i in range(m + 1)])
-            w, v = mpmath.eigh(rho_k - sigma_k)
-            mult = mpmath.binomial(n, k) - (mpmath.binomial(n, k - 1) if k else 0)
-            blocks.append((w, v, rho_k, mult))
-        cut = mpmath.mpf("1e-12") * (1 + max(abs(x) for w, _, _, _ in blocks for x in w))
-        p = mpmath.fsum(
-            mult * (v[:, j].T * rho_k * v[:, j])[0]
-            for w, v, rho_k, mult in blocks
-            for j in range(len(w))
-            if w[j] > cut
-        )
-        return smoothing._converse_from_mass(float(p), t)
-
-
 def test_qubit_block_converse_matches_high_precision_blocks():
     for rho, sigma, rates in _noncommuting_qubit_pairs():
         for r in rates[:1]:
             for cert in iid_smoothing_certificate(rho, sigma, r, range(1, 11)):
-                want = _mp_qubit_block_converse(rho, sigma, cert.meta["n"], cert.lam)
+                want = mp_qubit_block_converse(rho, sigma, cert.meta["n"], cert.lam)
                 assert abs(cert.lower - want) <= 1e-8, (cert.meta["n"], r, cert.lower, want)
-
-
-def _mp_dense_converse_mass(rho, sigma, n: int, c: float) -> float:
-    """tr rho^(x n) {rho^(x n) > c sigma^(x n)} from a 40-digit eigh of the d^n-dim difference.
-
-    The positive part is cut at 1e-12 (1 + max |w|), as converse_bound cuts it.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    words = list(itertools.product(range(rho.shape[0]), repeat=n))
-    with mpmath.workdps(40):
-
-        def power(x):
-            xm = [[mpmath.mpmathify(v) for v in row] for row in x.tolist()]
-            return mpmath.matrix([[mpmath.fprod(xm[a][b] for a, b in zip(i, j)) for j in words] for i in words])
-
-        rho_n = power(rho)
-        w, v = mpmath.eigh(rho_n - mpmath.mpf(c) * power(sigma))
-        cut = mpmath.mpf("1e-12") * (1 + max(abs(x) for x in w))
-        return float(mpmath.fsum((v[:, j].H * rho_n * v[:, j])[0].real for j in range(len(w)) if w[j] > cut))
 
 
 def test_irrep_block_mass_matches_high_precision_dense():
@@ -619,7 +512,7 @@ def test_irrep_block_mass_matches_high_precision_dense():
         # the difference has a positive eigenvalue exactly when c < 2^(n D_max)
         c_max = 2.0 ** (n * RenyiDivergenceCurve(rho, sigma).dmax().value)
         for c in (u * c_max for u in scales):
-            want = _mp_dense_converse_mass(rho, sigma, n, c)
+            want = mp_dense_converse_mass(rho, sigma, n, c)
             got = blocks.mass(n, math.log2(c))
             assert (want > 0) == (c < c_max), (n, c, want)
             assert abs(got - want) <= 1e-14, (n, c, got, want)
