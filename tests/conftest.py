@@ -13,6 +13,12 @@ def rand_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m / float(np.trace(m).real)
 
 
+def rand_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary: the QR factor of a complex Gaussian matrix, with R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def kron_power(a, n: int) -> np.ndarray:
     """The dense n-fold Kronecker power of a, symmetrized as HermitianOperator ingests it."""
     return HermitianOperator(functools.reduce(np.kron, [np.asarray(a, dtype=complex)] * n)).mat

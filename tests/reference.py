@@ -36,15 +36,10 @@ def cq_density(cq: CQState) -> np.ndarray:
     return hashed_density(cq, range(cq.nsymbols), cq.nsymbols)
 
 
-def marginal(rho_ab: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """rho_B = tr_A rho_AB."""
-    da, db = dims
-    return np.einsum("aiaj->ij", rho_ab.reshape(da, db, da, db))
-
-
 def identity_times_marginal(rho_ab: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Dense 1_A (x) rho_B, the conditional-entropy reference operator."""
-    return np.kron(np.eye(dims[0]), marginal(rho_ab, dims))
+    """Dense 1_A (x) rho_B, rho_B = tr_A rho_AB: the conditional-entropy reference operator."""
+    da, db = dims
+    return np.kron(np.eye(da), np.einsum("aiaj->ij", rho_ab.reshape(da, db, da, db)))
 
 
 def _on_support(a: np.ndarray, fn) -> np.ndarray:

@@ -28,7 +28,7 @@ from privamp import (
 )
 from privamp import hashing
 from privamp.measures import ConditionalRenyiCurve
-from conftest import rand_cq, rand_density
+from conftest import rand_cq, rand_density, rand_unitary
 import reference
 
 BIASED = CQState.classical([1 / 3, 2 / 3])
@@ -253,14 +253,9 @@ def _indefinite_trace_distance_block() -> np.ndarray:
     return blocks[0, 1]
 
 
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _with_spectrum(spectrum, seed: int) -> np.ndarray:
     """A Hermitian block with the given eigenvalues in a random basis."""
-    u = _random_unitary(np.random.default_rng(seed), len(spectrum))
+    u = rand_unitary(np.random.default_rng(seed), len(spectrum))
     block = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
     return (block + block.conj().T) / 2.0
 
@@ -336,7 +331,7 @@ def test_block_eigenvalues_3x3_near_degenerate_pairs_stay_within_bound():
     # r's rounding; with the guard at 1 - 1e-4 a 0.5% gap erred by 1.2e-14
     rng = np.random.default_rng(241)
     for gap in (0.005, 0.01, 0.02, 0.05):
-        u = np.stack([_random_unitary(rng, 3) for _ in range(400)])
+        u = np.stack([rand_unitary(rng, 3) for _ in range(400)])
         blocks = (u * np.array([0.1, 1.0 - gap, 1.0])) @ u.conj().transpose(0, 2, 1)
         blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
         err = np.abs(hashing._block_eigenvalues(blocks) - np.linalg.eigvalsh(blocks)).max()

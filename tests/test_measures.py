@@ -20,7 +20,7 @@ from privamp import (
     sandwiched_renyi_divergence,
     trace_distance,
 )
-from conftest import rand_cq, rand_density
+from conftest import rand_cq, rand_density, rand_unitary
 import reference
 
 P_HALF = np.diag([0.5, 0.5])
@@ -233,11 +233,6 @@ def test_conditional_entropy_additive_on_products(seed, nx, de, n):
         assert abs(renyi_conditional_entropy(power, alpha) - n * single) <= 1e-9 * (1.0 + abs(single)), alpha
 
 
-def _unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 ORDERS = np.array([0.5, 0.8, 1.0 + 1e-3, 1.5, 2.0, 4.0])
 
 
@@ -248,7 +243,7 @@ def test_log2_q_unitary_invariance(seed, dim, nx):
     # log2 Q_alpha(U rho U^dag || U sigma U^dag) = log2 Q_alpha(rho || sigma), and
     # rotating every conditional of a CQ state leaves its curve unchanged
     rng = np.random.default_rng(seed)
-    rho, sigma, u = rand_density(rng, dim), rand_density(rng, dim), _unitary(rng, dim)
+    rho, sigma, u = rand_density(rng, dim), rand_density(rng, dim), rand_unitary(rng, dim)
     cq = rand_cq(rng, nx, dim)
     pairs = [
         (RenyiDivergenceCurve(rho, sigma), RenyiDivergenceCurve(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)),
