@@ -8,12 +8,15 @@ s >= 0 is F(s*), one over an order interval is F at s* clamped into it.
 The root is searched by Brent's method on t = s / (1 + s) in [0, 1], whose
 endpoint slopes are known (H(X|E) and H_min(X|E), or D and D_max), with the
 exact order derivative of the curve, so no order cap is needed. An exponent
-curve searches the roots of all its rates in lockstep, one derivative call
-per round, and then reads all its values in one log2_q call; each search
+curve first reads the derivative at the seed orders 1 + s, s = 2^-5 .. 2^9,
+in one call; s = 1 among them gives the critical rate, and each rate's
+search starts in the seed cell that brackets its root. It then searches the
+roots of all its rates in lockstep, one derivative call per round, and
+reads its values in one log2_q call over the distinct orders; each search
 visits the points it would visit alone, so the one-rate functions are the
 same code with one rate. The smoothing certificates' achievability bounds
 are the same supremum for a pair at the rates r - log2(v_n) / n, one
-lockstep search for all block lengths n.
+lockstep search for all block lengths n from the two endpoints.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .states import CQState
 RATE_TOL = 1e-9
 # the root searches stop once the bracket in t = s / (1 + s) is this narrow
 _T_TOL = 1e-12
+# an exponent curve reads the order derivative at alpha = 1 + s for these s before
+# any search; their cells bracket the roots, and s = 1 gives the critical rate
+_SEED_S = tuple(2.0**k for k in range(-5, 10))
 _EPS = sys.float_info.epsilon
 
 # Regime labels for the rate-dependent classification of the upper exponent:
@@ -87,16 +93,16 @@ class ExponentCurve:
                 raise ValueError(f"{attr} exponent is not nonincreasing in the rate")
 
 
-def _brent(g0: float, g1: float):
-    """Root of a decreasing g on [0, 1] with g(0) = g0 > 0 > g1 = g(1), by Brent's method.
+def _brent(a: float, fa: float, b: float, fb: float):
+    """Root of a decreasing g in the cell [a, b] with g(a) = fa > 0 >= fb = g(b), by Brent's method.
 
     A generator: it yields each point t at which it needs g and is sent
     g(t) back; it returns the point of smallest |g| once the bracket around
-    the root is narrower than about _T_TOL. Inverse quadratic and secant
-    steps are taken where they stay well inside the bracket, bisection
-    otherwise.
+    the root is narrower than about _T_TOL (b itself if fb is 0). The search
+    starts in the cell its caller already knows to bracket the root, not
+    necessarily all of [0, 1]. Inverse quadratic and secant steps are taken
+    where they stay well inside the bracket, bisection otherwise.
     """
-    a, fa, b, fb = 0.0, g0, 1.0, g1
     c, fc = a, fa
     d = e = b - a
     while True:
@@ -132,30 +138,41 @@ def _brent(g0: float, g1: float):
         fb = yield b
 
 
-def _maximizers(curve, slopes, d_one: float, d_inf: float) -> list[float]:
-    """argmax over s >= 0 of c s - log2 Q_{1+s} for every slope c in (d_one, d_inf).
+def _maximizers(curve, slopes, known) -> list[float]:
+    """argmax over s >= 0 of c s - log2 Q_{1+s} for every slope c between the first and last known slope.
 
-    d_one and d_inf are d/dalpha log2 Q_alpha at alpha = 1 and as alpha ->
-    inf. log2 Q is convex in alpha, so each maximizer is the one root of
-    c - d/dalpha log2 Q at alpha = 1 + s, searched by _brent on t = s / (1 + s)
-    in [0, 1] (alpha = 1 / (1 - t)), which covers every order. The searches
-    run in lockstep: a round is one d_log2_q call at every unfinished
-    search's point, and each search visits the points it would visit alone.
-    A root the search cannot tell from t = 1, where c is d_inf to rounding,
-    comes back as s = inf.
+    known lists (t, d/dalpha log2 Q_alpha at alpha = 1 / (1 - t)) pairs that
+    the caller has already read, in increasing t = s / (1 + s) from t = 0
+    (alpha = 1) to t = 1 (alpha -> inf). log2 Q is convex in alpha, so each
+    maximizer is the one root of c - d/dalpha log2 Q at alpha = 1 + s,
+    searched by _brent on t, which covers every order, from the known cell
+    that brackets it. The certificates know only the two endpoints; an
+    exponent curve also knows its seed orders. The searches run in lockstep:
+    a round is one d_log2_q call at every unfinished search's point, and
+    each search visits the points it would visit alone. A root the search
+    cannot tell from t = 1, where c is d_inf to rounding, comes back as
+    s = inf.
     """
     slopes = np.asarray(slopes, dtype=float).tolist()
-    searches = [_brent(c - d_one, c - d_inf) for c in slopes]
-    pending = {k: next(search) for k, search in enumerate(searches)}  # search -> its next point
+    searches = []
+    for c in slopes:
+        # the first known point at or past the root closes its cell
+        k = next(k for k, (_, d) in enumerate(known) if k and c - d <= 0.0)
+        (ta, da), (tb, db) = known[k - 1], known[k]
+        searches.append(_brent(ta, c - da, tb, c - db))
     roots = [0.0] * len(slopes)
-    while pending:
-        slope_d = curve.d_log2_q(1.0 / (1.0 - np.array(list(pending.values()))))
-        for k, dk in zip(list(pending), slope_d.tolist()):
+    sent = dict.fromkeys(range(len(slopes)))  # search -> what it is sent next; None starts it
+    while sent:
+        pending = {}  # search -> its next point
+        for k, g in sent.items():
             try:
-                pending[k] = searches[k].send(slopes[k] - dk)
+                pending[k] = searches[k].send(g)
             except StopIteration as done:
                 roots[k] = done.value
-                del pending[k]
+        if not pending:
+            break
+        slope_d = curve.d_log2_q(1.0 / (1.0 - np.array(list(pending.values()))))
+        sent = {k: slopes[k] - dk for k, dk in zip(pending, slope_d.tolist())}
     return [t / (1.0 - t) if t < 1.0 else math.inf for t in roots]
 
 
@@ -180,7 +197,7 @@ def smoothing_exponent(rho, sigma, r: float) -> ExponentValue:
     dmax = curve.dmax().value
     if r >= dmax - RATE_TOL:
         return ExponentValue(math.inf, math.inf, REGIME_DIVERGENT)
-    (s_star,) = _maximizers(curve, [r], d1, dmax)
+    (s_star,) = _maximizers(curve, [r], [(0.0, d1), (1.0, dmax)])
     return ExponentValue(0.5 * max(s_star * r - curve.log2_q(1.0 + s_star), 0.0), s_star, REGIME_INTERIOR)
 
 
@@ -207,8 +224,10 @@ def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> l
     phi(x) = x (H_{1+x}(X|E) - rate) is concave with its maximum at the root
     s* of phi'; s* is 0 for rates at or above H and inf at or below H_min.
     The upper exponent is phi(s*), the lower phi(min(s*, 1)) and the Renyi
-    exponent phi(clamp(s*, s, 1)). The roots of all rates are searched in
-    lockstep and every phi is read from one log2_q call.
+    exponent phi(clamp(s*, s, 1)). One derivative read at the _SEED_S orders
+    fills the critical rate (s = 1) and gives every search its starting
+    cell; the roots of all rates are then searched in lockstep, and every
+    phi is read from one log2_q call that takes each distinct order once.
     """
     want_upper = mode in ("upper", "both", "all")
     want_lower = mode in ("lower", "both", "all")
@@ -217,11 +236,19 @@ def _curve_points(curve: ConditionalRenyiCurve, rates, mode: str, s: float) -> l
         raise ValueError(f"s must be in (0, 1], got {s}")
     h1, hmin = curve.h1(), curve.hmin()
     inside = [k for k, r in enumerate(rates) if hmin + RATE_TOL < r < h1 - RATE_TOL]
-    found = dict(zip(inside, _maximizers(curve, [-rates[k] for k in inside], -h1, -hmin)))
+    found = {}
+    if inside:
+        seed_s = np.array(_SEED_S)
+        seed = curve.d_log2_q(1.0 + seed_s).tolist()
+        curve._critical_rate = -seed[_SEED_S.index(1.0)]
+        known = [(0.0, -h1), *zip((seed_s / (1.0 + seed_s)).tolist(), seed), (1.0, -hmin)]
+        found = dict(zip(inside, _maximizers(curve, [-rates[k] for k in inside], known)))
     roots = [found.get(k, math.inf if r <= hmin + RATE_TOL else 0.0) for k, r in enumerate(rates)]
     # the orders of the upper (1.0 stands in for an infinite s*), lower and Renyi exponents
-    x = np.array([[root if math.isfinite(root) else 1.0, min(root, 1.0), min(max(root, s), 1.0)] for root in roots])
-    phi = (curve.s_times_h(x.ravel()).reshape(x.shape) - x * np.array(rates)[:, None]).tolist()
+    x = [[root if math.isfinite(root) else 1.0, min(root, 1.0), min(max(root, s), 1.0)] for root in roots]
+    distinct = list(dict.fromkeys(o for row in x for o in row))
+    s_times_h = dict(zip(distinct, curve.s_times_h(np.array(distinct)).tolist()))
+    phi = [[s_times_h[o] - o * r for o in row] for row, r in zip(x, rates)]
 
     points = []
     for k, r in enumerate(rates):

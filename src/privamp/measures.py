@@ -95,13 +95,14 @@ def _entropy_bits(w: np.ndarray) -> float:
 def fidelity(rho, sigma) -> float:
     """Generalized fidelity of (sub)normalized states.
 
-    ||sqrt(rho) sqrt(sigma)||_1 = sum sqrt(eig(sqrt(sigma) rho sqrt(sigma)))
-    plus the subnormalized cross term sqrt((1 - tr rho)(1 - tr sigma)); the
-    result is clamped to [0, 1].
+    ||sqrt(rho) sqrt(sigma)||_1, the sum of the singular values of the
+    product of the two roots, each cut to its support, plus the
+    subnormalized cross term sqrt((1 - tr rho)(1 - tr sigma)); the result is
+    clamped to [0, 1]. No eigenvalue is square-rooted after the product is
+    formed, so rounding on the product's kernel does not enter as its root.
     """
     rm, sm = _as_matrix(rho), _as_matrix(sigma)
-    sqs = mat_power(sm, 0.5).mat
-    val = float(np.sqrt(np.clip(np.linalg.eigvalsh(sqs @ rm @ sqs), 0.0, None)).sum())
+    val = float(np.linalg.svd(mat_power(rm, 0.5).mat @ mat_power(sm, 0.5).mat, compute_uv=False).sum())
     tr_r = min(1.0, float(np.trace(rm).real))
     tr_s = min(1.0, float(np.trace(sm).real))
     val += math.sqrt(max(0.0, 1.0 - tr_r) * max(0.0, 1.0 - tr_s))
@@ -331,7 +332,11 @@ class ConditionalRenyiCurve(_SandwichedCurve):
         return self._hmin
 
     def critical_rate(self) -> float:
-        """d/ds [s H_{1+s}(X|E)] at s = 1, which separates optimizers s <= 1 from s > 1; computed once."""
+        """d/ds [s H_{1+s}(X|E)] at s = 1, which separates optimizers s <= 1 from s > 1.
+
+        Computed once; an exponent curve's seed read, which includes alpha = 2,
+        fills it with the same value.
+        """
         if self._critical_rate is None:
             self._critical_rate = -self.d_log2_q(2.0)
         return self._critical_rate

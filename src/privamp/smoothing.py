@@ -391,9 +391,14 @@ class SpectrumDistribution:
         return cls.from_vectors(pv, qv)
 
     def convolve(self, other: "SpectrumDistribution") -> "SpectrumDistribution":
-        """Tensor-product spectrum: atomwise sums of ratios, products of weights."""
-        llr = (self.llr[:, None] + other.llr[None, :]).ravel()
-        wt = (self.weight[:, None] * other.weight[None, :]).ravel()
+        """Tensor-product spectrum: atomwise sums of ratios, products of weights.
+
+        Each row of candidates is this sorted spectrum shifted by one atom of
+        other, so the stable sort of _merge_atoms merges sorted runs instead
+        of sorting from scratch.
+        """
+        llr = (other.llr[:, None] + self.llr[None, :]).ravel()
+        wt = (other.weight[:, None] * self.weight[None, :]).ravel()
         out = _merge_atoms(llr, wt)
         if out.natoms > ATOM_CAP:
             raise BudgetExceededError(f"spectrum atom count {out.natoms} exceeds the cap {ATOM_CAP}")
@@ -503,7 +508,7 @@ def _achievability(curve: RenyiDivergenceCurve, r: float, ns, v) -> list[float]:
     slopes = [r - math.log2(v[n - 1]) / n for n in ns]
     d_one, d_max = curve.umegaki().value, curve.dmax().value
     inside = list(dict.fromkeys(c for c in slopes if d_one < c < d_max))
-    roots = {x: s for x, s in zip(inside, _maximizers(curve, inside, d_one, d_max)) if s < math.inf}
+    roots = {x: s for x, s in zip(inside, _maximizers(curve, inside, [(0.0, d_one), (1.0, d_max)])) if s < math.inf}
     c, s = np.array(list(roots)), np.array(list(roots.values()))
     sup = {x: math.inf for x in slopes if d_one < x >= d_max}
     sup.update(zip(c.tolist(), (s * c - curve.log2_q(1.0 + s)).tolist()))

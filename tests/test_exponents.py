@@ -298,14 +298,14 @@ def test_exponent_curve_rows_equal_one_rate_calls():
             assert p.renyi == renyi_security_exponent(curve, p.rate, 0.5)
 
 
-def _count_kernel_calls(monkeypatch) -> list[int]:
-    """Record the number of orders of every log2_q and d_log2_q call of a conditional curve."""
+def _count_kernel_calls(monkeypatch) -> list[tuple[str, list[float]]]:
+    """Record the name and the orders of every log2_q and d_log2_q call of a conditional curve."""
     calls = []
     for name in ("log2_q", "d_log2_q"):
         kernel = getattr(ConditionalRenyiCurve, name)
 
-        def counted(self, alpha, kernel=kernel):
-            calls.append(np.size(alpha))
+        def counted(self, alpha, kernel=kernel, name=name):
+            calls.append((name, np.ravel(alpha).tolist()))
             return kernel(self, alpha)
 
         monkeypatch.setattr(ConditionalRenyiCurve, name, counted)
@@ -316,11 +316,30 @@ def test_exponent_curve_runs_its_searches_in_lockstep(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     curve = ConditionalRenyiCurve(acceptance_states()[0])
     h, hmin = curve.h1(), curve.hmin()
-    exponent_curve(curve, np.linspace(hmin + 0.2 * (h - hmin), h + 0.05, 21), mode="all", s=0.5)
-    # one derivative call per root-search round for all 21 rates, the critical
-    # rate, and one log2_q call for every exponent of the grid
-    assert len(calls) <= 25
-    assert max(calls) >= 21
+    rates = np.linspace(hmin + 0.2 * (h - hmin), h + 0.05, 21)
+    exponent_curve(curve, rates, mode="all", s=0.5)
+    # one seed read of the order derivative, whose alpha = 2 gives the critical
+    # rate, one derivative call per root-search round for every rate inside
+    # (H_min, H), and one log2_q call that reads each distinct order once
+    (seed_kernel, seed), (round_kernel, first_round), *_, (last_kernel, last) = calls
+    assert seed_kernel == "d_log2_q" and len(seed) == 15 and 2.0 in seed
+    assert round_kernel == "d_log2_q" and len(first_round) == sum(hmin < r < h for r in rates) == 16
+    assert [name for name, _ in calls[1:-1]] == ["d_log2_q"] * (len(calls) - 2)
+    assert last_kernel == "log2_q" and len(set(last)) == len(last)
+    assert len(calls) <= 9
+
+
+def test_sweep_shaped_curves_take_few_kernel_calls(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    counts = []
+    for state in acceptance_states():
+        curve = ConditionalRenyiCurve(state)
+        h, hmin = curve.h1(), curve.hmin()
+        for frac in (0.2, 0.3, 0.4):
+            calls.clear()
+            exponent_curve(curve, np.linspace(hmin + frac * (h - hmin), h + 0.05, 21), mode="all", s=0.5)
+            counts.append(len(calls))
+    assert np.mean(counts) <= 8 and max(counts) <= 9, counts
 
 
 def test_one_rate_exponent_takes_few_kernel_calls(monkeypatch):
@@ -328,7 +347,8 @@ def test_one_rate_exponent_takes_few_kernel_calls(monkeypatch):
     for state in acceptance_states():
         curve = ConditionalRenyiCurve(state)
         h, hmin = curve.h1(), curve.hmin()
-        for frac in (0.01, 0.25, 0.5, 0.75, 0.99):
+        rates = [hmin + frac * (h - hmin) for frac in (0.01, 0.25, 0.5, 0.75, 0.99)]
+        for rate in rates + [hmin + delta for delta in (1e-2, 1e-3, 1e-4, 1e-6)]:
             calls.clear()
-            pa_upper_exponent(curve, hmin + frac * (h - hmin))
-            assert len(calls) <= 20, (frac, len(calls))
+            pa_upper_exponent(curve, rate)
+            assert len(calls) <= 20, (rate - hmin, len(calls))

@@ -24,6 +24,7 @@ from privamp import (
     leftover_hash_exponent_check,
     min_insecurity_exhaustive,
     positive_part_superadditivity_check,
+    purified_distance,
     trace_distance,
 )
 from privamp import hashing
@@ -90,10 +91,7 @@ def _reference_case(case: str):
 @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "one-dim-E", "empty-output"])
 def test_insecurity_matches_dense_reference(case):
     # the batched kernel on the table against the plain-numpy divergences of
-    # the dense hashed state from 1_Z/m (x) rho_E. The library's dense
-    # fidelity would not do as the reference: on the rank-deficient case it
-    # square-roots two rounding-level eigenvalues (3e-18, 6e-18) of
-    # sqrt(sigma) rho sqrt(sigma) and reads P 8e-9 off a 40-digit value.
+    # the dense hashed state from 1_Z/m (x) rho_E
     cq, table, m = _reference_case(case)
     rho = reference.hashed_density(cq, table, m)
     ideal = np.kron(np.eye(m) / m, cq.rho_e())
@@ -111,6 +109,17 @@ def test_insecurity_matches_dense_reference(case):
     near_one = _insecurity(cq, table, m, "renyi", 1e-7)
     assert math.isfinite(near_one)
     assert abs(near_one - want["relative_entropy"]) <= 1e-6
+
+
+def test_dense_purified_distance_ignores_rounding_on_the_kernel():
+    # sqrt(sigma) rho sqrt(sigma) has a kernel on the rank-deficient case; its
+    # rounding-level eigenvalues (3e-18, 6e-18) square-rooted read P 8e-9 off
+    # the 40-digit value 0.454578998317
+    cq, table, m = _reference_case("rank-deficient")
+    rho = reference.hashed_density(cq, table, m)
+    ideal = np.kron(np.eye(m) / m, cq.rho_e())
+    assert abs(purified_distance(rho, ideal) - reference.purified_distance(rho, ideal)) <= 1e-12
+    assert abs(purified_distance(rho, ideal) - 0.454578998317) <= 1e-12
 
 
 def test_insecurity_requires_order_for_renyi():

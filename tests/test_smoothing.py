@@ -292,6 +292,22 @@ def test_spectrum_convolution_is_additive():
             assert abs(spec_n.smoothing_oracle(lam) - mp_iid_oracle_eps(P, Q, n, lam)) <= 1e-9
 
 
+def test_convolution_merges_like_a_sort_from_scratch():
+    # the candidates come as sorted runs; shuffled, the same candidates must be sorted from scratch
+    rng = np.random.default_rng(31)
+    base = SpectrumDistribution.from_commuting_pair(*rand_commuting_pair(rng, 4))
+    spec = base
+    for _ in range(5):
+        llr = (spec.llr[:, None] + base.llr[None, :]).ravel()
+        wt = (spec.weight[:, None] * base.weight[None, :]).ravel()
+        shuffle = rng.permutation(llr.size)
+        scratch = smoothing._merge_atoms(llr[shuffle], wt[shuffle])
+        spec = spec.convolve(base)
+        assert spec.natoms < llr.size
+        assert np.array_equal(spec.llr, scratch.llr)
+        np.testing.assert_allclose(spec.weight, scratch.weight, rtol=1e-15, atol=0.0)
+
+
 def test_spectrum_mass_above_matches_dense_positive_part():
     n = 3
     rho_n = kron_power(np.diag(P), n)
