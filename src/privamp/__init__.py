@@ -48,9 +48,7 @@ from .exponents import (
 from .smoothing import (
     SmoothingCertificate,
     SpectrumDistribution,
-    converse_bound,
     iid_smoothing_certificate,
-    pinched_smoothing_witness,
     smoothing_certificate,
 )
 from .hashing import (

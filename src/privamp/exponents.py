@@ -14,9 +14,7 @@ search starts in the seed cell that brackets its root. It then searches the
 roots of all its rates in lockstep, one derivative call per round, and
 reads its values in one log2_q call over the distinct orders; each search
 visits the points it would visit alone, so the one-rate functions are the
-same code with one rate. The smoothing certificates' achievability bounds
-are the same supremum for a pair at the rates r - log2(v_n) / n, one
-lockstep search for all block lengths n from the two endpoints.
+same code with one rate.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ def _maximizers(curve, slopes, known) -> list[float]:
     (alpha = 1) to t = 1 (alpha -> inf). log2 Q is convex in alpha, so each
     maximizer is the one root of c - d/dalpha log2 Q at alpha = 1 + s,
     searched by _brent on t, which covers every order, from the known cell
-    that brackets it. The certificates know only the two endpoints; an
+    that brackets it. smoothing_exponent knows only the two endpoints; an
     exponent curve also knows its seed orders. The searches run in lockstep:
     a round is one d_log2_q call at every unfinished search's point, and
     each search visits the points it would visit alone. A root the search

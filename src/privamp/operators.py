@@ -99,9 +99,9 @@ def eig(a) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
     Eigenvalues are returned descending. Consecutive eigenvalues whose gap is
-    at most CLUSTER_TOL * max(1, |lambda|_max) are merged into one cluster.
-    The decomposition is verified to reconstruct the input within
-    RECONSTRUCTION_TOL * (1 + max entry).
+    at most CLUSTER_TOL * max(1, |lambda|_max) are merged into one cluster
+    (_clusters). The decomposition is verified to reconstruct the input
+    within RECONSTRUCTION_TOL * (1 + max entry).
     """
     op = a if isinstance(a, HermitianOperator) else HermitianOperator(_as_matrix(a))
     m = op.mat
@@ -121,6 +121,13 @@ def eig(a) -> SpectralDecomposition:
             f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance "
             f"on a dim-{op.dim} matrix with max entry {op.max_norm:.3e}"
         )
+    w.flags.writeable = False
+    u.flags.writeable = False
+    return SpectralDecomposition(w, u, _clusters(w))
+
+
+def _clusters(w: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Indices of descending eigenvalues w, consecutive ones whose gap is at most CLUSTER_TOL * max(1, max |w|) in one cluster."""
     gap_tol = CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     clusters: list[tuple[int, ...]] = []
     start = 0
@@ -129,9 +136,7 @@ def eig(a) -> SpectralDecomposition:
             clusters.append(tuple(range(start, i)))
             start = i
     clusters.append(tuple(range(start, len(w))))
-    w.flags.writeable = False
-    u.flags.writeable = False
-    return SpectralDecomposition(w, u, tuple(clusters))
+    return tuple(clusters)
 
 
 def mat_power(a, t: float) -> HermitianOperator:

@@ -3,20 +3,26 @@
 The smoothing quantity at budget lambda is the least purified distance from
 rho to a subnormalized rho' with rho' <= 2^lambda sigma. Commuting pairs admit
 an exact water-filling solution on the joint spectrum; general pairs get a
-certified [converse, achievability] bracket plus an explicit pinched witness.
-iid_smoothing_certificate is the one certificate path and computes each
-n-independent object once; the one-shot certificate is its n = 1 case
-tightened by the witness. Every upper bound is the pinching bound at its
-least over all orders s >= 0, read from the smoothing exponent's root
-search (exponents._maximizers) at the rate r - log2(v_n) / n, one lockstep
-search for all n. Commuting iid inputs never materialize tensor
-powers: the joint spectrum is a list of atoms, each a log-likelihood ratio
+certified [converse, witness] bracket. iid_smoothing_certificate is the one
+certificate path and computes each n-independent object once; the one-shot
+certificate is its n = 1 case. Every upper bound is the pinched witness at
+n copies: with E the pinching onto the v_n eigenspaces of sigma^(x n) and Q
+the projector onto {E(rho^(x n)) <= 2^lam / v_n sigma^(x n)}, the pinching
+inequality rho <= v E(rho) (Hayashi, J. Phys. A 35, 10759, 2002) makes
+Q rho^(x n) Q <= 2^lam sigma^(x n), and its purified distance to rho^(x n)
+is sqrt(delta (2 - delta)), delta the mass of E(rho^(x n)) at log-likelihood
+ratios above lam - log2 v_n. By Markov's inequality and data processing of
+Q_{1+s}, that is never above the Renyi pinching bound
+sqrt(2 v_n^s 2^(-s lam) Q_{1+s}(rho^(x n) || sigma^(x n))) at any order s.
+Commuting iid inputs never materialize tensor powers: the joint spectrum,
+which is its own pinching, is a list of atoms, each a log-likelihood ratio
 log2 p - log2 q with its rho-mass, sorted by ratio and convolved as such.
-The water-filling oracle, the converse mass and D_max read only that list,
-so each is a prefix or suffix sum over it and the oracle is in closed form.
-Non-commuting pairs form no tensor power either: their converse is read
-from the Schur-Weyl blocks of the n-fold pair, one GL(d) irrep at a time
-in its Gelfand-Tsetlin basis, by the same path for every dimension d.
+The water-filling oracle, the converse mass, delta and D_max read only that
+list, so each is a prefix or suffix sum over it and the oracle is in closed
+form. Non-commuting pairs form no tensor power either: their converse and
+their pinched atoms are read from the Schur-Weyl blocks of the n-fold pair,
+one GL(d) irrep at a time in its Gelfand-Tsetlin basis, by the same path
+for every dimension d.
 """
 
 from __future__ import annotations
@@ -24,36 +30,31 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .operators import (
     ATOM_CAP,
+    CLUSTER_TOL,
     BudgetExceededError,
     SUPPORT_CUT,
     _as_matrix,
+    _clusters,
     commutator_defect,
     commutes,
     distinct_eigenvalue_counts_iid,
     eig,
     joint_eigenvalues,
-    pinching,
 )
-from .exponents import _maximizers
-from .measures import RenyiDivergenceCurve
-from .states import StateDescriptor
+from .measures import max_relative_entropy
 
 KKT_TOL = 1e-9
-WITNESS_PSD_TOL = 1e-9
 MERGE_TOL = 1e-12
 DEFAULT_CONVERSE_T = 9.0
 BLOCK_BUDGET = 4096
 _EXP2_CLIP = 1000.0
-
-
-def _exp2_clipped(x: float) -> float:
-    return float(np.exp2(min(x, _EXP2_CLIP)))
 
 
 def _purified_epsilon(p, ptilde, target: float) -> float:
@@ -66,74 +67,17 @@ def _purified_epsilon(p, ptilde, target: float) -> float:
     return math.sqrt(max(0.0, one_minus_f * (2.0 - one_minus_f)))
 
 
-def pinched_smoothing_witness(rho, sigma, lam: float):
-    """Feasible smoothing witness from pinching, for arbitrary (rho, sigma).
-
-    Projects rho onto the eigenspace where its pinching obeys
-    E_sigma(rho) <= (2^lam / v) sigma, with v the distinct-eigenvalue count of
-    sigma. The projected state satisfies rho' <= 2^lam sigma (verified as a
-    PSD check) and its purified distance to rho is the achieved smoothing.
-    The kernel of sigma, its eigenvalues at most SUPPORT_CUT times the
-    largest, gets no column at any lam.
-    Returns (witness StateDescriptor, achieved epsilon).
-    """
-    rm = _as_matrix(rho)
-    sm = _as_matrix(sigma)
+def _kernel_mass(rm: np.ndarray, sm: np.ndarray) -> float:
+    """tr rho {rho > c sigma} at c = inf: rho's mass on the kernel of sigma, its eigenvalues at most SUPPORT_CUT times the largest."""
     sd = eig(sm)
-    pinched = pinching(rm, sm).mat
-    coef = _exp2_clipped(lam) / sd.distinct_count
-    t = coef * sm - pinched
-    support = sd.eigenvalues > SUPPORT_CUT * max(float(sd.eigenvalues[0]), 0.0)
-    if support.all():
-        w, u = np.linalg.eigh(t)
-    else:  # t in supp sigma's frame: a cut relative to 2^lam would keep the kernel
-        frame = sd.eigenvectors[:, support]
-        w, u = np.linalg.eigh(frame.conj().T @ t @ frame)
-        u = frame @ u
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
-    cols = u[:, w >= -tol]
-    qproj = cols @ cols.conj().T
-    smooth = qproj @ rm @ qproj
-    witness = StateDescriptor.subnormalized_state((smooth + smooth.conj().T) / 2.0)
-    slack = _exp2_clipped(lam) * sm - witness.mat
-    min_eig = float(np.linalg.eigvalsh(slack)[0])
-    if min_eig < -WITNESS_PSD_TOL * (1.0 + float(np.max(np.abs(slack)))):
-        raise ArithmeticError(f"witness feasibility failed: min eigenvalue {min_eig:.3e}")
-    overlap = float(np.trace(rm @ qproj).real)
-    achieved = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-    return witness, achieved
-
-
-def converse_bound(rho, sigma, lam: float, t: float = DEFAULT_CONVERSE_T) -> float:
-    """Lower bound on the smoothing quantity from the mass above t 2^lam sigma.
-
-    With p = tr rho {rho > t 2^lam sigma}, any feasible smoothing is at least
-    sqrt(p (1 - 2/sqrt(t) - p/t)) whenever that parenthesis is positive.
-    p comes from one eigh of the difference rho - c sigma, and _block_mass
-    owns the cut that decides which of its eigenvalues count as positive.
-    """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    rm = _as_matrix(rho)
-    sm = _as_matrix(sigma)
-    c = t * float(np.exp2(lam)) if lam < _EXP2_CLIP else math.inf
-    return _converse_from_mass(_dense_converse_mass(rm, sm, c), t)
-
-
-def _dense_converse_mass(rm: np.ndarray, sm: np.ndarray, c: float) -> float:
-    """tr rho {rho > c sigma}, with c = inf meaning rho's mass on the kernel of sigma."""
-    if math.isinf(c):
-        sd = eig(sm)
-        wmax = float(sd.eigenvalues[0])
-        kernel = sd.eigenvalues <= SUPPORT_CUT * max(wmax, 0.0)
-        if not kernel.any():
-            return 0.0
-        k = sd.eigenvectors[:, kernel]
-        a = k.conj().T @ rm @ k
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        return float(w[w > 0].sum())
-    w, u = np.linalg.eigh(rm - c * sm)
-    return _block_mass([(w, u, 0.0, rm, 0.0)])
+    wmax = float(sd.eigenvalues[0])
+    kernel = sd.eigenvalues <= SUPPORT_CUT * max(wmax, 0.0)
+    if not kernel.any():
+        return 0.0
+    k = sd.eigenvectors[:, kernel]
+    a = k.conj().T @ rm @ k
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return float(w[w > 0].sum())
 
 
 def _converse_from_mass(p: float, t: float) -> float:
@@ -144,28 +88,6 @@ def _converse_from_mass(p: float, t: float) -> float:
 
 def _log2(x: float) -> float:
     return math.log2(x) if x > 0 else -math.inf
-
-
-def _block_mass(blocks) -> float:
-    """tr rho P_+ of a block-diagonal rho - c sigma, from its blocks (w, v, g, rho_block, log2_weight).
-
-    A block has eigenvalues 2^g w with eigenvectors v, rho_block is rho on
-    it, and it recurs 2^log2_weight times. P_+ keeps eigenvalues above
-    1e-12 (1 + max |2^g w|) over all blocks. This is the one place that
-    states the converse cut; the dense converse_bound hands it one block of
-    scale 2^0 and weight 1. The cut is capped at 2^(g + _EXP2_CLIP) so that
-    exp2 stays finite. A Schur-Weyl block has |w| <= 1, so no cut past 2^g
-    keeps any of it; the dense block's cut is below 1e-12 DBL_MAX < 2^1000
-    and never reaches the cap.
-    """
-    p = 0.0
-    if blocks:
-        log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
-        log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
-        for w, v, g, rho_block, log2_weight in blocks:
-            cols = v[:, w > np.exp2(min(log2_cut - g, _EXP2_CLIP))]
-            p += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_block @ cols).real)
-    return p
 
 
 def _partitions(n: int, rows: int, top: int):
@@ -276,7 +198,7 @@ def _gt_exp(shape: tuple[int, ...], h: np.ndarray) -> np.ndarray:
 
 
 class _SchurWeylBlocks:
-    """converse_bound of a d-dim pair's tensor powers, d >= 2, from Schur-Weyl irrep blocks.
+    """The converse mass and the pinched atoms of a d-dim pair's tensor powers, d >= 2, from Schur-Weyl irrep blocks.
 
     (C^d)^(x n) is the sum of V_lam (x) S_lam over partitions lam of n with
     at most d rows, X^(x n) acts as pi_lam(X) (x) 1 there, and S_lam has
@@ -288,10 +210,14 @@ class _SchurWeylBlocks:
     pi(sigma) is diagonal, and pi(rho) = pi(u) diag(..) pi(u)^dag for rho =
     u diag(r) u^dag, with pi(u) = exp(i pi(h)) where exp(i h) = u. Diagonal
     phases on either side of u change no block's spectrum or rho-mass;
-    taken out, they leave a qubit u real. Block scales and weights are kept
-    in log2, so det^(lam_d) and f_lam stay finite at large n. Each shape's
-    block is built once per instance, the largest of d_lam rows (_largest_block,
-    held to BLOCK_BUDGET); no vector of d^n entries is formed.
+    taken out, they leave a qubit u real. Every Gelfand-Tsetlin vector is an
+    eigenvector of sigma^(x n), so the pinching onto its eigenspaces is, on
+    each block, the compression of pi(rho) to the vectors of one eigenvalue
+    of pi(sigma); its eigenvalues are the pinched atoms. Block scales and
+    weights are kept in log2, so det^(lam_d) and f_lam stay finite at large
+    n. Each shape's block and atoms are built once per instance, the largest
+    of d_lam rows (_largest_block, held to BLOCK_BUDGET); no vector of d^n
+    entries is formed.
     """
 
     def __init__(self, rm: np.ndarray, sm: np.ndarray):
@@ -307,7 +233,12 @@ class _SchurWeylBlocks:
         self.ratios = np.stack((r / r[0], s / s[0]))
         # log2 of the top eigenvalue and of det
         self.log2_rho, self.log2_sigma = ((_log2(x[0]), float(np.log2(x).sum()) if x[-1] > 0 else -math.inf) for x in (r, s))
-        self._blocks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # sigma's eigenvalues as v_n counts them (distinct_eigenvalue_counts_iid): each at the mean of its
+        # eig() cluster, those at most SUPPORT_CUT times the largest its kernel; log2 over s1 off the kernel
+        reps = np.concatenate([np.full(len(c), ws[::-1][list(c)].mean()) for c in _clusters(ws[::-1])])
+        kernel = reps <= SUPPORT_CUT * max(float(reps[0]), 0.0)
+        self.kernel, self.log2_s = np.flatnonzero(kernel), np.log2(np.where(kernel, s[0], reps) / s[0])
+        self._blocks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
 
     @functools.cached_property
     def _log_u(self) -> np.ndarray:
@@ -315,8 +246,17 @@ class _SchurWeylBlocks:
             return math.atan2(self.u[1, 0], self.u[0, 0]) * np.array([[0.0, 1j], [-1j, 0.0]])
         return _unitary_log(self.u)
 
-    def block(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """pi(rho) / r1^m and the diagonal of pi(sigma) / s1^m for the irrep `shape` of m boxes, in sigma's eigenbasis."""
+    def block(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """pi(rho) / r1^m, the diagonal of pi(sigma) / s1^m and the pinched atoms for the irrep `shape` of m boxes.
+
+        The atoms are (log2 p - log2 q, p), p an eigenvalue of pi(rho) / r1^m
+        compressed to an eigenspace of pi(sigma) / s1^m of eigenvalue q. An
+        eigenspace is a run of basis vectors whose log2 q, summed over
+        sigma's eigenvalues as v_n counts them, agree within v_n's product
+        tolerance, and takes the least q of its run; those with weight on
+        sigma's kernel have q = 0 and form one eigenspace. A singleton's atom
+        is its diagonal entry. Atoms of mass p <= 0 are dropped.
+        """
         if shape not in self._blocks:
             if sum(shape) == 1:  # C^d itself, its standard basis a Gelfand-Tsetlin basis
                 weights, pu = np.eye(self.d, dtype=int), self.u
@@ -324,24 +264,65 @@ class _SchurWeylBlocks:
                 weights, pu = _gt_irrep(shape)[0], _gt_exp(shape, self._log_u)
                 pu = pu.real if np.isrealobj(self.u) else pu  # a real u has a real pi(u)
             rho_ratio, sigma_ratio = (self.ratios[:, None, :] ** weights).prod(axis=2)
-            self._blocks[shape] = (pu * rho_ratio) @ pu.conj().T, sigma_ratio
+            rho_l = (pu * rho_ratio) @ pu.conj().T
+            log_q, p = weights @ self.log2_s, rho_l.diagonal().real.copy()
+            if self.kernel.size:  # a vector with weight on sigma's kernel has q = 0
+                log_q[weights[:, self.kernel].any(axis=1)] = -math.inf
+            order = np.argsort(log_q, kind="stable")
+            # distinct_eigenvalue_counts_iid merges log2 products this close; the nan
+            # difference of two kernel vectors joins them, as the kernel is one eigenspace
+            with np.errstate(invalid="ignore"):
+                cuts = np.diff(log_q[order]) > 1.5 * CLUSTER_TOL
+            if not cuts.all():  # eigenspaces of several vectors, those of one dimension in one stacked eigvalsh
+                bounds = [0, *(np.flatnonzero(cuts) + 1).tolist(), len(order)]
+                groups: dict[int, list[int]] = {}
+                for a, b in zip(bounds, bounds[1:]):
+                    if b - a > 1:
+                        groups.setdefault(b - a, []).append(a)
+                for size, firsts in groups.items():
+                    group = order[np.array(firsts)[:, None] + np.arange(size)]
+                    p[group] = np.linalg.eigvalsh(rho_l[group[:, :, None], group[:, None, :]])
+                    log_q[group] = log_q[group[:, :1]]
+            keep = p > 0
+            self._blocks[shape] = rho_l, sigma_ratio, (np.log2(p[keep]) - log_q[keep], p[keep])
         return self._blocks[shape]
 
-    def mass(self, n: int, log2_c: float) -> float:
-        """tr rho^(x n) {rho^(x n) > 2^log2_c sigma^(x n)}, with converse_bound's positive-eigenvalue cut."""
-        blocks = []
+    def mass(self, n: int, log2_c: float, log2_level: float) -> tuple[float, float]:
+        """tr rho^(x n) {rho^(x n) > 2^log2_c sigma^(x n)}, and the mass of E(rho^(x n)) at log2 ratios above log2_level.
+
+        The first is the converse mass. A block 2^g w with eigenvectors v
+        keeps its eigenvalues above 1e-12 (1 + max |2^g w|) over all blocks,
+        the converse's one positive-eigenvalue cut, capped at
+        2^(g + _EXP2_CLIP) so that exp2 stays finite; a block has |w| <= 1,
+        so no cut past 2^g keeps any of it. log2_c = inf gives 0 and builds
+        no difference. The second is delta, the pinched mass the witness
+        drops; an atom on sigma's kernel is above every finite level.
+        """
+        blocks, delta = [], 0.0
         for shape, k, log2_f in _irreps(n, self.d):
-            rho_l, sigma_l = self.block(shape)
+            rho_l, sigma_l, (llr, p) = self.block(shape)
             # log2 of det X^k x1^m, which bounds det X^k pi(X) for a shape of m boxes and X's top eigenvalue x1
             (top_r, det_r), (top_s, det_s), m = self.log2_rho, self.log2_sigma, n - self.d * k
             la = m * top_r + (k * det_r if k else 0.0)
+            ls = m * top_s + (k * det_s if k else 0.0)
+            if la > -math.inf and (above := p @ (llr > log2_level - (la - ls))) > 0:
+                delta += 2.0 ** (log2_f + la + math.log2(above))
+            if log2_c == math.inf:
+                continue
             lb = log2_c + m * top_s + (k * det_s if k else 0.0)
             g = max(la, lb)
             if g == -math.inf:
                 continue  # a zero block
             w, v = np.linalg.eigh(np.exp2(la - g) * rho_l - np.diag(np.exp2(lb - g) * sigma_l))
             blocks.append((w, v, g, rho_l, log2_f + la))
-        return _block_mass(blocks)
+        converse = 0.0
+        if blocks:
+            log2_max = max(g + _log2(float(np.abs(w).max())) for w, _, g, _, _ in blocks)
+            log2_cut = math.log2(1e-12) + float(np.logaddexp2(0.0, log2_max))
+            for w, v, g, rho_block, log2_weight in blocks:
+                cols = v[:, w > np.exp2(min(log2_cut - g, _EXP2_CLIP))]
+                converse += float(np.exp2(log2_weight)) * float(np.vdot(cols, rho_block @ cols).real)
+        return converse, delta
 
 
 @dataclass(frozen=True)
@@ -470,16 +451,16 @@ class SmoothingCertificate:
 
     lower <= epsilon <= upper always, and a violated or empty bracket raises
     ArithmeticError: it is an invariant of the computation, not of its input.
-    exact is present on the commuting path and witness on the one-shot path.
-    meta records n, rate, the converse parameter t, v_n, and which path
-    produced the numbers.
+    lower is the converse bound and upper the pinched witness's epsilon;
+    exact is present on the commuting path. meta records n, rate, the
+    converse parameter t, v_n and whether the pair commutes, and on the
+    one-shot path witness_achieved, which is upper.
     """
 
     lam: float
     lower: float
     upper: float
     exact: float | None = None
-    witness: StateDescriptor | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -492,42 +473,10 @@ class SmoothingCertificate:
             raise ArithmeticError(f"certificate bracket empty: [{self.lower!r}, {self.upper!r}]")
 
 
-def _achievability(curve: RenyiDivergenceCurve, r: float, ns, v) -> list[float]:
-    """Least sqrt(2 v_n^s 2^(s n (D_{1+s} - r))) over all orders s >= 0, clipped to 1, for every n in ns.
-
-    Its log2 is (1 - n F_n) / 2 with F_n = sup_s s c_n - log2 Q_{1+s} and
-    c_n = r - log2(v_n) / n, the supremum smoothing_exponent takes at rate
-    c_n: one lockstep _maximizers search finds the roots of all distinct c_n
-    in (D, D_max), and one log2_q call reads their F_n. A c_n above D and at
-    or above D_max has F_n = inf and the bound 0, the s -> inf limit, as
-    r >= D_max makes rho^(x n) <= 2^(n r) sigma^(x n). Any other c_n without
-    a finite root keeps F_n = 0 and the bound 1: c_n <= D, which takes in
-    rho's mass outside supp(sigma) (D = inf), or a root the search cannot
-    tell from s = inf.
-    """
-    slopes = [r - math.log2(v[n - 1]) / n for n in ns]
-    d_one, d_max = curve.umegaki().value, curve.dmax().value
-    inside = list(dict.fromkeys(c for c in slopes if d_one < c < d_max))
-    roots = {x: s for x, s in zip(inside, _maximizers(curve, inside, [(0.0, d_one), (1.0, d_max)])) if s < math.inf}
-    c, s = np.array(list(roots)), np.array(list(roots.values()))
-    sup = {x: math.inf for x in slopes if d_one < x >= d_max}
-    sup.update(zip(c.tolist(), (s * c - curve.log2_q(1.0 + s)).tolist()))
-    return [float(np.exp2(min(0.5 * (1.0 - n * sup.get(x, 0.0)), 0.0))) for n, x in zip(ns, slopes)]
-
-
 def smoothing_certificate(rho, sigma, lam: float, *, t: float = DEFAULT_CONVERSE_T) -> SmoothingCertificate:
-    """One-shot certificate: the n = 1 iid certificate at rate lam, upper bound min'd with the witness.
-
-    The witness's achieved epsilon is recorded as meta["witness_achieved"].
-    """
+    """One-shot certificate: the n = 1 iid certificate at rate lam, its upper recorded as meta["witness_achieved"]."""
     [cert] = iid_smoothing_certificate(rho, sigma, lam, [1], t=t)
-    witness, achieved = pinched_smoothing_witness(rho, sigma, lam)
-    return replace(
-        cert,
-        upper=min(cert.upper, achieved),
-        witness=witness,
-        meta=dict(cert.meta, witness_achieved=achieved),
-    )
+    return replace(cert, meta=dict(cert.meta, witness_achieved=cert.upper))
 
 
 def iid_smoothing_certificate(
@@ -540,22 +489,26 @@ def iid_smoothing_certificate(
 ) -> list[SmoothingCertificate]:
     """Certificates for smoothing rho^(x n) against sigma^(x n) at budget n r, one per n in ns.
 
-    The commuting decision, the base spectrum and the distinct-eigenvalue
-    counts v_1..v_max(ns) of sigma's tensor powers do not depend on n and
-    are computed once, and every n's upper bound comes from one lockstep
-    order search (_achievability). Commuting pairs get the exact
-    spectrum-path epsilon plus the bracket; the n-fold spectrum is the
-    previous n's convolved with the base once more (restarting from the base
-    when n decreases), so a list 1..N convolves N - 1 times. The base is the
+    The commuting decision, D_max, the base spectrum and the
+    distinct-eigenvalue counts v_1..v_max(ns) of sigma's tensor powers do
+    not depend on n and are computed once. Every n's upper bound is the
+    pinched witness's sqrt(delta (2 - delta)), computed from delta, and 0
+    where c_n = r - log2(v_n) / n >= D_max, which makes rho^(x n) <=
+    2^(n r) / v_n sigma^(x n). Commuting pairs get the exact spectrum-path
+    epsilon plus the bracket; the n-fold spectrum is the previous n's
+    convolved with the base once more (restarting from the base when n
+    decreases), so a list 1..N convolves N - 1 times. The base is the
     spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
     that decide the budget n r then sum to near 0, where each convolution
-    rounds them finest, instead of to near n r. Non-commuting
-    pairs get the bracket only. Past _EXP2_CLIP, or at t = inf, their
-    converse reads rho's mass on the kernel of sigma, decided on sigma
-    itself; below it, Schur-Weyl blocks (_SchurWeylBlocks), each irrep's
-    block built once for all n. BudgetExceededError is raised before v or
-    any bound when the largest n > 1 below _EXP2_CLIP has a block whose eigh
-    and d - 2 _gt_irrep commutators, max(1, d - 2) d_lam^3, pass BLOCK_BUDGET^3.
+    rounds them finest, instead of to near n r. Non-commuting pairs get the
+    bracket only, both sides from Schur-Weyl blocks (_SchurWeylBlocks), each
+    irrep's block and atoms built once for all n. Past _EXP2_CLIP, or at t =
+    inf, their converse reads rho's mass on the kernel of sigma, decided on
+    sigma itself, while the witness still reads atoms where c_n < D_max.
+    BudgetExceededError is raised before v or any bound when the largest
+    n > 1 that may need a block, below _EXP2_CLIP or with c_n < D_max for
+    v_n at its most, has a block whose eigh and d - 2 _gt_irrep commutators,
+    max(1, d - 2) d_lam^3, pass BLOCK_BUDGET^3.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -566,45 +519,62 @@ def iid_smoothing_certificate(
         raise ValueError("n must be >= 1")
     rm, sm = _as_matrix(rho), _as_matrix(sigma)
     commuting = commutes(rm, sm)
-    n_blocks = 1 if commuting else max((n for n in ns if n > 1 and n * r < _EXP2_CLIP), default=1)
-    if n_blocks > 1 and (work := max(1, len(rm) - 2)) * (rows := _largest_block(n_blocks, len(rm))) ** 3 > BLOCK_BUDGET**3:
+    d_max = max_relative_entropy(rm, sm).value
+
+    def witnessed(n: int, log2_v: float) -> bool:
+        """Whether c_n < D_max, where the witness reads delta; else its epsilon is 0."""
+        return d_max == math.inf or r - log2_v / n < d_max
+
+    # v_n is at most the number C(n + d - 1, d - 1) of types, which bounds c_n from below before v is read
+    d = len(rm)
+    may_need = (n for n in ns if n > 1 and (n * r < _EXP2_CLIP or witnessed(n, math.log2(math.comb(n + d - 1, d - 1)))))
+    n_blocks = 1 if commuting else max(may_need, default=1)
+    if n_blocks > 1 and (work := max(1, d - 2)) * (rows := _largest_block(n_blocks, d)) ** 3 > BLOCK_BUDGET**3:
         msg = f"Schur-Weyl block of {rows} rows at n = {n_blocks} exceeds budget {BLOCK_BUDGET}"
         raise BudgetExceededError(f"{msg} (work {work} x rows^3 against {BLOCK_BUDGET}^3)")
     v = distinct_eigenvalue_counts_iid(sm, max(ns, default=1))
-    uppers = _achievability(RenyiDivergenceCurve(rm, sm), r, ns, v)
     base, blocks = None, None if commuting else _SchurWeylBlocks(rm, sm)
     # rho's mass on the kernel of sigma, which non-commuting budgets past _EXP2_CLIP, and t = inf, read
     past_clip = not commuting and (math.isinf(t) or max(ns, default=1) * r >= _EXP2_CLIP)
-    kernel_mass = _dense_converse_mass(rm, sm, math.inf) if past_clip else None
+    kernel_mass = _kernel_mass(rm, sm) if past_clip else None
+    shift = 0.0
     if commuting:
         shift = min(max(r, -_EXP2_CLIP), _EXP2_CLIP)  # so that n shift stays finite
         joint = SpectrumDistribution.from_commuting_pair(rm, sm)
         base = SpectrumDistribution(joint.llr - shift, joint.weight)
     spectrum, power = base, 1
     certificates = []
-    for n, upper in zip(ns, uppers):
-        lam = n * r
+    for n in ns:
+        lam, log2_v = n * r, math.log2(v[n - 1])
+        lam_shifted = lam - n * shift  # lam for a non-commuting pair; 0 for a commuting one unless |r| > _EXP2_CLIP
+        # atoms on sigma's kernel have ratio inf, above every level, also at lam = inf
+        level = min(lam_shifted - log2_v, sys.float_info.max)
         if commuting:
             if n < power:
                 spectrum, power = base, 1
             while power < n:
                 spectrum, power = spectrum.convolve(base), power + 1
-            lam_shifted = lam - n * shift  # 0 unless |r| > _EXP2_CLIP
             exact = spectrum.smoothing_oracle(lam_shifted)
             lower = _converse_from_mass(spectrum.mass_above(math.log2(t) + lam_shifted), t)
-        elif lam >= _EXP2_CLIP or math.isinf(t):
-            # c = inf: rho^(x n)'s mass off supp(sigma)^(x n) is 1 - (1 - kernel_mass)^n; a
-            # product of support eigenvalues is no kernel however small
-            exact, lower = None, _converse_from_mass(0.0 - math.expm1(n * math.log1p(-min(kernel_mass, 1.0))), t)
+            delta = spectrum.mass_above(level)
         else:
-            exact, lower = None, _converse_from_mass(blocks.mass(n, math.log2(t) + lam), t)
+            past = lam >= _EXP2_CLIP or math.isinf(t)
+            if past and not witnessed(n, log2_v):
+                converse, delta = 0.0, 0.0
+            else:
+                converse, delta = blocks.mass(n, math.inf if past else math.log2(t) + lam, level)
+            if past:
+                # c = inf: rho^(x n)'s mass off supp(sigma)^(x n) is 1 - (1 - kernel_mass)^n; a
+                # product of support eigenvalues is no kernel however small
+                converse = 0.0 - math.expm1(n * math.log1p(-min(kernel_mass, 1.0)))
+            exact, lower = None, _converse_from_mass(converse, t)
+        delta = min(max(delta, 0.0), 1.0)
         certificates.append(
             SmoothingCertificate(
                 lam=lam,
                 lower=lower,
-                upper=upper,
+                upper=math.sqrt(2.0 * delta - delta * delta) if witnessed(n, log2_v) else 0.0,
                 exact=exact,
-                witness=None,
                 meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v[n - 1]},
             )
         )

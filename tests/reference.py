@@ -3,9 +3,11 @@
 Plain-numpy dense forms of the states the library never builds: the hashed
 state rho_ZE, the embedded rho_XE and 1_X (x) rho_E, and the conditional
 entropy -D_alpha(rho_AB || 1_A (x) rho_B) read from a dense eigensolve.
-Then the 40-digit mpmath references: the Renyi kernel and the upper
-exponent of a CQ state, the iid smoothing oracle on exact type classes, and
-the converse mass of Schur-Weyl blocks and of the dense d^n-dim difference.
+The dense converse bound and the dense n-copy pinched witness, the two
+sides of a smoothing certificate. Then the 40-digit mpmath references: the
+Renyi kernel and the upper exponent of a CQ state, the iid smoothing oracle
+on exact type classes, and the converse mass of Schur-Weyl blocks and of
+the dense d^n-dim difference.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from privamp import CQState, smoothing
+from conftest import kron_power
 
 # eigenvalues of a reference operator at most this times its largest lie off its support
 _SUPPORT = 1e-13
@@ -78,6 +81,67 @@ def purified_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def conditional_entropy(rho_ab: np.ndarray, dims: tuple[int, int], alpha: float) -> float:
     """H_alpha(A|B) = -D_alpha(rho_AB || 1_A (x) rho_B) in bits, from the dense matrices."""
     return -divergence(rho_ab, identity_times_marginal(rho_ab, dims), alpha)
+
+
+def converse_bound(rho, sigma, lam: float, t: float = 9.0) -> float:
+    """Lower bound on the smoothing quantity from the mass p = tr rho {rho > t 2^lam sigma}.
+
+    Any feasible smoothing is at least sqrt(p (1 - 2/sqrt(t) - p/t))
+    whenever that parenthesis is positive. p comes from one eigh of rho - c
+    sigma, with c = t 2^lam, its positive part cut at 1e-12 (1 + max |w|)
+    as the certificates cut it. From lam = 1000 on, and at t = inf, c is
+    inf and p is rho's mass on the kernel of sigma, its eigenvalues at most
+    1e-12 times the largest.
+    """
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    if lam >= 1000.0 or math.isinf(t):
+        ws, us = np.linalg.eigh(sigma)
+        kernel = us[:, ws <= 1e-12 * max(float(ws[-1]), 0.0)]
+        w = np.linalg.eigvalsh(kernel.conj().T @ rho @ kernel)
+        p = float(w[w > 0].sum())
+    else:
+        w, u = np.linalg.eigh(rho - t * 2.0**lam * sigma)
+        cols = u[:, w > 1e-12 * (1.0 + float(np.abs(w).max()))]
+        p = float(np.trace(cols.conj().T @ rho @ cols).real)
+    return smoothing._converse_from_mass(p, t)
+
+
+def pinched_spectrum(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(q, eigenvalues, eigenvectors) of E(rho^(x n)) on each eigenspace of sigma^(x n) of eigenvalue q.
+
+    E pinches onto the eigenspaces of the dense sigma^(x n): its eigenvalues
+    within 1e-9 relative of their neighbour are one eigenspace, and those at
+    most 1e-12 times the largest are its kernel, q = 0.
+    """
+    rho_n = kron_power(rho, n)
+    ws, us = np.linalg.eigh(kron_power(sigma, n))
+    ws = np.where(ws > 1e-12 * ws[-1], ws, 0.0)
+    starts = [0] + [i for i in range(1, len(ws)) if ws[i] - ws[i - 1] > 1e-9 * ws[i]] + [len(ws)]
+    out = []
+    for a, b in zip(starts, starts[1:]):
+        frame = us[:, a:b]
+        p, y = np.linalg.eigh(frame.conj().T @ rho_n @ frame)
+        out.append((float(ws[a:b].mean()), p, frame @ y))
+    return out
+
+
+def pinched_witness(rho, sigma, n: int, lam: float) -> tuple[np.ndarray, float, int]:
+    """Q onto {E(rho^(x n)) <= 2^lam / v sigma^(x n)}, the pinched mass it drops, and v, the number of eigenspaces.
+
+    Q keeps, in each eigenspace of sigma^(x n) of eigenvalue q > 0, the
+    eigenvectors of E(rho^(x n)) of eigenvalue p <= 2^lam q / v, and nothing
+    of the kernel. The dropped mass delta is the sum of the other p, so
+    1 - (tr rho^(x n) Q)^2 = delta (2 - delta) is read without cancelling.
+    """
+    spectrum = pinched_spectrum(rho, sigma, n)
+    v = len(spectrum)
+    cols, delta = [np.zeros((len(spectrum[0][2]), 0))], 0.0
+    for q, p, y in spectrum:
+        keep = p <= 2.0**lam * q / v if q > 0 else np.zeros(len(p), dtype=bool)
+        cols.append(y[:, keep])
+        delta += float(p[~keep].sum())
+    cols = np.hstack(cols)
+    return cols @ cols.conj().T, delta, v
 
 
 def mp_log2_q(mpmath, cq: CQState):

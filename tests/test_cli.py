@@ -296,17 +296,20 @@ def test_smooth_iid_rows(rho_path, sigma_path, capsys):
 
 
 def test_smooth_iid_writes_no_negative_zero(rho_path, sigma_path, capsys):
-    # at t = inf the achievability bound is clipped to 1, whose exponent is 0
-    code = main(["smooth", rho_path, sigma_path, "--rate", "0.5", "--t", "inf", "--n-max", "2"])
+    # at rate -1 every pinched atom lies above the level n r - log2 v_n, so the witness drops all of rho:
+    # upper is 1, whose exponent is 0; at t = inf the converse is 0, whose exponent is inf
+    code = main(["smooth", rho_path, sigma_path, "--rate", "-1", "--t", "inf", "--n-max", "2"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert json.loads(out)["rows"][0]["exponent_lo"] == 0.0
+    assert [(row["upper"], row["exponent_lo"]) for row in json.loads(out)["rows"]] == [(1.0, 0.0)] * 2
     assert "-0.0" not in out
 
 
 @pytest.mark.parametrize("rate", ["inf", "1e308"])
 def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, capsys):
-    # rho has mass outside supp sigma, so every D_{1+s} is infinite, also against an infinite budget
+    # rho has mass k = 0.5 outside supp sigma, so every D_{1+s} is infinite, also against an infinite
+    # budget, and no Renyi order bounds epsilon below 1; the witness keeps all of rho but that mass, so
+    # its epsilon is sqrt(k (2 - k)) = sqrt(0.75)
     rho, sigma = (
         write_json(tmp_path / name, {"kind": "density", "dim": 3, "entries": np.diag(diag).tolist()})
         for name, diag in (("rho.json", [0.5, 0.5, 0.0]), ("sigma.json", [0.25, 0.0, 0.75]))
@@ -314,8 +317,8 @@ def test_smooth_infinite_divergence_gives_no_bound_below_one(tmp_path, rate, cap
     code, doc = run_json(["smooth", rho, sigma, "--rate", rate, "--n-max", "1"], capsys)
     assert code == EXIT_OK
     [row] = doc["rows"]
-    assert row["upper"] == 1.0
-    assert 0.0 <= row["lower"] <= row["exact"] <= 1.0
+    assert row["upper"] == math.sqrt(0.75)
+    assert 0.0 <= row["lower"] <= row["exact"] <= row["upper"]
 
 
 def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch, capsys):
@@ -327,7 +330,7 @@ def test_smooth_qutrit_budget_exits_before_any_certificate(tmp_path, monkeypatch
     rng = np.random.default_rng(191)
     calls, counted, searched = [], [], []
     real_mass = smoothing._SchurWeylBlocks.mass
-    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: calls.append(n) or real_mass(self, n, c))
+    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, *a: calls.append(n) or real_mass(self, n, *a))
     real_counts = smoothing.distinct_eigenvalue_counts_iid
     monkeypatch.setattr(smoothing, "distinct_eigenvalue_counts_iid", lambda sm, n: counted.append(n) or real_counts(sm, n))
     real_slope = measures._SandwichedCurve.d_log2_q

@@ -12,19 +12,23 @@ from privamp import (
     RenyiDivergenceCurve,
     SpectrumDistribution,
     StateDescriptor,
-    converse_bound,
     distinct_eigenvalue_counts_iid,
     iid_smoothing_certificate,
     max_relative_entropy,
-    pinched_smoothing_witness,
     positive_part_trace,
     sandwiched_renyi_divergence,
     smoothing_certificate,
-    smoothing_exponent,
 )
 from privamp import measures, operators, smoothing
 from conftest import kron_power, rand_commuting_pair, rand_density, two_stage_grid_max
-from reference import mp_dense_converse_mass, mp_iid_oracle_eps, mp_qubit_block_converse
+from reference import (
+    converse_bound,
+    mp_dense_converse_mass,
+    mp_iid_oracle_eps,
+    mp_qubit_block_converse,
+    pinched_spectrum,
+    pinched_witness,
+)
 
 P = np.array([0.5, 0.5])
 Q = np.array([0.25, 0.75])
@@ -104,6 +108,17 @@ def test_iid_exact_epsilon_stays_accurate_when_tiny():
         assert abs(cert.exact - want) <= 1e-6 * want, (cert.meta["n"], cert.exact, want)
 
 
+def _assert_dense_witness(rho, sigma, certs) -> None:
+    """Each certificate's upper is the epsilon of the dense n-copy witness Q rho^(x n) Q, which is feasible."""
+    for cert in certs:
+        n = cert.meta["n"]
+        q, delta, v = pinched_witness(rho, sigma, n, cert.lam)
+        assert v == cert.meta["v_n"], (n, v, cert.meta["v_n"])
+        slack = np.linalg.eigvalsh(2.0**cert.lam * kron_power(sigma, n) - q @ kron_power(rho, n) @ q)
+        assert slack[0] >= -1e-9, (n, cert.lam, slack[0])
+        assert abs(cert.upper - math.sqrt(delta * (2.0 - delta))) <= 1e-12, (n, cert.lam, cert.upper, delta)
+
+
 def test_pinched_witness_is_feasible():
     rng = np.random.default_rng(127)
     for _ in range(15):
@@ -111,20 +126,68 @@ def test_pinched_witness_is_feasible():
         rho = rand_density(rng, d)
         sigma = rand_density(rng, d)
         lam = float(rng.uniform(0.5, 4.0))
-        witness, achieved = pinched_smoothing_witness(rho, sigma, lam)
-        slack = np.linalg.eigvalsh(np.exp2(lam) * sigma - witness.mat)
-        assert slack[0] >= -1e-8
-        assert witness.trace <= 1.0 + 1e-10
-        assert 0.0 <= achieved <= 1.0
+        cert = smoothing_certificate(rho, sigma, lam)
+        assert 0.0 <= cert.meta["witness_achieved"] == cert.upper <= 1.0
+        _assert_dense_witness(rho, sigma, [cert])
 
 
 def test_witness_achieves_exact_on_generous_budgets():
     rho = np.diag([0.5, 0.5])
     sigma = np.diag([0.25, 0.75])
     # v = 2 distinct eigenvalues, so budgets past dmax + 1 leave rho untouched
-    witness, achieved = pinched_smoothing_witness(rho, sigma, 2.5)
-    assert achieved <= 1e-8
-    assert np.max(np.abs(witness.mat - rho)) <= 1e-9
+    cert = smoothing_certificate(rho, sigma, 2.5)
+    assert cert.upper == cert.meta["witness_achieved"] == 0.0
+    q, delta, _ = pinched_witness(rho, sigma, 1, 2.5)
+    assert delta == 0.0
+    assert np.max(np.abs(q @ rho @ q - rho)) <= 1e-12
+
+
+def _witness_pairs():
+    """A qubit and a qutrit pair, a sigma with a repeated eigenvalue, a rank-2 rho and a rank-2 sigma, at three rates each.
+
+    The rates sit 25% and 75% of the way from D to D_max and 20% past
+    D_max, where v_n still leaves some n with c_n below D_max.
+    """
+    rng = np.random.default_rng(128)
+    pairs = [(rand_density(rng, d), rand_density(rng, d)) for d in (2, 3)]
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    pairs.append((rand_density(rng, 3), (q * [0.49, 0.49, 0.02]) @ q.conj().T))
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    pairs.append((g @ g.conj().T / float(np.trace(g.conj().T @ g).real), rand_density(rng, 3)))
+    pairs.append((rand_density(rng, 3), (q * [0.6, 0.4, 0.0]) @ q.conj().T))
+    for rho, sigma in pairs:
+        curve = RenyiDivergenceCurve(rho, sigma)
+        d1, dmax = curve.umegaki().value, curve.dmax().value
+        if math.isinf(dmax):  # rho has mass on the kernel of sigma
+            d1, dmax = 0.0, 4.0
+        yield rho, sigma, [d1 + u * (dmax - d1) for u in (0.25, 0.75, 1.2)]
+
+
+def test_upper_is_the_dense_n_copy_witness():
+    for rho, sigma, rates in _witness_pairs():
+        for r in rates:
+            _assert_dense_witness(rho, sigma, iid_smoothing_certificate(rho, sigma, r, [1, 2, 3]))
+
+
+def test_qutrit_pinched_masses_match_the_dense_pinching():
+    # grouped by eigenvalue of sigma^(x n), the diagonals of the Schur-Weyl blocks are E(rho^(x n))'s masses
+    rng = np.random.default_rng(5)
+    for rho, sigma in [(rand_density(rng, 3), rand_density(rng, 3)), list(_witness_pairs())[2][:2]]:
+        blocks = smoothing._SchurWeylBlocks(rho, sigma)
+        (top_r, det_r), (top_s, det_s) = blocks.log2_rho, blocks.log2_sigma
+        for n in range(1, 5):
+            masses = {}
+            for shape, k, log2_f in smoothing._irreps(n, len(rho)):
+                rho_l, sigma_l, _ = blocks.block(shape)
+                m = n - len(rho) * k
+                scale, q_scale = 2.0 ** (log2_f + m * top_r + k * det_r), 2.0 ** (m * top_s + k * det_s)
+                for p, q in zip(rho_l.diagonal().real, sigma_l):
+                    key = next((x for x in masses if abs(x - q * q_scale) <= 1e-9 * x), q * q_scale)
+                    masses[key] = masses.get(key, 0.0) + scale * p
+            dense = {q: float(p.sum()) for q, p, _ in pinched_spectrum(rho, sigma, n)}
+            assert len(masses) == len(dense) == distinct_eigenvalue_counts_iid(sigma, n)[-1], n
+            for (q, p), (q_dense, p_dense) in zip(sorted(masses.items()), sorted(dense.items())):
+                assert abs(q - q_dense) <= 1e-14 and abs(p - p_dense) <= 1e-13, (n, q, q_dense, p, p_dense)
 
 
 def test_bounds_bracket_exact_on_commuting_pairs():
@@ -163,72 +226,60 @@ def _two_stage_upper(curve: RenyiDivergenceCurve, r: float, n: int, v: int) -> f
     return 2.0 ** min(0.5 * (1.0 - n * f_max), 0.0)
 
 
-def _grid_upper(curve: RenyiDivergenceCurve, r: float, n: int, v: int) -> float:
-    """The least bound over 400 geometric orders s in [1e-4, 64]."""
-    s = np.geomspace(1e-4, 64.0, 400)
-    return 2.0 ** min(float(np.min(0.5 * (1.0 + s * math.log2(v) + n * (curve.log2_q(1.0 + s) - s * r)))), 0.0)
+def _grid_uppers(curve: RenyiDivergenceCurve, rates, ns, v) -> np.ndarray:
+    """min(1, 2^((1 - n F) / 2)) per rate and n in ns, F the max of s c - log2 Q_{1+s} over the orders of _two_stage_upper's first stage.
+
+    Each is at least the Renyi optimum _two_stage_upper reads.
+    """
+    t = np.linspace(0.0, 1.0 - 1e-7, 4001)
+    s = t / (1.0 - t)
+    log2_q = curve.log2_q(1.0 + s)
+    ns = np.asarray(list(ns))
+    c = np.asarray(rates)[:, None] - np.log2(np.asarray(v, dtype=float)[ns - 1]) / ns
+    f = np.max(c[:, :, None] * s - log2_q, axis=2)
+    return 2.0 ** np.minimum(0.5 * (1.0 - ns * f), 0.0)
 
 
-def test_achievability_is_the_optimum_over_every_order():
+def test_upper_is_at_most_the_renyi_optimum_over_every_order():
+    # Markov's inequality on the pinched atoms and data processing of Q_{1+s}: the witness is at most
+    # sqrt(2 v^s 2^(-s lam) Q_{1+s}) at every order s, so at most its least over all orders
     rng = np.random.default_rng(171)
     # a commuting qutrit pair whose two top ratios 2 and 1.9 keep the order derivative short of D_max at s = 100
     pairs = [(np.diag([0.5, 0.3, 0.2]), np.diag([0.25, 0.3 / 1.9, 0.4]))]
     pairs += [rand_commuting_pair(rng, d) for d in (2, 3, 4)]
     pairs += [(rand_density(rng, d), rand_density(rng, d)) for d in (2, 3, 4)]
-    ns, tighter = [1, 2, 5], 0
+    ns = [1, 2, 5]
     for rho, sigma in pairs:
         curve = RenyiDivergenceCurve(rho, sigma)
         d1, dmax = curve.umegaki().value, curve.dmax().value
         v = distinct_eigenvalue_counts_iid(sigma, max(ns))
-        rates = [d1 + x * (dmax - d1) for x in (0.2, 0.5, 0.8)]
-        # a rate that puts the n = 5 optimum at s = 100, past the 400-point grid's last order 64, on
-        # pairs whose order derivative at s = 100 still falls short of D_max
-        s_100 = curve.d_log2_q(101.0) + math.log2(v[4]) / 5
-        far = dmax - curve.d_log2_q(101.0) > 1e-7
-        for r in rates + [s_100] * far:
+        # the last rate puts the n = 5 optimum at s = 100
+        for r in [d1 + x * (dmax - d1) for x in (0.2, 0.5, 0.8)] + [curve.d_log2_q(101.0) + math.log2(v[4]) / 5]:
             for cert in iid_smoothing_certificate(rho, sigma, r, ns):
                 n = cert.meta["n"]
-                ref = _two_stage_upper(curve, r, n, v[n - 1])
-                assert abs(cert.upper - ref) <= 1e-9 * ref, (r, n, cert.upper, ref)
-        if far:  # cert is the n = 5 certificate at that rate
-            tighter += 1
-            assert cert.upper < (1.0 - 1e-6) * _grid_upper(curve, s_100, 5, v[4]) < 1.0 - 1e-6
-    assert tighter >= 4
-
-
-def test_achievability_edges_are_exact():
-    rng = np.random.default_rng(173)
-    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
-        curve = RenyiDivergenceCurve(rho, sigma)
-        d1, dmax = curve.umegaki().value, curve.dmax().value
-        ns = range(1, 5)
-        # v_n <= d^n, so c_n = r - log2(v_n) / n >= D_max at r = D_max + log2 d
-        for r, upper in ((d1, 1.0), (d1 - 1.0, 1.0), (-math.inf, 1.0), (dmax + math.log2(len(rho)), 0.0), (math.inf, 0.0)):
-            assert [c.upper for c in iid_smoothing_certificate(rho, sigma, r, ns)] == [upper] * len(ns), r
-    # mass of rho outside supp(sigma) leaves every budget's bound at 1, also r = inf
-    rho = rand_density(rng, 2)
-    for r in (0.0, 5.0, math.inf):
-        assert [c.upper for c in iid_smoothing_certificate(rho, np.diag([1.0, 0.0]), r, [1, 2])] == [1.0, 1.0]
-    # one ulp below D_max the root search on this pair ends at t = 1, s = inf, which bounds nothing below 1
-    curve = RenyiDivergenceCurve(*rand_commuting_pair(np.random.default_rng(1), 3))
-    assert smoothing._achievability(curve, float(np.nextafter(curve.dmax().value, -math.inf)), [1], [1]) == [1.0]
-
-
-def test_achievability_exponent_stays_below_the_smoothing_exponent():
-    # -log2(upper_n) / n = (n F_n - 1) / (2 n) <= F_n / 2 <= F(r) / 2, as c_n <= r and F is nondecreasing in the rate
+                assert cert.upper <= _two_stage_upper(curve, r, n, v[n - 1]) + 1e-12, (r, n, cert.upper)
+    # on 60 more pairs and 11 rates from 10% below D to 10% past D_max, against the first-stage grid
     rng = np.random.default_rng(179)
-    ns = range(1, 41)
     for k in range(60):
         d = 2 + k % 3
         rho, sigma = rand_commuting_pair(rng, d) if k % 2 else (rand_density(rng, d), rand_density(rng, d))
         curve = RenyiDivergenceCurve(rho, sigma)
         d1, dmax = curve.umegaki().value, curve.dmax().value
+        # n up to 40 on qubits and commuting qutrits, 13 on commuting ququarts and 3 on the other pairs
+        n_max = 40 if d == 2 or d == 3 and k % 2 else 13 if k % 2 else 3
+        ns = [n for n in (1, 2, 3, 5, 8, 13, 21, 40) if n <= n_max]
         v = distinct_eigenvalue_counts_iid(sigma, max(ns))
-        for x in np.linspace(-0.1, 1.1, 11):
-            r = d1 + float(x) * (dmax - d1)
-            exponent = smoothing_exponent(curve, None, r).value
-            for n, upper in zip(ns, smoothing._achievability(curve, r, ns, v)):
-                assert (-math.log2(upper) / n if upper > 0.0 else math.inf) <= exponent + 1e-9, (k, r, n, upper, exponent)
+        rates = [d1 + float(x) * (dmax - d1) for x in np.linspace(-0.1, 1.1, 11)]
+        for r, grid in zip(rates, _grid_uppers(curve, rates, ns, v)):
+            uppers = [cert.upper for cert in iid_smoothing_certificate(rho, sigma, r, ns)]
+            assert np.all(uppers <= grid + 1e-12), (k, r, uppers, grid)
+    # the edges the Renyi bound shares: c_n >= D_max gives 0, and r = -inf gives 1
+    rng = np.random.default_rng(173)
+    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
+        dmax = max_relative_entropy(rho, sigma).value
+        # v_n <= d^n, so c_n = r - log2(v_n) / n >= D_max at r = D_max + log2 d
+        for r, upper in ((-math.inf, 1.0), (dmax + math.log2(len(rho)), 0.0), (math.inf, 0.0)):
+            assert [c.upper for c in iid_smoothing_certificate(rho, sigma, r, range(1, 5))] == [upper] * 4, r
 
 
 def test_state_descriptor_sigma_reads_as_its_matrix():
@@ -237,12 +288,7 @@ def test_state_descriptor_sigma_reads_as_its_matrix():
         sigma = StateDescriptor.density(sigma / float(np.trace(sigma).real))
         rho = StateDescriptor.density(rho)
         assert sandwiched_renyi_divergence(rho, sigma, 2.0) == sandwiched_renyi_divergence(rho, sigma.mat, 2.0)
-        assert converse_bound(rho, sigma, 0.5) == converse_bound(rho, sigma.mat, 0.5)
-        (w_sd, a_sd), (w_mat, a_mat) = (pinched_smoothing_witness(rho, s, 0.5) for s in (sigma, sigma.mat))
-        assert a_sd == a_mat and np.array_equal(w_sd.mat, w_mat.mat)
-        one_sd, one_mat = (smoothing_certificate(rho, s, 0.5) for s in (sigma, sigma.mat))
-        assert np.array_equal(one_sd.witness.mat, one_mat.witness.mat)
-        assert replace(one_sd, witness=None) == replace(one_mat, witness=None)
+        assert smoothing_certificate(rho, sigma, 0.5) == smoothing_certificate(rho, sigma.mat, 0.5)
         assert iid_smoothing_certificate(rho, sigma, 0.3, [1, 2, 3]) == iid_smoothing_certificate(rho, sigma.mat, 0.3, [1, 2, 3])
 
 
@@ -360,8 +406,8 @@ def test_iid_certificate_ordering_and_oneshot_consistency():
     for rho, sigma in ((rho, sigma), (rand_density(rng, 3), rand_density(rng, 3))):
         one = smoothing_certificate(rho, sigma, r)
         [iid_one] = iid_smoothing_certificate(rho, sigma, r, [1])
-        assert (one.lower, one.exact, one.meta["v_n"]) == (iid_one.lower, iid_one.exact, iid_one.meta["v_n"])
-        assert one.upper == min(iid_one.upper, one.meta["witness_achieved"])
+        assert one.meta["witness_achieved"] == one.upper
+        assert replace(one, meta=dict(one.meta, witness_achieved=None)) == replace(iid_one, meta=dict(iid_one.meta, witness_achieved=None))
 
 
 def _noncommuting_pairs_below_d():
@@ -447,7 +493,7 @@ def test_unitary_log_inverts_exp_on_repeated_eigenvalues():
 def test_irrep_budget_is_refused_before_any_block_is_built(monkeypatch):
     built, counted, searched = [], [], []
     real_mass = smoothing._SchurWeylBlocks.mass
-    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, c: built.append(n) or real_mass(self, n, c))
+    monkeypatch.setattr(smoothing._SchurWeylBlocks, "mass", lambda self, n, *a: built.append(n) or real_mass(self, n, *a))
     real_counts = smoothing.distinct_eigenvalue_counts_iid
     monkeypatch.setattr(smoothing, "distinct_eigenvalue_counts_iid", lambda sm, n: counted.append(n) or real_counts(sm, n))
     real_slope = measures._SandwichedCurve.d_log2_q
@@ -459,7 +505,8 @@ def test_irrep_budget_is_refused_before_any_block_is_built(monkeypatch):
         with pytest.raises(BudgetExceededError, match=f"at n = {n_max} exceeds budget 4096"):
             iid_smoothing_certificate(rho_d, sigma_d, 0.1, range(1, n_max + 1))
     assert built == counted == searched == []
-    # budgets n r past _EXP2_CLIP read the kernel of sigma, so n = 5..42 need no blocks at r = 200
+    # budgets n r past _EXP2_CLIP read the kernel of sigma, and c_n >= D_max needs no atoms, so n = 5..42
+    # need no blocks at r = 200
     certs = iid_smoothing_certificate(rho, sigma, 200.0, range(1, 43))
     assert [c.meta["n"] for c in certs] == list(range(1, 43))
     assert sorted(set(built)) == [1, 2, 3, 4]
@@ -529,16 +576,17 @@ def test_irrep_block_mass_matches_high_precision_dense():
         c_max = 2.0 ** (n * RenyiDivergenceCurve(rho, sigma).dmax().value)
         for c in (u * c_max for u in scales):
             want = mp_dense_converse_mass(rho, sigma, n, c)
-            got = blocks.mass(n, math.log2(c))
+            got, _ = blocks.mass(n, math.log2(c), 0.0)
             assert (want > 0) == (c < c_max), (n, c, want)
             assert abs(got - want) <= 1e-14, (n, c, got, want)
 
 
 def test_qubit_kernel_mass_past_the_clip_matches_closed_form():
     # past _EXP2_CLIP the converse reads rho's mass on the kernel of sigma^(x n):
-    # for a pure sigma = |v><v| that is 1 - <v|rho|v>^n; a full-rank sigma has
+    # for a pure sigma = |v><v| that is k_n = 1 - <v|rho|v>^n; a full-rank sigma has
     # none, however small its eigenvalue products get (0.03^8 < SUPPORT_CUT
-    # 0.97^8), which keeps the converse below the achievability bound of 0
+    # 0.97^8), which keeps the converse below the witness's 0 at c_n >= D_max.
+    # The witness of the pure sigma drops exactly that kernel: sqrt(k_n (2 - k_n))
     rng = np.random.default_rng(167)
     rho = rand_density(rng, 2)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -546,10 +594,20 @@ def test_qubit_kernel_mass_past_the_clip_matches_closed_form():
     ns = [1, 2, 7, 8, 12, 40]
     pure = iid_smoothing_certificate(rho, np.outer(u[:, 0], u[:, 0].conj()), 1000.0, ns)
     for cert in pure:
-        want = smoothing._converse_from_mass(1.0 - overlap ** cert.meta["n"], 9.0)
-        assert abs(cert.lower - want) <= 1e-12, cert.meta["n"]
+        n = cert.meta["n"]
+        assert abs(cert.lower - smoothing._converse_from_mass(1.0 - overlap**n, 9.0)) <= 1e-12, n
+        assert abs(cert.upper - math.sqrt(1.0 - overlap ** (2 * n))) <= 1e-12, n
     for cert in iid_smoothing_certificate(rho, (u * [0.97, 0.03]) @ u.conj().T, 1000.0, ns):
         assert cert.lower == 0.0 == cert.upper, cert.meta["n"]
+    # past the clip with c_n < D_max (27.5 here) the witness still reads atoms, below the Renyi bound
+    sigma = (u * [1.0 - 2.0**-28, 2.0**-28]) @ u.conj().T
+    curve = RenyiDivergenceCurve(rho, sigma)
+    v = distinct_eigenvalue_counts_iid(sigma, 40)
+    for r in (26.0, 27.0):
+        certs = iid_smoothing_certificate(rho, sigma, r, [25, 40])
+        assert certs[-1].lam >= smoothing._EXP2_CLIP > certs[0].lam
+        for cert, grid in zip(certs, _grid_uppers(curve, [r], [25, 40], v)[0]):
+            assert cert.lower == 0.0 < cert.upper <= grid + 1e-12, (r, cert.meta["n"], cert.upper, grid)
 
 
 def test_dense_kernel_mass_past_the_clip_is_decided_on_sigma():
@@ -623,15 +681,18 @@ def test_certificate_rejects_crossed_brackets():
 
 
 def test_witness_keeps_no_kernel_of_sigma_at_large_budgets():
-    # every rho' <= 2^lam sigma is 0 on ker sigma, so epsilon >= sqrt(rho's mass there) at any lam
+    # every rho' <= 2^lam sigma is 0 on ker sigma, so epsilon >= sqrt(rho's mass k there) at any lam; the
+    # witness keeps all the rest at large lam, so its epsilon is sqrt(k (2 - k))
     rho = rand_density(np.random.default_rng(3), 2)
     sigma = np.diag([1.0, 0.0])
-    floor = math.sqrt(rho[1, 1].real)
+    k = rho[1, 1].real
     for lam in (40.0, 45.0, 60.0, 1500.0):
         cert = smoothing_certificate(rho, sigma, lam)
         assert cert.lower <= cert.upper, lam
-        assert cert.upper >= floor, (lam, cert.upper, floor)
-        assert abs(cert.witness.mat[1, 1]) <= 1e-12, lam
+        assert cert.upper >= math.sqrt(k), (lam, cert.upper, k)
+        assert abs(cert.upper - math.sqrt(k * (2.0 - k))) <= 1e-15, (lam, cert.upper, k)
+    q, _, _ = pinched_witness(rho, sigma, 1, 40.0)
+    assert np.abs(q[1]).max() == 0.0
 
 
 def test_iid_certificates_continue_the_previous_spectrum(monkeypatch):
