@@ -18,6 +18,7 @@ from privamp import (
     positive_part_trace,
     sandwiched_renyi_divergence,
     smoothing_certificate,
+    smoothing_exponent,
 )
 from privamp import measures, operators, smoothing
 from conftest import kron_power, rand_commuting_pair, rand_density, two_stage_grid_max
@@ -240,9 +241,9 @@ def _grid_uppers(curve: RenyiDivergenceCurve, rates, ns, v) -> np.ndarray:
     return 2.0 ** np.minimum(0.5 * (1.0 - ns * f), 0.0)
 
 
-def test_upper_is_at_most_the_renyi_optimum_over_every_order():
+def test_achievability_is_the_optimum_over_every_order():
     # Markov's inequality on the pinched atoms and data processing of Q_{1+s}: the witness is at most
-    # sqrt(2 v^s 2^(-s lam) Q_{1+s}) at every order s, so at most its least over all orders
+    # sqrt(2 v^s 2^(-s lam) Q_{1+s}) at every order s, so at most the Renyi optimum over all orders
     rng = np.random.default_rng(171)
     # a commuting qutrit pair whose two top ratios 2 and 1.9 keep the order derivative short of D_max at s = 100
     pairs = [(np.diag([0.5, 0.3, 0.2]), np.diag([0.25, 0.3 / 1.9, 0.4]))]
@@ -258,7 +259,21 @@ def test_upper_is_at_most_the_renyi_optimum_over_every_order():
             for cert in iid_smoothing_certificate(rho, sigma, r, ns):
                 n = cert.meta["n"]
                 assert cert.upper <= _two_stage_upper(curve, r, n, v[n - 1]) + 1e-12, (r, n, cert.upper)
-    # on 60 more pairs and 11 rates from 10% below D to 10% past D_max, against the first-stage grid
+
+
+def test_achievability_edges_are_exact():
+    # the edges the witness shares with the Renyi bound: c_n >= D_max gives 0, and r = -inf gives 1
+    rng = np.random.default_rng(173)
+    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
+        dmax = max_relative_entropy(rho, sigma).value
+        # v_n <= d^n, so c_n = r - log2(v_n) / n >= D_max at r = D_max + log2 d
+        for r, upper in ((-math.inf, 1.0), (dmax + math.log2(len(rho)), 0.0), (math.inf, 0.0)):
+            assert [c.upper for c in iid_smoothing_certificate(rho, sigma, r, range(1, 5))] == [upper] * 4, r
+
+
+def test_achievability_exponent_stays_below_the_smoothing_exponent():
+    # the Renyi bound on the first-stage grid has -log2(upper_n) / n = (n F_n - 1) / (2 n) <= F_n / 2 <= F(r) / 2,
+    # as c_n <= r and F is nondecreasing in the rate; the witness is at most that bound
     rng = np.random.default_rng(179)
     for k in range(60):
         d = 2 + k % 3
@@ -271,15 +286,11 @@ def test_upper_is_at_most_the_renyi_optimum_over_every_order():
         v = distinct_eigenvalue_counts_iid(sigma, max(ns))
         rates = [d1 + float(x) * (dmax - d1) for x in np.linspace(-0.1, 1.1, 11)]
         for r, grid in zip(rates, _grid_uppers(curve, rates, ns, v)):
+            exponent = smoothing_exponent(curve, None, r).value
+            for n, bound in zip(ns, grid):
+                assert (-math.log2(bound) / n if bound > 0.0 else math.inf) <= exponent + 1e-9, (k, r, n, bound, exponent)
             uppers = [cert.upper for cert in iid_smoothing_certificate(rho, sigma, r, ns)]
             assert np.all(uppers <= grid + 1e-12), (k, r, uppers, grid)
-    # the edges the Renyi bound shares: c_n >= D_max gives 0, and r = -inf gives 1
-    rng = np.random.default_rng(173)
-    for rho, sigma in [rand_commuting_pair(rng, 3), (rand_density(rng, 2), rand_density(rng, 2))]:
-        dmax = max_relative_entropy(rho, sigma).value
-        # v_n <= d^n, so c_n = r - log2(v_n) / n >= D_max at r = D_max + log2 d
-        for r, upper in ((-math.inf, 1.0), (dmax + math.log2(len(rho)), 0.0), (math.inf, 0.0)):
-            assert [c.upper for c in iid_smoothing_certificate(rho, sigma, r, range(1, 5))] == [upper] * 4, r
 
 
 def test_state_descriptor_sigma_reads_as_its_matrix():
