@@ -99,9 +99,9 @@ def eig(a) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue clustering.
 
     Eigenvalues are returned descending. Consecutive eigenvalues whose gap is
-    at most CLUSTER_TOL * max(1, |lambda|_max) are merged into one cluster
-    (_clusters). The decomposition is verified to reconstruct the input
-    within RECONSTRUCTION_TOL * (1 + max entry).
+    at most CLUSTER_TOL * max(1, |lambda|_max) are merged into one cluster.
+    The decomposition is verified to reconstruct the input within
+    RECONSTRUCTION_TOL * (1 + max entry).
     """
     op = a if isinstance(a, HermitianOperator) else HermitianOperator(_as_matrix(a))
     m = op.mat
@@ -121,13 +121,6 @@ def eig(a) -> SpectralDecomposition:
             f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance "
             f"on a dim-{op.dim} matrix with max entry {op.max_norm:.3e}"
         )
-    w.flags.writeable = False
-    u.flags.writeable = False
-    return SpectralDecomposition(w, u, _clusters(w))
-
-
-def _clusters(w: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Indices of descending eigenvalues w, consecutive ones whose gap is at most CLUSTER_TOL * max(1, max |w|) in one cluster."""
     gap_tol = CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     clusters: list[tuple[int, ...]] = []
     start = 0
@@ -136,7 +129,28 @@ def _clusters(w: np.ndarray) -> tuple[tuple[int, ...], ...]:
             clusters.append(tuple(range(start, i)))
             start = i
     clusters.append(tuple(range(start, len(w))))
-    return tuple(clusters)
+    w.flags.writeable = False
+    u.flags.writeable = False
+    return SpectralDecomposition(w, u, tuple(clusters))
+
+
+def _eigenspace_logs(sd: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, float]:
+    """How the tensor powers of sigma = sd count their eigenspaces: the one rule of v_n and of the smoothing witness.
+
+    Per eigenvalue of sd, returns log2 of the mean of its eig() cluster (0
+    on the kernel) and whether it lies in the kernel, the clusters at most
+    SUPPORT_CUT times the largest, whose products are the one eigenvalue 0;
+    and the tolerance within which two sums of these logs are one
+    eigenvalue of a tensor power, CLUSTER_TOL relative on the products.
+    distinct_eigenvalue_counts_iid counts v_n by this rule, and the
+    smoothing witness groups its pinched atoms by it, so its groups are the
+    eigenspaces v_n counts.
+    """
+    reps = np.empty(len(sd.eigenvalues))
+    for c in sd.clusters:
+        reps[list(c)] = np.mean(sd.eigenvalues[list(c)])
+    kernel = reps <= SUPPORT_CUT * max(float(reps[0]), 0.0)
+    return np.log2(np.where(kernel, 1.0, reps)), kernel, 1.5 * CLUSTER_TOL
 
 
 def mat_power(a, t: float) -> HermitianOperator:
@@ -234,9 +248,10 @@ def distinct_eigenvalue_counts_iid(sigma, n: int) -> list[int]:
     One eig and one chain: the distinct products of k base eigenvalues are
     the log2 sums of k - 1 extended by one factor, with tolerance merging
     (type-class enumeration with early dedup), so no tensor power is formed.
-    Products equal within relative tolerance CLUSTER_TOL count once. A zero
-    eigenvalue of sigma adds one distinct value (zero) for any k. The chain
-    stops with BudgetExceededError at the first k whose sums exceed ATOM_CAP.
+    Products equal within relative tolerance CLUSTER_TOL count once
+    (_eigenspace_logs). A zero eigenvalue of sigma adds one distinct value
+    (zero) for any k. The chain stops with BudgetExceededError at the first
+    k whose sums exceed ATOM_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -245,15 +260,9 @@ def distinct_eigenvalue_counts_iid(sigma, n: int) -> list[int]:
     scale = max(1.0, float(np.max(np.abs(w))))
     if float(w[-1]) < -1e-9 * scale:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
-    reps = np.array([float(np.mean(w[list(c)])) for c in sd.clusters])
-    lam_max = float(reps.max())
-    if lam_max <= 0.0:
-        return [1] * n
-    positive = reps > SUPPORT_CUT * lam_max
-    has_zero = bool((~positive).any())
-    logs = np.log2(reps[positive])
-    # relative tolerance on products maps to an absolute gap in log2
-    log_tol = 1.5 * CLUSTER_TOL
+    logs, kernel, log_tol = _eigenspace_logs(sd)
+    has_zero = bool(kernel.any())
+    logs = np.unique(logs[~kernel])
     sums = np.zeros(1)
     counts = []
     for k in range(1, n + 1):

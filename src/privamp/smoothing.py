@@ -37,11 +37,10 @@ import numpy as np
 
 from .operators import (
     ATOM_CAP,
-    CLUSTER_TOL,
     BudgetExceededError,
     SUPPORT_CUT,
     _as_matrix,
-    _clusters,
+    _eigenspace_logs,
     commutator_defect,
     commutes,
     distinct_eigenvalue_counts_iid,
@@ -222,10 +221,10 @@ class _SchurWeylBlocks:
 
     def __init__(self, rm: np.ndarray, sm: np.ndarray):
         wr, ur = np.linalg.eigh(rm)
-        ws, us = np.linalg.eigh(sm)
+        sd = eig(sm)
         # eigenvalues descending and clipped at 0; columns to match
-        r, s = np.maximum(wr[::-1], 0.0), np.maximum(ws[::-1], 0.0)
-        self.u = us[:, ::-1].conj().T @ ur[:, ::-1]
+        r, s = np.maximum(wr[::-1], 0.0), np.maximum(sd.eigenvalues, 0.0)
+        self.u = sd.eigenvectors.conj().T @ ur[:, ::-1]
         self.d = len(self.u)
         if self.d == 2:  # the rotation by the angle between the eigenbases, u up to diagonal phases
             a, c = np.abs(self.u[:, 0])
@@ -233,11 +232,9 @@ class _SchurWeylBlocks:
         self.ratios = np.stack((r / r[0], s / s[0]))
         # log2 of the top eigenvalue and of det
         self.log2_rho, self.log2_sigma = ((_log2(x[0]), float(np.log2(x).sum()) if x[-1] > 0 else -math.inf) for x in (r, s))
-        # sigma's eigenvalues as v_n counts them (distinct_eigenvalue_counts_iid): each at the mean of its
-        # eig() cluster, those at most SUPPORT_CUT times the largest its kernel; log2 over s1 off the kernel
-        reps = np.concatenate([np.full(len(c), ws[::-1][list(c)].mean()) for c in _clusters(ws[::-1])])
-        kernel = reps <= SUPPORT_CUT * max(float(reps[0]), 0.0)
-        self.kernel, self.log2_s = np.flatnonzero(kernel), np.log2(np.where(kernel, s[0], reps) / s[0])
+        # sigma's eigenvalues as v_n counts them: log2 over s1, 0 on the kernel
+        logs, kernel, self.log_tol = _eigenspace_logs(sd)
+        self.kernel, self.log2_s = np.flatnonzero(kernel), np.where(kernel, 0.0, logs - math.log2(s[0]))
         self._blocks: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
 
     @functools.cached_property
@@ -252,10 +249,11 @@ class _SchurWeylBlocks:
         The atoms are (log2 p - log2 q, p), p an eigenvalue of pi(rho) / r1^m
         compressed to an eigenspace of pi(sigma) / s1^m of eigenvalue q. An
         eigenspace is a run of basis vectors whose log2 q, summed over
-        sigma's eigenvalues as v_n counts them, agree within v_n's product
-        tolerance, and takes the least q of its run; those with weight on
-        sigma's kernel have q = 0 and form one eigenspace. A singleton's atom
-        is its diagonal entry. Atoms of mass p <= 0 are dropped.
+        sigma's eigenvalues, agree within the tolerance by which v_n counts
+        (_eigenspace_logs), and takes the least q of its run; those with
+        weight on sigma's kernel have q = 0 and form one eigenspace. A
+        singleton's atom is its diagonal entry. Atoms of mass p <= 0 are
+        dropped.
         """
         if shape not in self._blocks:
             if sum(shape) == 1:  # C^d itself, its standard basis a Gelfand-Tsetlin basis
@@ -269,10 +267,9 @@ class _SchurWeylBlocks:
             if self.kernel.size:  # a vector with weight on sigma's kernel has q = 0
                 log_q[weights[:, self.kernel].any(axis=1)] = -math.inf
             order = np.argsort(log_q, kind="stable")
-            # distinct_eigenvalue_counts_iid merges log2 products this close; the nan
-            # difference of two kernel vectors joins them, as the kernel is one eigenspace
+            # the nan difference of two kernel vectors joins them, as the kernel is one eigenspace
             with np.errstate(invalid="ignore"):
-                cuts = np.diff(log_q[order]) > 1.5 * CLUSTER_TOL
+                cuts = np.diff(log_q[order]) > self.log_tol
             if not cuts.all():  # eigenspaces of several vectors, those of one dimension in one stacked eigvalsh
                 bounds = [0, *(np.flatnonzero(cuts) + 1).tolist(), len(order)]
                 groups: dict[int, list[int]] = {}
@@ -493,9 +490,9 @@ def iid_smoothing_certificate(
     distinct-eigenvalue counts v_1..v_max(ns) of sigma's tensor powers do
     not depend on n and are computed once. Every n's upper bound is the
     pinched witness's sqrt(delta (2 - delta)), computed from delta, and 0
-    where c_n = r - log2(v_n) / n >= D_max, which makes rho^(x n) <=
-    2^(n r) / v_n sigma^(x n). Commuting pairs get the exact spectrum-path
-    epsilon plus the bracket; the n-fold spectrum is the previous n's
+    where a finite D_max is at most r, which makes rho^(x n) <= 2^(n r)
+    sigma^(x n). Commuting pairs get the exact spectrum-path epsilon plus
+    the bracket; the n-fold spectrum is the previous n's
     convolved with the base once more (restarting from the base when n
     decreases), so a list 1..N convolves N - 1 times. The base is the
     spectrum of (rho, 2^r sigma), its ratios shifted by r: the n-fold ratios
@@ -504,11 +501,11 @@ def iid_smoothing_certificate(
     bracket only, both sides from Schur-Weyl blocks (_SchurWeylBlocks), each
     irrep's block and atoms built once for all n. Past _EXP2_CLIP, or at t =
     inf, their converse reads rho's mass on the kernel of sigma, decided on
-    sigma itself, while the witness still reads atoms where c_n < D_max.
+    sigma itself, while the witness still reads atoms where r < D_max.
     BudgetExceededError is raised before v or any bound when the largest
-    n > 1 that may need a block, below _EXP2_CLIP or with c_n < D_max for
-    v_n at its most, has a block whose eigh and d - 2 _gt_irrep commutators,
-    max(1, d - 2) d_lam^3, pass BLOCK_BUDGET^3.
+    n > 1 that needs a block, below _EXP2_CLIP or with r < D_max, has a
+    block whose eigh and d - 2 _gt_irrep commutators, max(1, d - 2)
+    d_lam^3, pass BLOCK_BUDGET^3.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -520,15 +517,10 @@ def iid_smoothing_certificate(
     rm, sm = _as_matrix(rho), _as_matrix(sigma)
     commuting = commutes(rm, sm)
     d_max = max_relative_entropy(rm, sm).value
-
-    def witnessed(n: int, log2_v: float) -> bool:
-        """Whether c_n < D_max, where the witness reads delta; else its epsilon is 0."""
-        return d_max == math.inf or r - log2_v / n < d_max
-
-    # v_n is at most the number C(n + d - 1, d - 1) of types, which bounds c_n from below before v is read
+    # rho <= 2^(D_max) sigma, so a finite D_max <= r makes rho^(x n) <= 2^(n r) sigma^(x n): epsilon is 0 at every n
+    dominated = r >= d_max and d_max < math.inf
     d = len(rm)
-    may_need = (n for n in ns if n > 1 and (n * r < _EXP2_CLIP or witnessed(n, math.log2(math.comb(n + d - 1, d - 1)))))
-    n_blocks = 1 if commuting else max(may_need, default=1)
+    n_blocks = 1 if commuting else max((n for n in ns if n > 1 and (n * r < _EXP2_CLIP or not dominated)), default=1)
     if n_blocks > 1 and (work := max(1, d - 2)) * (rows := _largest_block(n_blocks, d)) ** 3 > BLOCK_BUDGET**3:
         msg = f"Schur-Weyl block of {rows} rows at n = {n_blocks} exceeds budget {BLOCK_BUDGET}"
         raise BudgetExceededError(f"{msg} (work {work} x rows^3 against {BLOCK_BUDGET}^3)")
@@ -559,7 +551,7 @@ def iid_smoothing_certificate(
             delta = spectrum.mass_above(level)
         else:
             past = lam >= _EXP2_CLIP or math.isinf(t)
-            if past and not witnessed(n, log2_v):
+            if past and dominated:
                 converse, delta = 0.0, 0.0
             else:
                 converse, delta = blocks.mass(n, math.inf if past else math.log2(t) + lam, level)
@@ -573,7 +565,7 @@ def iid_smoothing_certificate(
             SmoothingCertificate(
                 lam=lam,
                 lower=lower,
-                upper=math.sqrt(2.0 * delta - delta * delta) if witnessed(n, log2_v) else 0.0,
+                upper=0.0 if dominated else math.sqrt(2.0 * delta - delta * delta),
                 exact=exact,
                 meta={"n": n, "r": r, "t": t, "commuting": commuting, "v_n": v[n - 1]},
             )
